@@ -24,14 +24,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .lca import FiniteConfiguration, LcaRule, PropertyReport, analyze_rule
-from .modring import factorize
+from .modring import canonical_matrix, factorize
 
 
 class MalformedEndomorphismError(ValueError):
     """An integer matrix does not define an endomorphism of the group."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbelianGroup:
     """A finite abelian group presented as a product of primary cyclic factors.
 
@@ -82,7 +82,7 @@ class AbelianGroup:
         return product(*(range(q) for q in self.factors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupEndomorphism:
     """An endomorphism of an AbelianGroup given by an integer matrix.
 
@@ -98,11 +98,9 @@ class GroupEndomorphism:
 
     def __post_init__(self) -> None:
         rank = self.group.rank
-        rows = tuple(tuple(int(v) for v in row) for row in self.matrix)
-        if len(rows) != rank or any(len(row) != rank for row in rows):
+        reduced = canonical_matrix(self.matrix, self.group.factors)
+        if reduced is None:
             raise MalformedEndomorphismError(f"matrix must be {rank}x{rank}")
-        reduced = tuple(tuple(v % self.group.factors[i] for v in row)
-                        for i, row in enumerate(rows))
         for i in range(rank):
             p_i, k_i = self.group.prime_exponent(i)
             for j in range(rank):
@@ -131,7 +129,7 @@ class GroupEndomorphism:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdditiveCaRule:
     """A radius-r additive CA on G^Z: F(c)_i = sum_z delta_z(c_{i+z})."""
 

@@ -15,24 +15,22 @@ and every dynamical question handled here reduces to algebra on A(X):
 * surjectivity: det A(X) must be nonzero mod every prime p | m;
 * injectivity: det A(X) must be a single monomial mod every prime p | m;
 * transitivity: F must be surjective and, for every prime p | m, the
-  characteristic polynomial of A(X) mod p must be coprime in F_p(x)[t] with
-  t^(p^i - 1) - 1 for i = 1..n.  Coprimality with that finite family rules
-  out every eigenvalue that is a root of unity, which is exactly the
-  obstruction to some F^k - I failing surjectivity.
-
-The gcds over the rational function field F_p(x) are computed fraction-free:
-x-denominators are cleared (x is a unit in the Laurent ring), and the
-Euclidean descent uses pseudo-remainders with content stripping in F_p[x].
+  characteristic polynomial of A(X) mod p must have no root of unity among
+  its roots -- exactly the obstruction to some F^k - I failing surjectivity.
+  Write chi mod p = sum_e x^e g_e(t) with x-slices g_e in F_p[t].  A root of
+  unity is algebraic over F_p while x is transcendental, so it is a root of
+  chi mod p iff it is a root of every g_e, i.e. of G_p = gcd_e g_e.  Every
+  nonzero element of the algebraic closure of F_p is a root of unity, and
+  surjectivity keeps t = 0 from being a root, so the test is G_p = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from . import tpoly
 from .laurent import LaurentPoly, LaurentRing, laurent_ring
-from .modring import Modulus, factorize
+from .modring import Modulus, canonical_matrix, factorize
 from .polymat import RingMatrix, char_poly, determinant
 from .power_semigroup import decide_finite_powers
 
@@ -41,7 +39,7 @@ from .power_semigroup import decide_finite_powers
 # rules and configurations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LcaRule:
     """A radius-r linear CA rule on (Z/mZ)^n: one n x n matrix per offset.
 
@@ -64,14 +62,11 @@ class LcaRule:
             raise ValueError(
                 f"expected {2 * self.radius + 1} matrices for radius {self.radius}, got {len(mats)}"
             )
-        m = self.modulus.m
-        normalized = []
-        for mat in mats:
-            rows = tuple(tuple(int(v) % m for v in row) for row in mat)
-            if len(rows) != self.n or any(len(row) != self.n for row in rows):
-                raise ValueError(f"each local matrix must be {self.n}x{self.n}")
-            normalized.append(rows)
-        object.__setattr__(self, "matrices", tuple(normalized))
+        moduli = (self.modulus.m,) * self.n
+        normalized = tuple(canonical_matrix(mat, moduli) for mat in mats)
+        if None in normalized:
+            raise ValueError(f"each local matrix must be {self.n}x{self.n}")
+        object.__setattr__(self, "matrices", normalized)
 
     def matrix_at_offset(self, z: int) -> tuple:
         return self.matrices[z + self.radius]
@@ -276,27 +271,40 @@ def decide_injective(rule: LcaRule) -> bool:
 
 
 def decide_transitive(rule: LcaRule) -> bool:
-    """Topological transitivity via the root-of-unity coprimality certificate.
+    """Topological transitivity via the x-slice gcd certificate.
 
-    F is transitive iff it is surjective and no power F^k agrees with the
-    identity anywhere it shouldn't, i.e. F^k - I stays surjective for all
-    k >= 1.  det(A^k - I) mod p vanishes for some k exactly when chi_{A mod p}
-    has a root of unity among its roots, and any such root lies in F_{p^i}
-    with i <= n; hence the finite certificate gcd(chi, t^(p^i - 1) - 1) = 1
-    for i = 1..n, computed in F_p(x)[t].
+    F is transitive iff it is surjective and F^k - I stays surjective for all
+    k >= 1.  det(A^k - I) mod p vanishes for some k exactly when chi mod p
+    has a root of unity among its roots, and those roots are the roots of the
+    x-slice gcd G_p in F_p[t] (see the module docstring); a surjective rule
+    is therefore transitive iff G_p = 1 for every prime p | m.
     """
-    if not decide_surjective(rule):
-        return False
+    return decide_surjective(rule) and transitivity_obstruction(rule) is None
+
+
+def transitivity_obstruction(rule: LcaRule) -> tuple[int, list[int]] | None:
+    """(p, G_p) for the first prime p | m whose x-slice gcd G_p is not 1.
+
+    G_p is monic, with ascending coefficients in [0, p); None when every
+    G_p = 1.
+    """
     big = associated_matrix(rule)
     for p in rule.modulus.primes:
-        ring_p = laurent_ring(p)
-        reduced = RingMatrix(ring_p, [[entry.reduce_mod_prime(p) for entry in row]
-                                      for row in big.rows])
-        chi = list(char_poly(reduced).coeffs)
-        for i in range(1, rule.n + 1):
-            if not _coprime_with_t_power_minus_one(chi, p**i - 1, ring_p):
-                return False
-    return True
+        reduced = RingMatrix(laurent_ring(p), [[entry.reduce_mod_prime(p) for entry in row]
+                                               for row in big.rows])
+        chi = char_poly(reduced).coeffs
+        slices: dict[int, list[int]] = {}
+        for k, coeff in enumerate(chi):
+            for e, v in coeff.items():
+                slices.setdefault(e, [0] * len(chi))[k] = v
+        gcd = slices.pop(0)  # chi is monic, so this slice is too
+        for g in slices.values():
+            if len(gcd) == 1:
+                break
+            gcd = _fp_gcd(gcd, g, p)
+        if len(gcd) > 1:
+            return p, gcd
+    return None
 
 
 @dataclass
@@ -347,11 +355,15 @@ def analyze_rule(rule: LcaRule) -> PropertyReport:
     transitive = decide_transitive(rule)
     if transitive:
         notes["transitivity"] = (
-            "surjective and chi mod p is coprime with t^(p^i-1) - 1 for all p | m, i <= n")
+            "surjective and G_p = 1 for every p | m "
+            "(G_p: gcd over F_p[t] of the x-slices of chi mod p)")
     elif not surjective:
         notes["transitivity"] = "not surjective"
     else:
-        notes["transitivity"] = "chi mod p shares a root of unity with some t^(p^i-1) - 1"
+        p, gcd = transitivity_obstruction(rule)
+        notes["transitivity"] = (
+            f"G_{p} = {_format_fp_poly(gcd)} (gcd over F_{p}[t] of the x-slices of "
+            f"chi mod {p}): a root of order k gives det(A^k - I) = 0 mod {p}")
     return PropertyReport(
         sensitive=not verdict.finite,
         equicontinuous=verdict.finite,
@@ -363,77 +375,7 @@ def analyze_rule(rule: LcaRule) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery over F_p(x)[t]
-
-
-def _coprime_with_t_power_minus_one(chi: list, h: int, ring: LaurentRing) -> bool:
-    """Is gcd(chi, t^h - 1) trivial over the fraction field F_p(x)?
-
-    chi is monic, so t^h is first reduced in the quotient ring L[t]/(chi)
-    (no division needed); the remaining gcd of two degree-<= n polynomials
-    uses a pseudo-remainder descent.
-    """
-    g = tpoly.sub(tpoly.pow_t_mod(chi, h, ring), [ring.one()], ring)
-    if tpoly.is_zero(g):
-        return False  # chi divides t^h - 1 outright
-    f = list(chi)
-    while tpoly.degree(g) >= 1:
-        r = _pseudo_remainder(f, g, ring)
-        if tpoly.is_zero(r):
-            return False  # g is a common factor of positive degree
-        f, g = g, _strip_fp_content(r, ring)
-    return True
-
-
-def _pseudo_remainder(f: list, g: list, ring: LaurentRing) -> list:
-    """prem(f, g): remainder of lc(g)^k * f modulo g, fraction-free."""
-    out = list(f)
-    dg = tpoly.degree(g)
-    lc = g[-1]
-    while tpoly.degree(out) >= dg:
-        top = out.pop()
-        out = [lc * c for c in out]
-        shift = len(out) - dg
-        for i in range(dg):
-            out[shift + i] = out[shift + i] - top * g[i]
-        out = tpoly.normalize(out, ring)
-    return out
-
-
-def _strip_fp_content(coeffs: list, ring: LaurentRing) -> list:
-    """Divide a t-polynomial over F_p[x, x^-1] by the F_p[x]-content of its
-    coefficients (and by common x-powers), to keep pseudo-remainders small."""
-    p = ring.modulus.m
-    shifted = []
-    for c in coeffs:
-        if c.is_zero():
-            shifted.append(None)
-            continue
-        support = c.support()
-        offset = support[0]
-        dense = [0] * (support[-1] - offset + 1)
-        for e, v in c.items():
-            dense[e - offset] = v
-        shifted.append(dense)
-    content: list[int] | None = None
-    for dense in shifted:
-        if dense is None:
-            continue
-        content = dense if content is None else _fp_gcd(content, dense, p)
-        if len(content) == 1:
-            return coeffs  # unit content: nothing to strip
-    if content is None or len(content) == 1:
-        return coeffs
-    out = []
-    for c, dense in zip(coeffs, shifted):
-        if dense is None:
-            out.append(ring.zero())
-            continue
-        quotient = _fp_divexact(dense, content, p)
-        offset = c.support()[0]
-        out.append(LaurentPoly(ring.modulus,
-                               {offset + i: v for i, v in enumerate(quotient) if v}))
-    return out
+# dense polynomials over F_p, ascending coefficient lists
 
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -465,11 +407,16 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [(c * inv) % p for c in a]
 
 
-def _fp_divexact(a: list[int], b: list[int], p: int) -> list[int]:
-    q, r = _fp_divmod(list(a), b, p)
-    if r:
-        raise ArithmeticError("exact division expected")
-    return q
+def _format_fp_poly(coeffs: list[int]) -> str:
+    """Render in the style of CharPoly, e.g. t^2 + 2*t + 1."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c and k == 0:
+            parts.append(str(c))
+        elif c:
+            parts.append(("" if c == 1 else f"{c}*") + ("t" if k == 1 else f"t^{k}"))
+    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class InvalidModulusError(ValueError):
@@ -71,6 +71,25 @@ def factorize(m: int) -> Modulus:
     if rest > 1:
         factors.append((rest, 1))
     return Modulus(m, tuple(factors))
+
+
+def canonical_matrix(matrix, moduli: Sequence[int]) -> tuple | None:
+    """Square matrix as a tuple of int tuples, entry (i, j) reduced mod moduli[i].
+
+    The caller's tuple comes back unchanged when it is already canonical
+    (entries of type exactly int, in range), so objects built from canonical
+    data hold no second copy.  None unless the matrix is len(moduli) x len(moduli).
+    """
+    size = len(moduli)
+    if (type(matrix) is tuple and len(matrix) == size
+            and all(type(row) is tuple and len(row) == size
+                    and all(type(v) is int and 0 <= v < q for v in row)
+                    for row, q in zip(matrix, moduli))):
+        return matrix
+    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    if len(rows) != size or any(len(row) != size for row in rows):
+        return None
+    return tuple(tuple(v % q for v in row) for row, q in zip(rows, moduli))
 
 
 def _same_ring(a: "ResidueElement", b: "ResidueElement") -> None:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and independent of the production code
 paths: surjectivity by preimage counting, injectivity by searching the
 de Bruijn graph for periodic kernel patterns, transitivity by bounded
-enumeration of the powers F^k - I.
+enumeration of the powers F^k - I.  The one exception is the former
+transitivity decider, a gcd descent over F_p(x)[t], kept to check its
+replacement on a fixed corpus.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 from collections import deque
 from itertools import product
 
-from addca.lca import FiniteConfiguration, LcaRule, associated_matrix
-from addca.polymat import determinant, identity
+from addca import tpoly
+from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
+from addca.lca import FiniteConfiguration, LcaRule, _fp_divmod, _fp_gcd, associated_matrix
+from addca.polymat import RingMatrix, char_poly, determinant, identity
 
 
 def local_map(rule: LcaRule, word: tuple) -> tuple:
@@ -266,6 +270,97 @@ def bounded_transitivity_oracle(rule: LcaRule, k_max: int = 64) -> bool:
     return True
 
 
+def descent_transitivity_oracle(rule: LcaRule) -> bool:
+    """Surjective and gcd(chi mod p, t^(p^i - 1) - 1) = 1 over F_p(x) for all
+    p | m and i = 1..n.
+
+    Any root of unity among the eigenvalues lies in some F_{p^i} with i <= n,
+    so this finite family of gcds sees all of them.  Each gcd is computed
+    fraction-free: t^h is reduced in L[t]/(chi) (chi is monic), then a
+    pseudo-remainder descent with F_p[x]-content stripping finishes it.
+    """
+    matrix = associated_matrix(rule)
+    det = determinant(matrix)
+    if any(det.reduce_mod_prime(p).is_zero() for p in rule.modulus.primes):
+        return False
+    for p in rule.modulus.primes:
+        ring_p = laurent_ring(p)
+        reduced = RingMatrix(ring_p, [[entry.reduce_mod_prime(p) for entry in row]
+                                      for row in matrix.rows])
+        chi = list(char_poly(reduced).coeffs)
+        for i in range(1, rule.n + 1):
+            if not _coprime_with_t_power_minus_one(chi, p**i - 1, ring_p):
+                return False
+    return True
+
+
+def _coprime_with_t_power_minus_one(chi: list, h: int, ring: LaurentRing) -> bool:
+    """Is gcd(chi, t^h - 1) trivial over the fraction field F_p(x)?"""
+    g = tpoly.sub(tpoly.pow_t_mod(chi, h, ring), [ring.one()], ring)
+    if tpoly.is_zero(g):
+        return False  # chi divides t^h - 1 outright
+    f = list(chi)
+    while tpoly.degree(g) >= 1:
+        r = _pseudo_remainder(f, g, ring)
+        if tpoly.is_zero(r):
+            return False  # g is a common factor of positive degree
+        f, g = g, _strip_fp_content(r, ring)
+    return True
+
+
+def _pseudo_remainder(f: list, g: list, ring: LaurentRing) -> list:
+    """prem(f, g): remainder of lc(g)^k * f modulo g, fraction-free."""
+    out = list(f)
+    dg = tpoly.degree(g)
+    lc = g[-1]
+    while tpoly.degree(out) >= dg:
+        top = out.pop()
+        out = [lc * c for c in out]
+        shift = len(out) - dg
+        for i in range(dg):
+            out[shift + i] = out[shift + i] - top * g[i]
+        out = tpoly.normalize(out, ring)
+    return out
+
+
+def _strip_fp_content(coeffs: list, ring: LaurentRing) -> list:
+    """Divide a t-polynomial over F_p[x, x^-1] by the F_p[x]-content of its
+    coefficients (and by common x-powers), to keep pseudo-remainders small."""
+    p = ring.modulus.m
+    shifted = []
+    for c in coeffs:
+        if c.is_zero():
+            shifted.append(None)
+            continue
+        support = c.support()
+        offset = support[0]
+        dense = [0] * (support[-1] - offset + 1)
+        for e, v in c.items():
+            dense[e - offset] = v
+        shifted.append(dense)
+    content: list[int] | None = None
+    for dense in shifted:
+        if dense is None:
+            continue
+        content = dense if content is None else _fp_gcd(content, dense, p)
+        if len(content) == 1:
+            return coeffs  # unit content: nothing to strip
+    if content is None or len(content) == 1:
+        return coeffs
+    out = []
+    for c, dense in zip(coeffs, shifted):
+        if dense is None:
+            out.append(ring.zero())
+            continue
+        quotient, remainder = _fp_divmod(dense, content, p)
+        if remainder:
+            raise ArithmeticError("exact division expected")
+        offset = c.support()[0]
+        out.append(LaurentPoly(ring.modulus,
+                               {offset + i: v for i, v in enumerate(quotient) if v}))
+    return out
+
+
 def tychonoff_distance(a: FiniteConfiguration, b: FiniteConfiguration) -> float:
     """2^(-l) where l is the least radius at which the configurations differ."""
     if a == b:
@@ -279,8 +374,6 @@ def tychonoff_distance(a: FiniteConfiguration, b: FiniteConfiguration) -> float:
 
 def config_series_components(config: FiniteConfiguration, ring) -> list:
     """The vector of Laurent polynomials P_c with component i = sum c_i^(pos) X^pos."""
-    from addca.laurent import LaurentPoly
-
     n = len(config.orders)
     comps = []
     for i in range(n):

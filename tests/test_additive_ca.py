@@ -152,6 +152,20 @@ def test_endomorphism_validation():
     assert GroupEndomorphism(G42, ((5, -2), (4, 3))).matrix == ((1, 2), (0, 1))
 
 
+def test_canonical_endomorphism_matrix_is_shared_not_copied():
+    matrix = ((1, 2), (1, 1))
+    shared = GroupEndomorphism(G42, matrix)
+    assert shared.matrix is matrix
+    rebuilt = GroupEndomorphism(G42, [[5, -2], [True, 3.0]])
+    assert rebuilt.matrix == matrix
+    assert all(type(v) is int for row in rebuilt.matrix for v in row)
+    assert rebuilt == shared and hash(rebuilt) == hash(shared)
+    assert type(GroupEndomorphism(G42, ((True, 2), (1, 1))).matrix[0][0]) is int
+    rule = AdditiveCaRule(G42, 0, (shared,))
+    for value in (G42, shared, rule):
+        assert not hasattr(value, "__dict__")
+
+
 def test_rejected_matrix_really_is_not_additive():
     # The raw map h -> ((0*h0 + 1*h1) mod 4, h1 mod 2) from the rejected
     # matrix above genuinely fails additivity, so the validation is not

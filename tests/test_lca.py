@@ -22,15 +22,18 @@ from addca.lca import (
     simulate,
     spreads,
     step,
+    transitivity_obstruction,
 )
+from addca.lca import _fp_gcd, _format_fp_poly
 from addca.modring import factorize
 from addca.power_semigroup import detect_orbit
-from addca.polymat import RingMatrix, identity
+from addca.polymat import RingMatrix, determinant, identity
 
 from oracles import (
     balance_surjectivity_oracle,
     bounded_transitivity_oracle,
     config_series_components,
+    descent_transitivity_oracle,
     periodic_kernel_witness,
     tychonoff_distance,
 )
@@ -88,6 +91,21 @@ def test_rule_validation():
         LcaRule(factorize(2), 2, 0, (((1, 0),),))  # not n x n
     with pytest.raises(ValueError):
         scalar_rule(2, (1, 0))  # even window
+
+
+def test_canonical_matrices_are_shared_not_copied():
+    mats = (((1, 0), (0, 3)), ((0, 1), (2, 0)), ((0, 0), (0, 0)))
+    shared = LcaRule(factorize(4), 2, 1, mats)
+    assert all(shared.matrices[k] is mats[k] for k in range(3))
+    # lists, out-of-range ints and bools still normalise to canonical ints
+    raw = [[[True, False], [-4, 7]], [[4, -3], [2, 8]], [[4, 0], [0, -8]]]
+    rebuilt = LcaRule(factorize(4), 2, 1, raw)
+    assert rebuilt.matrices == mats
+    assert all(type(v) is int for mat in rebuilt.matrices for row in mat for v in row)
+    assert rebuilt == shared and hash(rebuilt) == hash(shared)
+    flagged = LcaRule(factorize(4), 2, 1, (((True, 0), (0, 3)),) + mats[1:])
+    assert type(flagged.matrices[0][0][0]) is int and flagged.matrices[1] is mats[1]
+    assert not hasattr(shared, "__dict__")
 
 
 def test_associated_matrix_examples():
@@ -226,6 +244,46 @@ def test_injectivity_matches_kernel_search():
 def test_transitivity_matches_bounded_oracle():
     for rule in rule_corpus(30, seed=13):
         assert decide_transitive(rule) == bounded_transitivity_oracle(rule, k_max=24), rule
+
+
+def descent_corpus() -> list[LcaRule]:
+    """450 radius-1 rules, m in {2,3,4,6,8,9}, n <= 3, entries zeroed with probability 1/2."""
+    rng = random.Random(2024)
+    return [random_rule(rng, rng.choice([2, 3, 4, 6, 8, 9]), rng.choice([1, 2, 3]), 1)
+            for _ in range(450)]
+
+
+def test_transitivity_matches_former_descent():
+    obstructed = 0
+    for rule in descent_corpus():
+        decided = decide_transitive(rule)
+        assert decided == descent_transitivity_oracle(rule), rule
+        obstructed += not decided and decide_surjective(rule)
+    assert obstructed >= 40  # surjective but not transitive: the slices do the work
+
+
+def test_transitivity_certificate_gives_a_failing_power():
+    checked = 0
+    for rule in descent_corpus():
+        report = analyze_rule(rule)
+        if report.transitive:
+            assert report.notes["transitivity"].startswith("surjective and G_p = 1 for every p | m")
+            continue
+        if not report.surjective:
+            continue
+        p, gcd = transitivity_obstruction(rule)
+        assert report.notes["transitivity"].startswith(f"G_{p} = {_format_fp_poly(gcd)} ")
+        # the least j with gcd(G_p, t^(p^j - 1) - 1) != 1 over F_p; j <= deg G_p
+        k = next(p**j - 1 for j in range(1, len(gcd))
+                 if len(_fp_gcd(gcd, [p - 1] + [0] * (p**j - 2) + [1], p)) > 1)
+        matrix = associated_matrix(rule)
+        ident = identity(matrix.ring, matrix.n)
+        power = ident
+        for _ in range(k):
+            power = power * matrix
+        assert determinant(power - ident).reduce_mod_prime(p).is_zero(), (rule, k)
+        checked += 1
+    assert checked >= 40
 
 
 def test_dichotomy_and_implications():
