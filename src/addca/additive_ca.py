@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lca import FiniteConfiguration, LcaRule, PropertyReport, analyze_rule
+from .lca import FiniteConfiguration, LcaRule, PropertyReport, _step_kernel, analyze_rule
 from .modring import canonical_matrix, factorize
 
 
@@ -153,31 +153,16 @@ class AdditiveCaRule:
             normalized.append(endo)
         object.__setattr__(self, "endomorphisms", tuple(normalized))
 
-    def endo_at_offset(self, z: int) -> GroupEndomorphism:
-        return self.endomorphisms[z + self.radius]
-
     def offsets(self) -> range:
         return range(-self.radius, self.radius + 1)
 
 
 def step_additive(rule: AdditiveCaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     """One synchronous update of the additive CA on a finite configuration."""
-    group = rule.group
-    if config.orders != group.factors:
-        raise ValueError(f"configuration alphabet {config.orders} does not match {group.factors}")
-    acc: dict[int, list[int]] = {}
-    rank = group.rank
-    for pos, vec in config.cells.items():
-        for z in rule.offsets():
-            image = rule.endo_at_offset(z).apply(vec)
-            target = pos - z
-            out = acc.get(target)
-            if out is None:
-                acc[target] = list(image)
-            else:
-                for i in range(rank):
-                    out[i] = (out[i] + image[i]) % group.factors[i]
-    return FiniteConfiguration(group.factors, acc)
+    factors = rule.group.factors
+    if config.orders != factors:
+        raise ValueError(f"configuration alphabet {config.orders} does not match {factors}")
+    return _step_kernel(tuple(endo.matrix for endo in rule.endomorphisms), rule.radius, config)
 
 
 def simulate_additive(rule: AdditiveCaRule, config: FiniteConfiguration,

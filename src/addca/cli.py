@@ -44,7 +44,8 @@ from .lca import (
 )
 from .modring import InvalidModulusError, factorize
 from .polymat import char_poly
-from .power_semigroup import decide_finite_powers, detect_orbit, sampled_degree_growth
+from .power_semigroup import (char_poly_finiteness, decide_finite_powers, detect_orbit,
+                              sampled_degree_growth)
 
 
 class SpecError(ValueError):
@@ -168,8 +169,12 @@ def load_spec(path: str) -> SpecDocument:
             data = json.load(handle)
     except OSError as err:
         raise SpecError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise SpecError(f"{path}: not valid UTF-8: {err}") from None
     except json.JSONDecodeError as err:
         raise SpecError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise SpecError(f"{path}: JSON nested too deeply") from None
     try:
         return parse_spec(data)
     except SpecError as err:
@@ -236,7 +241,7 @@ def cmd_charpoly(document: SpecDocument, args: argparse.Namespace) -> int:
         raise SpecError("charpoly needs a linear spec (additive rules: analyze instead)")
     matrix = associated_matrix(document.rule)
     poly = char_poly(matrix)
-    verdict = decide_finite_powers(matrix)
+    verdict = char_poly_finiteness(poly)
     primes = document.rule.modulus.primes
     coefficients = []
     for index, coeff in enumerate(poly.coeffs):

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .modring import Modulus, ResidueElement, RingMismatchError, crt_combine, factorize
+from .modring import Modulus, ResidueElement, RingMismatchError, factorize
 
 
 class LaurentPoly:
@@ -79,9 +79,6 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._coeffs.items()))
-
-    def coefficient(self, exponent: int) -> ResidueElement:
-        return ResidueElement(self._coeffs.get(exponent, 0), self.modulus)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -195,23 +192,17 @@ class LaurentPoly:
         degs = [e for e, c in self._coeffs.items() if e < 0 and c % p]
         return min(degs) if degs else 0
 
-    def integral_constants(self) -> dict[int, int] | None:
-        """Per-prime constants when integral over Z/mZ, else None.
-
-        Returns {p: c_p} with f == c_p (mod p) for each prime p | m exactly
-        when every mod-p reduction of f is constant.
-        """
-        constants: dict[int, int] = {}
+    def integrality_obstruction(self) -> int | None:
+        """Smallest prime p | m with f mod p non-constant, or None when f is
+        integral over Z/mZ."""
         for p in self.modulus.primes:
-            reduced = {e: c % p for e, c in self._coeffs.items() if c % p}
-            if any(e != 0 for e in reduced):
-                return None
-            constants[p] = reduced.get(0, 0)
-        return constants
+            if any(e != 0 and c % p for e, c in self._coeffs.items()):
+                return p
+        return None
 
     def is_integral_over_base(self) -> bool:
         """True iff f satisfies some monic polynomial with constant coefficients."""
-        return self.integral_constants() is not None
+        return self.integrality_obstruction() is None
 
     # -- rendering / parsing -------------------------------------------------
 
@@ -285,18 +276,3 @@ def laurent_ring(m: int) -> LaurentRing:
     """Shorthand: the ring handle for (Z/mZ)[x, x^-1]."""
     return LaurentRing(factorize(m))
 
-
-def integral_witness_constant(f: LaurentPoly) -> ResidueElement | None:
-    """A constant c with (f - c)^K == 0 for K = max prime exponent of m.
-
-    Exists exactly when f is integral over Z/mZ: c only needs to agree with
-    the mod-p constant of f for each prime p, so any CRT lift over the
-    product of the distinct primes will do.
-    """
-    constants = f.integral_constants()
-    if constants is None:
-        return None
-    modulus = f.modulus
-    parts = [ResidueElement(constants[p], factorize(p)) for p in modulus.primes]
-    combined = crt_combine(parts, factorize(modulus.nilradical_generator()))
-    return ResidueElement(combined.value, modulus)

@@ -27,6 +27,7 @@ and every dynamical question handled here reduces to algebra on A(X):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly, LaurentRing, laurent_ring
@@ -187,23 +188,28 @@ def step(rule: LcaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     expected = (rule.modulus.m,) * rule.n
     if config.orders != expected:
         raise ValueError(f"configuration alphabet {config.orders} does not match rule {expected}")
-    m = rule.modulus.m
-    n = rule.n
+    return _step_kernel(rule.matrices, rule.radius, config)
+
+
+def _step_kernel(matrices: Sequence, radius: int,
+                 config: FiniteConfiguration) -> FiniteConfiguration:
+    """F(c)_i = sum_z M_z c_{i+z} with ``matrices[k]`` = M_(k - radius).
+
+    Component i of the result is reduced mod config.orders[i]; the linear and
+    additive steps differ only in those orders.  The sums stay unreduced until
+    the FiniteConfiguration constructor reduces each cell once.
+    """
+    rank = len(config.orders)
     acc: dict[int, list[int]] = {}
     for pos, vec in config.cells.items():
-        for z in rule.offsets():
-            mat = rule.matrix_at_offset(z)
-            target = pos - z
+        target = pos + radius  # pos - z for z = -radius, -radius + 1, ...
+        for mat in matrices:
             out = acc.get(target)
             if out is None:
-                out = [0] * n
-                acc[target] = out
-            for i in range(n):
-                row = mat[i]
-                total = 0
-                for j in range(n):
-                    total += row[j] * vec[j]
-                out[i] = (out[i] + total) % m
+                out = acc[target] = [0] * rank
+            for i, row in enumerate(mat):
+                out[i] += sum(map(mul, row, vec))
+            target -= 1
     return FiniteConfiguration(config.orders, acc)
 
 

@@ -5,18 +5,15 @@ none of the classical elimination schemes apply: there is no echelon form and
 fraction-free tricks such as Bareiss still divide.  The characteristic
 polynomial is therefore computed with the Berkowitz vector recurrence, which
 uses ring operations only, and the determinant is read off its constant term.
-
-As an independent cross-check, `char_poly_by_minor_sums` recomputes each
-coefficient as a signed sum of principal minors; the minors themselves are
-expanded by a subset-DP Laplace scheme that shares nothing with Berkowitz.
+The Frobenius companion matrix goes the other way, from a monic polynomial to
+a matrix.  The independent cross-checks of Berkowitz (minor sums by a Laplace
+DP, Cayley-Hamilton) live in the test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Sequence
-
-MINOR_SUM_MAX_DIMENSION = 12
 
 
 class RingMatrix:
@@ -38,9 +35,6 @@ class RingMatrix:
         self.n = n
         self.rows = rows
         self._hash: int | None = None
-
-    def entry(self, i: int, j: int) -> Any:
-        return self.rows[i][j]
 
     def _check(self, other: "RingMatrix") -> None:
         if self.n != other.n or self.ring != other.ring:
@@ -144,14 +138,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate_at_matrix(self, matrix: RingMatrix) -> RingMatrix:
-        """Horner evaluation of the polynomial at a square matrix."""
-        acc = zeros(matrix.ring, matrix.n)
-        ident = identity(matrix.ring, matrix.n)
-        for coeff in reversed(self.coeffs):
-            acc = acc * matrix + ident.scale(coeff)
-        return acc
-
     def __str__(self) -> str:
         parts = []
         for k in range(self.degree, -1, -1):
@@ -220,98 +206,6 @@ def determinant(matrix: RingMatrix) -> Any:
     """det A = (-1)^n * a_0 where a_0 is the constant term of det(tI - A)."""
     a0 = char_poly(matrix).coeffs[0]
     return a0 if matrix.n % 2 == 0 else -a0
-
-
-def principal_submatrix(matrix: RingMatrix, rows: Sequence[int], cols: Sequence[int]) -> RingMatrix:
-    """Submatrix with the given (0-based) row and column index sets.
-
-    Index sets are sorted first, matching the convention that a set of row
-    and column labels, not their order, selects the submatrix.
-    """
-    rows = sorted(rows)
-    cols = sorted(cols)
-    if len(rows) != len(cols):
-        raise ValueError("row and column index sets must have equal size")
-    for idx in (*rows, *cols):
-        if not 0 <= idx < matrix.n:
-            raise ValueError(f"index {idx} out of range for dimension {matrix.n}")
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise ValueError("index sets must not contain repeats")
-    return RingMatrix(matrix.ring, [[matrix.rows[i][j] for j in cols] for i in rows])
-
-
-def _det_by_laplace_dp(matrix: RingMatrix) -> Any:
-    """Determinant by Laplace expansion organized as a DP over column subsets.
-
-    Exponential in principle but O(n * 2^n) in practice thanks to shared
-    minors; independent of the Berkowitz path, which is the point.
-    """
-    n = matrix.n
-    ring = matrix.ring
-    if n == 0:
-        return ring.one()
-    level = {0: ring.one()}
-    for r in range(n):
-        row = matrix.rows[r]
-        nxt: dict[int, Any] = {}
-        for mask, val in level.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                pos = bin(mask & (bit - 1)).count("1")
-                term = row[j] * val
-                if (r + pos) % 2:
-                    term = -term
-                new_mask = mask | bit
-                if new_mask in nxt:
-                    nxt[new_mask] = nxt[new_mask] + term
-                else:
-                    nxt[new_mask] = term
-        level = nxt
-    return level[(1 << n) - 1]
-
-
-def char_poly_by_minor_sums(matrix: RingMatrix) -> CharPoly:
-    """Oracle: coefficient of t^k is (-1)^(n-k) times the sum of the
-    determinants of all principal (n-k) x (n-k) submatrices.
-
-    Exists solely as an independent cross-check of `char_poly`; the minors go
-    through the Laplace DP, never through Berkowitz.  Guarded to n <= 12.
-    """
-    n = matrix.n
-    if n > MINOR_SUM_MAX_DIMENSION:
-        raise ValueError(f"minor-sum expansion is limited to n <= {MINOR_SUM_MAX_DIMENSION}")
-    ring = matrix.ring
-    coeffs = [ring.zero()] * (n + 1)
-    for mask in range(1 << n):
-        subset = [i for i in range(n) if mask & (1 << i)]
-        size = len(subset)
-        det = _det_by_laplace_dp(principal_submatrix(matrix, subset, subset))
-        k = n - size
-        coeffs[k] = coeffs[k] + (det if size % 2 == 0 else -det)
-    return CharPoly(tuple(coeffs), ring)
-
-
-def column_replace_det(matrix: RingMatrix, cols: Sequence[int]) -> Any:
-    """Determinant after replacing the columns *outside* ``cols`` by the
-    matching identity columns.
-
-    Expanding that determinant shows it equals the principal minor on
-    ``cols``; the identity is exercised by the tests.
-    """
-    cols = set(cols)
-    ring = matrix.ring
-    one, zero = ring.one(), ring.zero()
-    n = matrix.n
-    build = [[matrix.rows[i][j] if j in cols else (one if i == j else zero)
-              for j in range(n)] for i in range(n)]
-    return determinant(RingMatrix(ring, build))
-
-
-def cayley_hamilton_check(matrix: RingMatrix) -> bool:
-    """True iff the matrix annihilates its own characteristic polynomial."""
-    return char_poly(matrix).evaluate_at_matrix(matrix) == zeros(matrix.ring, matrix.n)
 
 
 def frobenius_companion(poly: CharPoly) -> RingMatrix:

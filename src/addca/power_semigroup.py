@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import tpoly
 from .laurent import LaurentPoly
 from .modring import ResidueElement
-from .polymat import RingMatrix, char_poly, identity
+from .polymat import CharPoly, RingMatrix, char_poly, identity
 
 DEFAULT_BUDGET = 100_000
 
@@ -54,14 +54,12 @@ class FinitenessVerdict:
 
     When infinite, ``failing_index``/``failing_prime`` name the first
     characteristic-polynomial coefficient (lowest index) and smallest prime
-    whose reduction is non-constant.  ``witness`` is an orbit shape when one
-    was requested and found within budget.
+    whose reduction is non-constant.
     """
 
     finite: bool
     failing_index: int | None = None
     failing_prime: int | None = None
-    witness: OrbitShape | None = None
 
     @property
     def reason(self) -> str:
@@ -71,37 +69,32 @@ class FinitenessVerdict:
                 f"is non-constant mod {self.failing_prime}")
 
 
-def _coefficient_obstruction(coeff) -> tuple[int, None] | None:
-    """Smallest prime p with coeff mod p non-constant, or None if integral."""
-    if isinstance(coeff, ResidueElement):
-        return None  # constants are trivially integral
-    if isinstance(coeff, LaurentPoly):
-        for p in coeff.modulus.primes:
-            reduced = coeff.reduce_mod_prime(p)
-            if not reduced.is_constant():
-                return p
-        return None
-    raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
-
-
-def decide_finite_powers(matrix: RingMatrix, orbit_budget: int | None = None) -> FinitenessVerdict:
+def decide_finite_powers(matrix: RingMatrix) -> FinitenessVerdict:
     """Decide whether {A^0, A^1, ...} is finite, via coefficient integrality.
 
-    The characteristic polynomial is computed division-free and each of the
-    coefficients a_0 ... a_{n-1} is tested for integrality over Z/mZ (the
-    leading coefficient is 1 and needs no test).  If ``orbit_budget`` is given
-    and the verdict is finite, an explicit orbit shape is attached when Brent
-    enumeration succeeds within that budget.
+    Exact and budget-free: `char_poly_finiteness` of the division-free
+    characteristic polynomial.  The orbit itself comes from `detect_orbit`.
     """
-    poly = char_poly(matrix)
+    return char_poly_finiteness(char_poly(matrix))
+
+
+def char_poly_finiteness(poly: CharPoly) -> FinitenessVerdict:
+    """Finiteness verdict for every matrix whose characteristic polynomial is ``poly``.
+
+    Tests a_0 ... a_{n-1} for integrality over Z/mZ (a_n = 1 needs no test):
+    constants of Z/mZ always are, Laurent coefficients are asked for their
+    `LaurentPoly.integrality_obstruction`.
+    """
     for index in range(poly.degree):
-        prime = _coefficient_obstruction(poly.coeffs[index])
+        coeff = poly.coeffs[index]
+        if isinstance(coeff, ResidueElement):
+            continue
+        if not isinstance(coeff, LaurentPoly):
+            raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
+        prime = coeff.integrality_obstruction()
         if prime is not None:
             return FinitenessVerdict(False, failing_index=index, failing_prime=prime)
-    witness = None
-    if orbit_budget is not None:
-        witness = detect_orbit(matrix, orbit_budget)
-    return FinitenessVerdict(True, witness=witness)
+    return FinitenessVerdict(True)
 
 
 def _brent_cycle(start, advance) -> OrbitShape | None:

@@ -3,20 +3,29 @@
 Everything here is deliberately naive and independent of the production code
 paths: surjectivity by preimage counting, injectivity by searching the
 de Bruijn graph for periodic kernel patterns, transitivity by bounded
-enumeration of the powers F^k - I.  The one exception is the former
-transitivity decider, a gcd descent over F_p(x)[t], kept to check its
-replacement on a fixed corpus.
+enumeration of the powers F^k - I.  The Berkowitz characteristic polynomial
+is checked against signed sums of principal minors (expanded by a subset-DP
+Laplace scheme that shares nothing with Berkowitz) and against
+Cayley-Hamilton; Laurent integrality against a CRT constant c with (f - c)
+nilpotent.  One former production path is kept here too: the transitivity
+gcd descent over F_p(x)[t], which checks its successor on a fixed corpus.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import product
+
+from typing import Any, Sequence
 
 from addca import tpoly
 from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_divmod, _fp_gcd, associated_matrix
-from addca.polymat import RingMatrix, char_poly, determinant, identity
+from addca.modring import ResidueElement, crt_combine, factorize
+from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity, zeros
+
+MINOR_SUM_MAX_DIMENSION = 12
 
 
 def local_map(rule: LcaRule, word: tuple) -> tuple:
@@ -103,31 +112,21 @@ def periodic_kernel_witness(rule: LcaRule) -> list[tuple] | None:
     """
     letters = alphabet(rule)
     zero_letter = tuple([0] * rule.n)
-    for word in _kernel_cycle_candidates(letters, zero_letter, 2 * rule.radius,
-                                         lambda w: local_map(rule, w)):
-        if _is_periodic_kernel_word(rule, word):
+    local = partial(local_map, rule)
+    for word in _kernel_cycle_candidates(letters, zero_letter, 2 * rule.radius, local):
+        if _is_periodic_kernel_word(word, rule.radius, local):
             return word
     return None
 
 
-def _is_periodic_kernel_word(rule: LcaRule, word: list[tuple]) -> bool:
-    m = rule.modulus.m
+def _is_periodic_kernel_word(word: list[tuple], radius: int, local) -> bool:
+    """Does repeating the word fill the line with a nonzero kernel configuration?"""
     length = len(word)
     if all(all(v == 0 for v in letter) for letter in word):
         return False
-    for i in range(length):
-        out = [0] * rule.n
-        for z in rule.offsets():
-            letter = word[(i + z) % length]
-            mat = rule.matrix_at_offset(z)
-            for a in range(rule.n):
-                acc = 0
-                for b in range(rule.n):
-                    acc += mat[a][b] * letter[b]
-                out[a] = (out[a] + acc) % m
-        if any(out):
-            return False
-    return True
+    windows = (tuple(word[(i + z) % length] for z in range(-radius, radius + 1))
+               for i in range(length))
+    return not any(any(local(window)) for window in windows)
 
 
 def finite_support_kernel_witness(rule: LcaRule) -> FiniteConfiguration | None:
@@ -238,19 +237,7 @@ def additive_periodic_kernel_witness(rule) -> list[tuple] | None:
 
 def is_periodic_additive_kernel_word(rule, word: list[tuple]) -> bool:
     """Does repeating the word fill the line with a nonzero kernel configuration?"""
-    group = rule.group
-    length = len(word)
-    if all(all(v == 0 for v in letter) for letter in word):
-        return False
-    for i in range(length):
-        out = [0] * group.rank
-        for z in rule.offsets():
-            image = rule.endo_at_offset(z).apply(word[(i + z) % length])
-            for a in range(group.rank):
-                out[a] = (out[a] + image[a]) % group.factors[a]
-        if any(out):
-            return False
-    return True
+    return _is_periodic_kernel_word(word, rule.radius, partial(additive_local_map, rule))
 
 
 def bounded_transitivity_oracle(rule: LcaRule, k_max: int = 64) -> bool:
@@ -380,3 +367,120 @@ def config_series_components(config: FiniteConfiguration, ring) -> list:
         comps.append(LaurentPoly(ring.modulus,
                                  {pos: vec[i] for pos, vec in config.cells.items() if vec[i]}))
     return comps
+
+
+def principal_submatrix(matrix: RingMatrix, rows: Sequence[int], cols: Sequence[int]) -> RingMatrix:
+    """Submatrix with the given (0-based) row and column index sets.
+
+    Index sets are sorted first, matching the convention that a set of row
+    and column labels, not their order, selects the submatrix.
+    """
+    rows = sorted(rows)
+    cols = sorted(cols)
+    if len(rows) != len(cols):
+        raise ValueError("row and column index sets must have equal size")
+    for idx in (*rows, *cols):
+        if not 0 <= idx < matrix.n:
+            raise ValueError(f"index {idx} out of range for dimension {matrix.n}")
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        raise ValueError("index sets must not contain repeats")
+    return RingMatrix(matrix.ring, [[matrix.rows[i][j] for j in cols] for i in rows])
+
+
+def _det_by_laplace_dp(matrix: RingMatrix) -> Any:
+    """Determinant by Laplace expansion organized as a DP over column subsets.
+
+    Exponential in principle but O(n * 2^n) in practice thanks to shared
+    minors; independent of the Berkowitz path, which is the point.
+    """
+    n = matrix.n
+    ring = matrix.ring
+    if n == 0:
+        return ring.one()
+    level = {0: ring.one()}
+    for r in range(n):
+        row = matrix.rows[r]
+        nxt: dict[int, Any] = {}
+        for mask, val in level.items():
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                pos = bin(mask & (bit - 1)).count("1")
+                term = row[j] * val
+                if (r + pos) % 2:
+                    term = -term
+                new_mask = mask | bit
+                if new_mask in nxt:
+                    nxt[new_mask] = nxt[new_mask] + term
+                else:
+                    nxt[new_mask] = term
+        level = nxt
+    return level[(1 << n) - 1]
+
+
+def char_poly_by_minor_sums(matrix: RingMatrix) -> CharPoly:
+    """Oracle: coefficient of t^k is (-1)^(n-k) times the sum of the
+    determinants of all principal (n-k) x (n-k) submatrices.
+
+    Exists solely as an independent cross-check of `char_poly`; the minors go
+    through the Laplace DP, never through Berkowitz.  Guarded to n <= 12.
+    """
+    n = matrix.n
+    if n > MINOR_SUM_MAX_DIMENSION:
+        raise ValueError(f"minor-sum expansion is limited to n <= {MINOR_SUM_MAX_DIMENSION}")
+    ring = matrix.ring
+    coeffs = [ring.zero()] * (n + 1)
+    for mask in range(1 << n):
+        subset = [i for i in range(n) if mask & (1 << i)]
+        size = len(subset)
+        det = _det_by_laplace_dp(principal_submatrix(matrix, subset, subset))
+        k = n - size
+        coeffs[k] = coeffs[k] + (det if size % 2 == 0 else -det)
+    return CharPoly(tuple(coeffs), ring)
+
+
+def column_replace_det(matrix: RingMatrix, cols: Sequence[int]) -> Any:
+    """Determinant after replacing the columns *outside* ``cols`` by the
+    matching identity columns.
+
+    Expanding that determinant shows it equals the principal minor on
+    ``cols``; the identity is exercised by the tests.
+    """
+    cols = set(cols)
+    ring = matrix.ring
+    one, zero = ring.one(), ring.zero()
+    n = matrix.n
+    build = [[matrix.rows[i][j] if j in cols else (one if i == j else zero)
+              for j in range(n)] for i in range(n)]
+    return determinant(RingMatrix(ring, build))
+
+
+def cayley_hamilton_check(matrix: RingMatrix) -> bool:
+    """True iff the matrix annihilates its own characteristic polynomial."""
+    return evaluate_at_matrix(char_poly(matrix), matrix) == zeros(matrix.ring, matrix.n)
+
+
+def evaluate_at_matrix(poly: CharPoly, matrix: RingMatrix) -> RingMatrix:
+    """Horner evaluation of the polynomial at a square matrix."""
+    acc = zeros(matrix.ring, matrix.n)
+    ident = identity(matrix.ring, matrix.n)
+    for coeff in reversed(poly.coeffs):
+        acc = acc * matrix + ident.scale(coeff)
+    return acc
+
+
+def integral_witness_constant(f: LaurentPoly) -> ResidueElement | None:
+    """A constant c with (f - c)^K == 0 for K = max prime exponent of m.
+
+    Exists exactly when f is integral over Z/mZ: c only needs to agree with
+    the mod-p constant of f for each prime p, so any CRT lift over the
+    product of the distinct primes will do.
+    """
+    if not f.is_integral_over_base():
+        return None
+    modulus = f.modulus
+    parts = [ResidueElement(f.reduce_mod_prime(p).constant_value(), factorize(p))
+             for p in modulus.primes]
+    combined = crt_combine(parts, factorize(modulus.nilradical_generator()))
+    return ResidueElement(combined.value, modulus)

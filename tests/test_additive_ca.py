@@ -205,7 +205,7 @@ def test_rule_validation():
         AdditiveCaRule(G42, 0, (other,))
     # raw matrices are wrapped (and validated) on the way in
     rule = AdditiveCaRule(G42, 1, (((0, 0), (0, 0)), ((1, 2), (1, 1)), ((2, 0), (0, 1))))
-    assert rule.endo_at_offset(0).matrix == ((1, 2), (1, 1))
+    assert rule.endomorphisms[1].matrix == ((1, 2), (1, 1))
     assert list(rule.offsets()) == [-1, 0, 1]
 
 

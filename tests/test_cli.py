@@ -171,6 +171,16 @@ def test_spec_error_names_bad_json_line(capsys, tmp_path):
     assert ":3:" in err  # line of the syntax error
 
 
+def test_spec_error_on_undecodable_or_too_deep_json(capsys, tmp_path):
+    path = tmp_path / "rule.json"
+    for raw, needle in ((b'{"x": "\xff"}', "not valid UTF-8"),
+                        (b"[" * 100_000, "nested too deeply")):
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"spec error: {path}: ") and needle in err, err
+
+
 def test_spec_error_names_bad_fields(capsys, tmp_path):
     cases = [
         ({"kind": "affine"}, "\"kind\""),

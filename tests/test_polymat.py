@@ -11,16 +11,19 @@ from addca.modring import zmod
 from addca.polymat import (
     CharPoly,
     RingMatrix,
-    cayley_hamilton_check,
     char_poly,
-    char_poly_by_minor_sums,
-    column_replace_det,
     determinant,
     frobenius_companion,
     identity,
     matrix_from_ints,
-    principal_submatrix,
     zeros,
+)
+
+from oracles import (
+    cayley_hamilton_check,
+    char_poly_by_minor_sums,
+    column_replace_det,
+    principal_submatrix,
 )
 
 MODULI = [2, 3, 4, 6, 8]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from addca import tpoly
-from addca.laurent import LaurentPoly, laurent_ring
+from addca.laurent import laurent_ring
 from addca.modring import zmod
 from addca.polymat import RingMatrix, char_poly, frobenius_companion, identity, matrix_from_ints
 from addca.power_semigroup import (
@@ -20,19 +21,9 @@ from addca.power_semigroup import (
     sampled_degree_growth,
 )
 
+from test_polymat import random_laurent_matrix
+
 MODULI = [2, 3, 4, 6, 8, 9, 12]
-
-
-def random_laurent_matrix(rng: random.Random, m: int, n: int) -> RingMatrix:
-    ring = laurent_ring(m)
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            coeffs = {e: rng.randrange(m) for e in (-1, 0, 1) if rng.random() < 0.6}
-            row.append(LaurentPoly(ring.modulus, coeffs))
-        rows.append(row)
-    return RingMatrix(ring, rows)
 
 
 def brute_force_power_set_size(matrix: RingMatrix, cap: int = 4096) -> int:
@@ -58,8 +49,7 @@ def test_shear_power_set_has_four_elements():
     orbit = detect_orbit(a)
     assert orbit == OrbitShape(0, 4)
     assert orbit.size == 4
-    verdict = decide_finite_powers(a, orbit_budget=1000)
-    assert verdict.finite and verdict.witness == orbit
+    assert decide_finite_powers(a).finite
 
 
 def test_identity_power_set_is_singleton():
@@ -73,6 +63,13 @@ def test_constant_shear_orbit_mod_4():
     ring = zmod(4)
     a = matrix_from_ints(ring, [[1, 1], [0, 1]])
     assert detect_orbit(a) == OrbitShape(0, 4)
+    assert decide_finite_powers(a).finite  # Z/m coefficients are constants
+
+
+def test_unsupported_coefficient_type_is_rejected():
+    plain_ints = SimpleNamespace(zero=lambda: 0, one=lambda: 1)
+    with pytest.raises(TypeError, match="int"):
+        decide_finite_powers(RingMatrix(plain_ints, [[1, 2], [3, 4]]))
 
 
 def test_scalar_shift_matrix_is_infinite():
@@ -112,8 +109,7 @@ def test_budget_exhaustion_is_indeterminate_not_infinite():
     a = upper_shear(4)
     # budget too small to close the 4-cycle: must answer None, not "infinite"
     assert detect_orbit(a, budget=3) is None
-    verdict = decide_finite_powers(a, orbit_budget=3)
-    assert verdict.finite and verdict.witness is None
+    assert decide_finite_powers(a).finite
 
 
 def test_divisibility_witness_for_shear():
