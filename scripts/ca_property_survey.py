@@ -14,8 +14,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
+
+# Import addca from this checkout's src/ (no install or PYTHONPATH needed).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from addca.lca import LcaRule, analyze_rule, scalar_rule
 from addca.modring import factorize

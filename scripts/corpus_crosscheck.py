@@ -13,8 +13,13 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
+
+# Import addca from this checkout's src/ (no install or PYTHONPATH needed).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from addca.laurent import LaurentPoly, laurent_ring
 from addca.polymat import RingMatrix

@@ -20,6 +20,7 @@ construction through the commutation identity rather than fixed literals.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +50,7 @@ class AbelianGroup:
         for q in factors:
             mod = factorize(q)  # raises InvalidModulusError for q < 2
             if len(mod.factorization) != 1:
-                raise ValueError(f"factor {q} is not a prime power; split it first")
+                raise ValueError(f"factor {reprlib.repr(q)} is not a prime power; split it first")
         object.__setattr__(self, "factors", factors)
 
     @property

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -59,6 +60,17 @@ class SpecDocument:
     initial: FiniteConfiguration | None
 
 
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+_ECHO_LIMIT = 60
+
+
+def _echo(value) -> str:
+    """A spec value for an error message: its repr, cut to _ECHO_LIMIT characters."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT - 3] + "..."
+
+
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)
@@ -68,7 +80,7 @@ def _int_field(data: dict, name: str) -> int:
     _expect(name in data, f"missing required field \"{name}\"")
     value = data[name]
     _expect(isinstance(value, int) and not isinstance(value, bool),
-            f"field \"{name}\" must be an integer, got {value!r}")
+            f"field \"{name}\" must be an integer, got {_echo(value)}")
     return value
 
 
@@ -89,7 +101,7 @@ def _int_matrix(raw, rank: int, where: str) -> tuple:
                 f"{where} must be a {rank}x{rank} matrix (row {i} is not)")
         for j, entry in enumerate(row):
             _expect(isinstance(entry, int) and not isinstance(entry, bool),
-                    f"{where} entry ({i},{j}) must be an integer, got {entry!r}")
+                    f"{where} entry ({i},{j}) must be an integer, got {_echo(entry)}")
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -104,11 +116,11 @@ def _initial_config(data: dict, orders: tuple[int, ...]) -> FiniteConfiguration 
         try:
             position = int(key)
         except ValueError:
-            raise SpecError(f"initial position {key!r} is not an integer") from None
+            raise SpecError(f"initial position {_echo(key)} is not an integer") from None
         _expect(isinstance(vector, list) and len(vector) == len(orders),
-                f"initial cell at {key} must be a vector of {len(orders)} integers")
+                f"initial cell at {_echo(key)} must be a vector of {len(orders)} integers")
         _expect(all(isinstance(v, int) and not isinstance(v, bool) for v in vector),
-                f"initial cell at {key} must contain integers only")
+                f"initial cell at {_echo(key)} must contain integers only")
         cells[position] = tuple(vector)
     return FiniteConfiguration(orders, cells)
 
@@ -117,7 +129,7 @@ def parse_spec(data: dict) -> SpecDocument:
     _expect(isinstance(data, dict), "specification must be a JSON object")
     kind = data.get("kind")
     _expect(kind in ("linear", "additive"),
-            f"field \"kind\" must be \"linear\" or \"additive\", got {kind!r}")
+            f"field \"kind\" must be \"linear\" or \"additive\", got {_echo(kind)}")
 
     if kind == "linear":
         m = _int_field(data, "m")
@@ -126,9 +138,9 @@ def parse_spec(data: dict) -> SpecDocument:
         except InvalidModulusError as err:
             raise SpecError(f"field \"m\": {err}") from None
         n = _int_field(data, "n")
-        _expect(n >= 1, f"field \"n\" must be >= 1, got {n}")
+        _expect(n >= 1, f"field \"n\" must be >= 1, got {_echo(n)}")
         radius = _int_field(data, "radius")
-        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {radius}")
+        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {_echo(radius)}")
         raw_matrices = _matrix_list(data, radius)
         matrices = tuple(_int_matrix(raw, n, f"matrices[{idx}] (offset {idx - radius})")
                          for idx, raw in enumerate(raw_matrices))
@@ -147,7 +159,7 @@ def parse_spec(data: dict) -> SpecDocument:
             _expect(_int_field(data, "n") == group.rank,
                     f"field \"n\" disagrees with the group rank {group.rank}")
         radius = _int_field(data, "radius")
-        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {radius}")
+        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {_echo(radius)}")
         raw_matrices = _matrix_list(data, radius)
         endos = []
         for idx, raw in enumerate(raw_matrices):

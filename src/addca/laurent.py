@@ -1,4 +1,5 @@
-"""Sparse Laurent polynomials over Z/mZ.
+"""Laurent polynomials over Z/mZ, stored densely and multiplied by Kronecker
+substitution.
 
 This is the coefficient ring for everything dynamical in the package: the
 matrix attached to a one-dimensional linear cellular automaton has entries
@@ -16,53 +17,97 @@ conversely a monic equation survives reduction mod p, and the only elements of
 F_p[x, x^-1] integral over F_p are the constants, x being transcendental.)
 The test suite double-checks this criterion against a brute-force
 power-enumeration oracle.
+
+Storage.  A polynomial is its lowest exponent ``low`` plus the dense tuple
+``dense`` of canonical coefficients of x^low, x^(low+1), ...; the first and
+last entries are nonzero, and zero is ``low == 0, dense == ()``.  Memory is
+proportional to the span of exponents, not to the number of terms.
+
+Multiplication.  Both operands are packed into one integer each, coefficient
+i in slot i (Kronecker substitution, see Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", 2009).  A slot holds
+2 * bits(m - 1) + bits(min(len a, len b)) bits, enough for any coefficient of
+the integer product, so one big-int multiply yields every convolution sum in
+its own slot.  Slots are rounded up to 1, 2, 4 or 8 bytes and unpacked with
+``memoryview.cast``; wider slots (large moduli) are unpacked by slicing the
+product's bytes.  Each slot is then reduced mod m.  A one-term operand is a
+scaled shift and skips the packing.  The dict convolution this replaced is
+the test oracle ``tests/oracles.py::dict_product``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 from .modring import Modulus, ResidueElement, RingMismatchError, factorize
 
+# array / memoryview format of an unsigned slot of 1, 2, 4 or 8 bytes.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BYTEORDER = sys.byteorder  # the order array and memoryview.cast use
+
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial with canonical int coefficients.
+    """Immutable Laurent polynomial with canonical int coefficients.
 
-    Coefficients are stored as a dict {exponent: value} with values in
-    [1, m); zero coefficients are never kept.  Instances are treated as
-    frozen: all operations return new objects.
+    ``dense[i]`` is the coefficient of x^(low + i), in [0, m); the first and
+    last entries are nonzero and the zero polynomial is ``low = 0,
+    dense = ()``.  Instances are treated as frozen: all operations return
+    new objects.
     """
 
-    __slots__ = ("modulus", "_coeffs", "_hash")
+    __slots__ = ("modulus", "low", "dense", "_hash")
 
     def __init__(self, modulus: Modulus,
-                 coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = (),
-                 *, _normalized: bool = False):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        if _normalized:
-            data = dict(items)
-        else:
-            m = modulus.m
-            data = {}
-            for e, c in items:
-                if isinstance(c, ResidueElement):
-                    c = c.value
-                c = (data.get(e, 0) + c) % m
-                if c:
-                    data[e] = c
-                elif e in data:
-                    del data[e]
+                 coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        # The type test spares plain dicts the slower ABC check.
+        items = (coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping)
+                 else coeffs)
+        m = modulus.m
+        data: dict[int, int] = {}
+        for e, c in items:
+            if isinstance(c, ResidueElement):
+                c = c.value
+            data[e] = (data.get(e, 0) + c) % m
+        if 0 in data.values():
+            data = {e: c for e, c in data.items() if c}
         self.modulus = modulus
-        self._coeffs = data
         self._hash: int | None = None
+        if not data:
+            self.low, self.dense = 0, ()
+            return
+        low = min(data)
+        dense = [0] * (max(data) - low + 1)
+        for e, c in data.items():
+            dense[e - low] = c
+        self.low, self.dense = low, tuple(dense)
+
+    @classmethod
+    def _trimmed(cls, modulus: Modulus, low: int, values) -> "LaurentPoly":
+        """Polynomial with coefficients ``values`` (canonical) from x^low up,
+        dropping zeros at both ends."""
+        end = len(values)
+        while end and not values[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not values[start]:
+            start += 1
+        poly = object.__new__(cls)
+        poly.modulus = modulus
+        poly.low = low + start if end else 0
+        poly.dense = tuple(values[start:end])
+        poly._hash = None
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, modulus: Modulus) -> "LaurentPoly":
-        return cls(modulus, {}, _normalized=True)
+        return cls._trimmed(modulus, 0, ())
 
     @classmethod
     def constant(cls, modulus: Modulus, value: int) -> "LaurentPoly":
@@ -75,61 +120,83 @@ class LaurentPoly:
     # -- views -------------------------------------------------------------
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        return tuple(compress(range(self.low, self.low + len(self.dense)), self.dense))
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._coeffs.items()))
+        return zip(self.support(), filter(None, self.dense))
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.dense
 
     def is_constant(self) -> bool:
-        return all(e == 0 for e in self._coeffs)
+        return not self.dense or (self.low == 0 and len(self.dense) == 1)
 
     def constant_value(self) -> int:
-        return self._coeffs.get(0, 0)
+        index = -self.low
+        return self.dense[index] if 0 <= index < len(self.dense) else 0
 
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other: "LaurentPoly") -> None:
-        if self.modulus.m != other.modulus.m:
+        if self.modulus is not other.modulus and self.modulus.m != other.modulus.m:
             raise RingMismatchError(
                 f"cannot combine Laurent polynomials mod {self.modulus.m} and mod {other.modulus.m}"
             )
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
+        if not other.dense:
+            return self
+        if not self.dense:
+            return other
         m = self.modulus.m
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            c = (out.get(e, 0) + c) % m
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-        return LaurentPoly(self.modulus, out, _normalized=True)
+        low = min(self.low, other.low)
+        out = [0] * (max(self.low + len(self.dense), other.low + len(other.dense)) - low)
+        start = self.low - low
+        out[start:start + len(self.dense)] = self.dense
+        start = other.low - low
+        stop = start + len(other.dense)
+        out[start:stop] = [(x + y) % m for x, y in zip(out[start:stop], other.dense)]
+        return LaurentPoly._trimmed(self.modulus, low, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
         m = self.modulus.m
-        return LaurentPoly(self.modulus, {e: m - c for e, c in self._coeffs.items()},
-                           _normalized=True)
+        return LaurentPoly._trimmed(self.modulus, self.low,
+                                    [m - c if c else 0 for c in self.dense])
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        m = self.modulus.m
-        a, b = self._coeffs, other._coeffs
+        a, b = self.dense, other.dense
+        low = self.low + other.low
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = (out.get(e, 0) + c1 * c2) % m
-        return LaurentPoly(self.modulus, {e: c for e, c in out.items() if c},
-                           _normalized=True)
+        if len(a) <= 1:
+            return self._scaled(b, a[0], low) if a else LaurentPoly.zero(self.modulus)
+        m = self.modulus.m
+        width = (2 * (m - 1).bit_length() + len(a).bit_length() + 7) // 8
+        slots = len(a) + len(b) - 1
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()
+            fmt = _SLOT_FORMATS[width]
+            product = (int.from_bytes(array(fmt, a), _BYTEORDER)
+                       * int.from_bytes(array(fmt, b), _BYTEORDER))
+            view = memoryview(product.to_bytes(slots * width, _BYTEORDER)).cast(fmt)
+            out = [c % m for c in view]
+        else:
+            product = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+                       * int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b),
+                                        "little"))
+            data = product.to_bytes(slots * width, "little")
+            out = [int.from_bytes(data[i:i + width], "little") % m
+                   for i in range(0, len(data), width)]
+        return LaurentPoly._trimmed(self.modulus, low, out)
+
+    def _scaled(self, dense: tuple, value: int, low: int) -> "LaurentPoly":
+        m = self.modulus.m
+        return LaurentPoly._trimmed(self.modulus, low, [c * value % m for c in dense])
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if exponent < 0:
@@ -140,31 +207,29 @@ class LaurentPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, value: int | ResidueElement) -> "LaurentPoly":
         if isinstance(value, ResidueElement):
             value = value.value
-        m = self.modulus.m
-        out = {e: (c * value) % m for e, c in self._coeffs.items()}
-        return LaurentPoly(self.modulus, {e: c for e, c in out.items() if c},
-                           _normalized=True)
+        return self._scaled(self.dense, value, self.low)
 
     def shift(self, offset: int) -> "LaurentPoly":
         """Multiply by x^offset."""
-        return LaurentPoly(self.modulus, {e + offset: c for e, c in self._coeffs.items()},
-                           _normalized=True)
+        return LaurentPoly._trimmed(self.modulus, self.low + offset, self.dense)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.modulus.m == other.modulus.m and self._coeffs == other._coeffs
+        return (self.modulus.m == other.modulus.m and self.low == other.low
+                and self.dense == other.dense)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.modulus.m, frozenset(self._coeffs.items())))
+            self._hash = hash((self.modulus.m, self.low, self.dense))
         return self._hash
 
     # -- prime-aware structure ----------------------------------------------
@@ -176,27 +241,33 @@ class LaurentPoly:
     def reduce_mod_prime(self, p: int) -> "LaurentPoly":
         """Coefficientwise reduction onto (Z/pZ)[x, x^-1]."""
         self._require_prime_factor(p)
-        target = factorize(p)
-        return LaurentPoly(target, {e: c % p for e, c in self._coeffs.items()
-                                    if c % p}, _normalized=True)
+        return LaurentPoly._trimmed(factorize(p), self.low, [c % p for c in self.dense])
 
     def pos_degree(self, p: int) -> int:
         """Largest exponent > 0 whose coefficient survives mod p (0 if none)."""
         self._require_prime_factor(p)
-        degs = [e for e, c in self._coeffs.items() if e > 0 and c % p]
-        return max(degs) if degs else 0
+        for i in range(len(self.dense) - 1, max(-self.low, -1), -1):
+            if self.dense[i] % p:
+                return self.low + i
+        return 0
 
     def neg_degree(self, p: int) -> int:
         """Smallest exponent < 0 whose coefficient survives mod p (0 if none)."""
         self._require_prime_factor(p)
-        degs = [e for e, c in self._coeffs.items() if e < 0 and c % p]
-        return min(degs) if degs else 0
+        for i in range(min(-self.low, len(self.dense))):
+            if self.dense[i] % p:
+                return self.low + i
+        return 0
 
     def integrality_obstruction(self) -> int | None:
         """Smallest prime p | m with f mod p non-constant, or None when f is
         integral over Z/mZ."""
+        index = -self.low
+        rest = self.dense
+        if 0 <= index < len(rest):
+            rest = rest[:index] + rest[index + 1:]
         for p in self.modulus.primes:
-            if any(e != 0 and c % p for e, c in self._coeffs.items()):
+            if any(c % p for c in rest):
                 return p
         return None
 
@@ -207,11 +278,10 @@ class LaurentPoly:
     # -- rendering / parsing -------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self.dense:
             return "0"
         parts = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
+        for e, c in reversed(list(self.items())):
             if e == 0:
                 parts.append(str(c))
             else:

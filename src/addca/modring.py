@@ -2,19 +2,22 @@
 
 Everything downstream (Laurent polynomials, matrices, CA rules) reduces to
 residue arithmetic, so elements here are deliberately tiny value objects.
-Moduli are desk-scale word-sized integers; trial division is plenty.
+Moduli are factored exactly: trial division takes the small primes, and a
+cofactor below 3.3e24 is split by deterministic Miller-Rabin and Pollard rho.
+A larger cofactor without small factors is rejected, never guessed.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 
 class InvalidModulusError(ValueError):
-    """The modulus is not an integer >= 2."""
+    """The modulus is not an integer >= 2, or cannot be factored exactly."""
 
 
 class RingMismatchError(ValueError):
@@ -52,25 +55,101 @@ class Modulus:
         return f"Z/{self.m}"
 
 
+# Trial division runs up to this bound; Miller-Rabin with the first 12 primes
+# as bases is deterministic below MILLER_RABIN_BOUND.
+TRIAL_DIVISION_BOUND = 1 << 12
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @lru_cache(maxsize=None)
 def factorize(m: int) -> Modulus:
-    """Factor m by trial division and wrap it as a :class:`Modulus`."""
+    """Factor m exactly and wrap it as a :class:`Modulus`.
+
+    Trial division up to TRIAL_DIVISION_BOUND, then Miller-Rabin and Pollard
+    rho on a remaining cofactor below MILLER_RABIN_BOUND.  Raises InvalidModulusError
+    for m < 2 and for a larger cofactor that trial division cannot split.
+    """
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise InvalidModulusError(f"modulus must be an integer >= 2, got {m!r}")
+        raise InvalidModulusError(f"modulus must be an integer >= 2, got {reprlib.repr(m)}")
     rest = m
-    factors: list[tuple[int, int]] = []
+    factors: dict[int, int] = {}
     d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            k = 0
-            while rest % d == 0:
-                rest //= d
-                k += 1
-            factors.append((d, k))
+    while d < TRIAL_DIVISION_BOUND and d * d <= rest:
+        while rest % d == 0:
+            rest //= d
+            factors[d] = factors.get(d, 0) + 1
         d += 1 if d == 2 else 2
-    if rest > 1:
-        factors.append((rest, 1))
-    return Modulus(m, tuple(factors))
+    if rest >= MILLER_RABIN_BOUND:
+        raise InvalidModulusError(
+            f"modulus {reprlib.repr(m)} has a factor of {rest.bit_length()} bits with no "
+            f"prime divisor below {TRIAL_DIVISION_BOUND}; it cannot be factored exactly")
+    for p in _prime_factors(rest):
+        factors[p] = factors.get(p, 0) + 1
+    return Modulus(m, tuple(sorted(factors.items())))
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n < MILLER_RABIN_BOUND, with multiplicity."""
+    if n == 1:
+        return []
+    if _is_prime(n):
+        return [n]
+    d = _pollard_rho(n)
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 primes as bases: exact for n < MILLER_RABIN_BOUND."""
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of the odd composite n (Brent's variant of Pollard rho,
+    gcds batched over 128 steps, increments c = 1, 2, ... until one splits n)."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
 
 
 def canonical_matrix(matrix, moduli: Sequence[int]) -> tuple | None:

@@ -82,8 +82,9 @@ class RingMatrix:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def trace(self) -> Any:

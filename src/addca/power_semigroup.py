@@ -11,9 +11,12 @@ square matrix A:
 The decision procedure used here is the third bullet: compute the
 characteristic polynomial once and test each coefficient with the per-prime
 constancy criterion.  The other two characterizations are kept around as
-executable cross-checks: `detect_orbit` enumerates powers with Brent's cycle
-detection, and `divisibility_witness` finds the exponent k of the last bullet
-and verifies it by polynomial division.
+executable cross-checks.  `detect_orbit` enumerates A^0, A^1, ... and
+`divisibility_witness` the residues t^j mod det(tI - A), each with a
+first-repeat search: one product per distinct element, a map from hashes to
+indices instead of the elements themselves, and a recomputed x_j to confirm
+every hash hit, so the shape found is exact.  `divisibility_witness` then
+verifies the exponent k of the last bullet by polynomial division.
 """
 
 from __future__ import annotations
@@ -97,60 +100,51 @@ def char_poly_finiteness(poly: CharPoly) -> FinitenessVerdict:
     return FinitenessVerdict(True)
 
 
-def _brent_cycle(start, advance) -> OrbitShape | None:
+def _first_repeat(start, advance, power, budget: int) -> OrbitShape | None:
     """Minimal (preperiod, period) of an eventually periodic sequence.
 
-    ``advance`` maps a value to its successor and returns None once its step
-    budget is spent; exhaustion propagates as a None result (indeterminate,
-    never "infinite").
+    Walks x_0 = start, x_(k+1) = advance(x_k) once, keeping only the map
+    hash(x_j) -> [j].  On a hash hit at step k each earlier j with that hash
+    is recomputed as ``power(j)`` and compared with x_k; the first equal one
+    is the first repeat, so (j, k - j) is the minimal shape.  A hash
+    collision only costs a recomputation, never a wrong shape.  Each advance
+    is charged one unit of ``budget`` and each power(j) `_power_cost(j)`;
+    once the budget is spent the result is None (indeterminate, never
+    "infinite").
     """
-    power = period = 1
-    tortoise = start
-    hare = advance(start)
-    if hare is None:
-        return None
-    while tortoise != hare:
-        if power == period:
-            tortoise = hare
-            power *= 2
-            period = 0
-        hare = advance(hare)
-        if hare is None:
+    seen: dict[int, list[int]] = {}
+    value, k, spent = start, 0, 0
+    while True:
+        earlier = seen.setdefault(hash(value), [])
+        for j in earlier:
+            spent += _power_cost(j)
+            if spent > budget:
+                return None
+            if power(j) == value:
+                return OrbitShape(j, k - j)
+        earlier.append(k)
+        if spent >= budget:
             return None
-        period += 1
-    front = start
-    for _ in range(period):
-        front = advance(front)
-        if front is None:
-            return None
-    back = start
-    preperiod = 0
-    while back != front:
-        back = advance(back)
-        front = advance(front)
-        if back is None or front is None:
-            return None
-        preperiod += 1
-    return OrbitShape(preperiod, period)
+        spent += 1
+        value = advance(value)
+        k += 1
+
+
+def _power_cost(exponent: int) -> int:
+    """Products charged for one square-and-multiply power x^exponent."""
+    return exponent.bit_length() + exponent.bit_count()
 
 
 def detect_orbit(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> OrbitShape | None:
-    """Brent cycle detection on A^0, A^1, A^2, ...
+    """First-repeat search on A^0, A^1, A^2, ...: one product per distinct power.
 
     Returns the minimal (preperiod, period), or None when the budget (counted
-    in matrix multiplications) runs out.  A None is always "indeterminate":
-    it never claims the power set is infinite.
+    in matrix multiplications, including the A^j recomputed to confirm a
+    hash hit) runs out.  A None is always "indeterminate": it never claims
+    the power set is infinite.
     """
-    mults = 0
-
-    def step(value: RingMatrix) -> RingMatrix | None:
-        nonlocal mults
-        if mults >= budget:
-            return None
-        mults += 1
-        return value * matrix
-
-    return _brent_cycle(identity(matrix.ring, matrix.n), step)
+    return _first_repeat(identity(matrix.ring, matrix.n), lambda value: value * matrix,
+                         lambda j: matrix ** j, budget)
 
 
 def idempotent_power(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> int:
@@ -178,25 +172,19 @@ def _idempotent_exponent(orbit: OrbitShape) -> int:
 def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> int | None:
     """An exponent k >= 1 such that det(tI - A) divides t^(2k) - t^k.
 
-    Runs Brent cycle detection on the residues t^j mod det(tI - A) in the
+    Runs the first-repeat search on the residues t^j mod det(tI - A) in the
     quotient ring L[t]/(chi); since chi is monic the reduction needs no
-    division.  The returned exponent is double-checked by explicitly reducing
+    division.  A hash hit at j is confirmed against ``pow_t_mod(chi, j)``.
+    The returned exponent is double-checked by explicitly reducing
     t^(2k) - t^k.  None means the budget ran out (residues of a non-integral
     matrix never cycle).
     """
     ring = matrix.ring
     chi = list(char_poly(matrix).coeffs)
-    steps = 0
-
-    def step(residue: tuple) -> tuple | None:
-        nonlocal steps
-        if steps >= budget:
-            return None
-        steps += 1
-        shifted = [ring.zero(), *residue]
-        return tuple(tpoly.mod_monic(shifted, chi, ring))
-
-    orbit = _brent_cycle(tuple(tpoly.mod_monic([ring.one()], chi, ring)), step)
+    orbit = _first_repeat(tuple(tpoly.mod_monic([ring.one()], chi, ring)),
+                          lambda residue: tuple(tpoly.mod_monic([ring.zero(), *residue],
+                                                                chi, ring)),
+                          lambda j: tuple(tpoly.pow_t_mod(chi, j, ring)), budget)
     if orbit is None:
         return None
     k = _idempotent_exponent(orbit)

@@ -89,6 +89,7 @@ def pow_t_mod(divisor: Sequence[Any], exponent: int, ring) -> Coeffs:
     while e:
         if e & 1:
             result = mul_mod_monic(result, base, divisor, ring)
-        base = mul_mod_monic(base, base, divisor, ring)
         e >>= 1
+        if e:
+            base = mul_mod_monic(base, base, divisor, ring)
     return result

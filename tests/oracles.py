@@ -7,8 +7,9 @@ enumeration of the powers F^k - I.  The Berkowitz characteristic polynomial
 is checked against signed sums of principal minors (expanded by a subset-DP
 Laplace scheme that shares nothing with Berkowitz) and against
 Cayley-Hamilton; Laurent integrality against a CRT constant c with (f - c)
-nilpotent.  One former production path is kept here too: the transitivity
-gcd descent over F_p(x)[t], which checks its successor on a fixed corpus.
+nilpotent.  Former production paths are kept here too, each checking its
+successor on a fixed corpus: the transitivity gcd descent over F_p(x)[t],
+the dict convolution of Laurent polynomials, and Brent's cycle detection.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_divmod, _fp_gcd, associated_matrix
 from addca.modring import ResidueElement, crt_combine, factorize
 from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity, zeros
+from addca.power_semigroup import OrbitShape
 
 MINOR_SUM_MAX_DIMENSION = 12
 
@@ -484,3 +486,57 @@ def integral_witness_constant(f: LaurentPoly) -> ResidueElement | None:
              for p in modulus.primes]
     combined = crt_combine(parts, factorize(modulus.nilradical_generator()))
     return ResidueElement(combined.value, modulus)
+
+
+def dict_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f * g by convolving {exponent: coefficient} dicts term by term."""
+    m = f.modulus.m
+    out: dict[int, int] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = (out.get(e1 + e2, 0) + c1 * c2) % m
+    return LaurentPoly(f.modulus, out)
+
+
+def brent_cycle(start, advance) -> OrbitShape:
+    """Minimal (preperiod, period) of an eventually periodic sequence by
+    Brent's cycle detection; ``advance`` maps a value to its successor."""
+    steps = 0
+
+    def step(value):
+        nonlocal steps
+        steps += 1
+        if steps > 100_000:
+            raise AssertionError("no cycle within 100000 steps")
+        return advance(value)
+
+    power = period = 1
+    tortoise, hare = start, step(start)
+    while tortoise != hare:
+        if power == period:
+            tortoise = hare
+            power *= 2
+            period = 0
+        hare = step(hare)
+        period += 1
+    front = start
+    for _ in range(period):
+        front = step(front)
+    back, preperiod = start, 0
+    while back != front:
+        back, front = step(back), step(front)
+        preperiod += 1
+    return OrbitShape(preperiod, period)
+
+
+def brent_orbit(matrix: RingMatrix) -> OrbitShape:
+    """Orbit shape of A^0, A^1, ... by Brent's cycle detection."""
+    return brent_cycle(identity(matrix.ring, matrix.n), lambda value: value * matrix)
+
+
+def brent_residue_orbit(matrix: RingMatrix) -> OrbitShape:
+    """Orbit shape of t^0, t^1, ... mod det(tI - A) by Brent's cycle detection."""
+    ring = matrix.ring
+    chi = list(char_poly(matrix).coeffs)
+    return brent_cycle(tuple(tpoly.mod_monic([ring.one()], chi, ring)),
+                       lambda residue: tuple(tpoly.mod_monic([ring.zero(), *residue], chi, ring)))

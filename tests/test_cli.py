@@ -201,6 +201,36 @@ def test_spec_error_names_bad_fields(capsys, tmp_path):
         assert needle in err, (payload, err)
 
 
+def test_spec_error_echoes_a_short_value(capsys, tmp_path):
+    deep = 1
+    for _ in range(900):
+        deep = [deep]
+    base = {"kind": "linear", "m": 2, "n": 1, "radius": 0, "matrices": [[[1]]]}
+    cases = [
+        ({**base, "m": deep}, "\"m\""),
+        ({**base, "kind": "k" * 5000}, "\"kind\""),
+        ({**base, "n": -10**4000}, "\"n\""),
+        ({**base, "matrices": [[["x" * 5000]]]}, "entry (0,0)"),
+        ({**base, "initial": {"p" * 5000: [1]}}, "position"),
+    ]
+    for payload, needle in cases:
+        code, out, err = run_cli(capsys, "analyze", write_spec(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert needle in err
+        assert len(err.rstrip("\n")) < 200 and err.count("\n") == 1, err
+
+
+def test_large_prime_modulus(capsys, tmp_path):
+    base = {"kind": "linear", "n": 2, "radius": 1,
+            "matrices": [[[1, 0], [0, 0]], [[3, 1], [5, 7]], [[0, 2], [0, 1]]]}
+    code, out, err = run_cli(capsys, "analyze", write_spec(tmp_path, {**base, "m": 2**61 - 1}))
+    assert code == 0 and err == ""
+    assert f"linear over Z/{2**61 - 1}" in out
+    code, out, err = run_cli(capsys, "analyze", write_spec(tmp_path, {**base, "m": 2**89 - 1}))
+    assert code == 2 and out == ""
+    assert "\"m\"" in err and "cannot be factored exactly" in err
+
+
 def test_spec_error_names_hom_violation_with_offset(capsys, tmp_path):
     payload = {"kind": "additive", "group": [4, 2], "radius": 1,
                "matrices": [[[0, 0], [0, 0]], [[0, 1], [0, 1]], [[0, 0], [0, 0]]]}

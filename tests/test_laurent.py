@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 from addca.laurent import LaurentPoly, laurent_ring, parse_laurent
 from addca.modring import factorize
 
-from oracles import integral_witness_constant
+from oracles import dict_product, integral_witness_constant
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
+# 2^31 - 1 and 2^61 - 1 need Kronecker slots wider than 8 bytes.
+PRODUCT_MODULI = [2, 4, 9, 25, 256, 2**31 - 1, 2**61 - 1]
+# Operand lengths at which a slot one bit narrower than 2 bits(m-1) + bits(k)
+# overflows for all-(m-1) operands: 29 for m = 4, 114 for 25, 5 for 2^31 - 1
+# and 65 for 2^61 - 1.
+EXTREME_LENGTHS = [2, 3, 5, 8, 16, 29, 31, 64, 65, 114, 128, 300]
 
 
 def random_poly(rng: random.Random, m: int, span: int = 2, density: float = 0.7) -> LaurentPoly:
@@ -162,3 +168,65 @@ def test_pow_and_shift():
     assert f.shift(-2) == parse_laurent("x^-1 + x^-2", ring.modulus)
     assert f ** 0 == ring.one()
     assert f.scale(3) == parse_laurent("3x + 3", ring.modulus)
+
+
+def _product_operands(rng: random.Random, m: int):
+    """Operand pairs for the product test: random dense and sparse ones of 0
+    to 300 terms with negative exponents, zero, one-term operands, gapped
+    supports, and all-(m-1) operands of EXTREME_LENGTHS."""
+    modulus = factorize(m)
+
+    def random_operand(terms: int, span: int) -> LaurentPoly:
+        low = rng.randrange(-span, span + 1)
+        exponents = rng.sample(range(low, low + max(span, terms)), terms)
+        return LaurentPoly(modulus, {e: rng.randrange(1, m) for e in exponents})
+
+    zero = LaurentPoly.zero(modulus)
+    gapped = LaurentPoly(modulus, {0: 1, 500: m - 1})
+    for _ in range(40):
+        size_a, size_b = rng.choice([(0, 5), (1, 1), (1, 40), (2, 3), (7, 11), (30, 30),
+                                     (3, 300), (120, 200), (300, 300)])
+        yield random_operand(size_a, 50), random_operand(size_b, rng.choice([size_b, 400]))
+    yield zero, gapped
+    yield gapped, gapped
+    yield gapped, random_operand(20, 30)
+    yield LaurentPoly.monomial(modulus, -7, m - 1), gapped
+    for length in EXTREME_LENGTHS:
+        full = LaurentPoly(modulus, {e: m - 1 for e in range(-length, 0)})
+        yield full, full
+        yield full, LaurentPoly(modulus, {e: m - 1 for e in range(300)})
+
+
+def test_kronecker_product_matches_dict_convolution():
+    rng = random.Random(20261018)
+    for m in PRODUCT_MODULI:
+        checked = 0
+        for f, g in _product_operands(rng, m):
+            expected = dict_product(f, g)
+            assert f * g == expected, (m, f.low, f.dense[:5], g.low, g.dense[:5])
+            assert g * f == expected
+            assert all(0 < c < m for c in expected.dense[:1] + expected.dense[-1:])
+            checked += 1
+        assert checked == 40 + 4 + 2 * len(EXTREME_LENGTHS)
+
+
+def test_far_apart_exponents_keep_one_slot():
+    modulus = factorize(9)
+    product = LaurentPoly.monomial(modulus, 10**9) * LaurentPoly.monomial(modulus, -10**9)
+    assert (product.low, product.dense) == (0, (1,))
+    assert product == LaurentPoly.constant(modulus, 1)
+    parsed = parse_laurent("x^1000000000", modulus)
+    assert (parsed.low, parsed.dense) == (10**9, (1,))
+    assert parsed.support() == (10**9,)
+
+
+def test_dense_storage_is_trimmed_and_canonical():
+    m4 = factorize(4)
+    f = LaurentPoly(m4, [(-3, 2), (-3, 2), (-1, 5), (2, 8), (4, 0)])
+    assert (f.low, f.dense) == (-1, (1,))
+    g = parse_laurent("2x^2 + 2", m4)
+    assert (g * g).is_zero() and (g * g).low == 0  # 4x^4 + 8x^2 + 4 = 0 mod 4
+    h = parse_laurent("x + 2 + 2x^-1", m4).scale(2)
+    assert (h.low, h.dense) == (1, (2,))
+    assert list(parse_laurent("x^3 + 3x^-2", m4).items()) == [(-2, 3), (3, 1)]
+    assert (-parse_laurent("x^3 + 3x^-2", m4)).dense == (1, 0, 0, 0, 0, 3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from addca.modring import (
@@ -38,6 +40,26 @@ def test_factorize_rejects_bad_moduli():
     for bad in (1, 0, -4):
         with pytest.raises(InvalidModulusError):
             factorize(bad)
+
+
+def test_factorize_large_moduli_exactly():
+    mersenne61 = 2**61 - 1
+    assert factorize(mersenne61).factorization == ((mersenne61, 1),)
+    assert factorize((2**31 - 1) ** 2).factorization == ((2**31 - 1, 2),)
+    p, q = 999_999_937, 1_000_000_007  # a semiprime near 10^18
+    assert factorize(p * q).factorization == ((p, 1), (q, 1))
+    assert factorize(2**5 * 3 * 4099**2 * q).factorization == (
+        (2, 5), (3, 1), (4099, 2), (q, 1))
+    for m in (mersenne61, (2**31 - 1) ** 2, p * q):
+        modulus = factorize(m)
+        assert math.prod(prime**k for prime, k in modulus.factorization) == m
+
+
+def test_factorize_rejects_unsplittable_large_cofactor():
+    # 2^89 - 1 is prime, but above the bound where Miller-Rabin is exact.
+    for m in (2**89 - 1, 6 * (2**89 - 1)):
+        with pytest.raises(InvalidModulusError, match="cannot be factored exactly"):
+            factorize(m)
 
 
 def test_canonical_representative():

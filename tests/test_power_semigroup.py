@@ -14,6 +14,8 @@ from addca.polymat import RingMatrix, char_poly, frobenius_companion, identity, 
 from addca.power_semigroup import (
     BudgetExhausted,
     OrbitShape,
+    _first_repeat,
+    _idempotent_exponent,
     decide_finite_powers,
     detect_orbit,
     divisibility_witness,
@@ -21,7 +23,8 @@ from addca.power_semigroup import (
     sampled_degree_growth,
 )
 
-from test_polymat import random_laurent_matrix
+from oracles import brent_orbit, brent_residue_orbit
+from test_polymat import random_laurent_matrix, random_zmod_matrix
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
 
@@ -41,6 +44,13 @@ def brute_force_power_set_size(matrix: RingMatrix, cap: int = 4096) -> int:
 def upper_shear(m: int) -> RingMatrix:
     ring = laurent_ring(m)
     return RingMatrix(ring, [[ring.one(), ring.monomial(1)], [ring.zero(), ring.one()]])
+
+
+def nilpotent_diagonal_mod_8() -> RingMatrix:
+    """[[2x, 1], [0, 2]] over Z/8: 2x and 2 are nilpotent, so the powers
+    settle only after a preperiod."""
+    ring = laurent_ring(8)
+    return RingMatrix(ring, [[ring.monomial(1, 2), ring.one()], [ring.zero(), ring.from_int(2)]])
 
 
 def test_shear_power_set_has_four_elements():
@@ -85,8 +95,6 @@ def test_scalar_shift_matrix_is_infinite():
 
 
 def test_idempotent_exponent_examples():
-    from addca.power_semigroup import _idempotent_exponent
-
     assert _idempotent_exponent(OrbitShape(3, 2)) == 4
     assert _idempotent_exponent(OrbitShape(0, 4)) == 4
     assert _idempotent_exponent(OrbitShape(0, 1)) == 1
@@ -186,3 +194,87 @@ def test_monic_remainder_helper():
     assert tpoly.pow_t_mod(chi, 0, ring) == [ring.one()]
     with pytest.raises(ValueError):
         tpoly.mod_monic([ring.one()], [ring.from_int(2), ring.from_int(2)], ring)
+
+
+def _orbit_corpus(rng: random.Random) -> list[RingMatrix]:
+    """Finite-power-set matrices: Laurent ones over several moduli, and
+    constant non-invertible ones over Z/4 and Z/8 (preperiod > 0)."""
+    corpus = []
+    while len(corpus) < 30:
+        a = random_laurent_matrix(rng, rng.choice([2, 3, 4, 6, 8, 9]), rng.randrange(1, 4))
+        if decide_finite_powers(a).finite:
+            corpus.append(a)
+    for m in (4, 8):
+        for _ in range(15):
+            corpus.append(random_zmod_matrix(rng, m, rng.randrange(1, 4)))
+    corpus.append(nilpotent_diagonal_mod_8())
+    return corpus
+
+
+def test_orbit_search_matches_brent_oracle():
+    rng = random.Random(5151)
+    preperiodic = 0
+    for a in _orbit_corpus(rng):
+        expected = brent_orbit(a)
+        assert detect_orbit(a) == expected, a
+        preperiodic += expected.preperiod > 0
+        witness = divisibility_witness(a)
+        assert witness == _idempotent_exponent(brent_residue_orbit(a)), a
+    assert preperiodic >= 10
+
+
+def test_orbit_search_is_exact_when_every_hash_collides(monkeypatch):
+    class Colliding:
+        def __init__(self, value):
+            self.value = value
+
+        def __eq__(self, other):
+            return self.value == other.value
+
+        def __hash__(self):
+            return 7
+
+    def term(k):  # 0, 1, ..., 6, then the cycle 7, ..., 11 repeats
+        return Colliding(k if k < 7 else 7 + (k - 7) % 5)
+
+    recomputed = []
+
+    def recompute(j):
+        recomputed.append(j)
+        return term(j)
+
+    def advance(x):
+        return term(x.value + 1 if x.value < 11 else 7)
+
+    assert _first_repeat(term(0), advance, recompute, budget=1000) == OrbitShape(7, 5)
+    assert len(recomputed) == sum(range(12)) + 8  # every earlier index, then 0..7
+
+    monkeypatch.setattr(RingMatrix, "__hash__", lambda self: 0)
+    a = nilpotent_diagonal_mod_8()
+    assert detect_orbit(a) == brent_orbit(a)
+
+
+def test_orbit_search_spends_one_product_per_power():
+    a = upper_shear(4)
+    assert detect_orbit(a, budget=4) == OrbitShape(0, 4)
+    assert divisibility_witness(a, budget=4) == 4
+
+
+def test_confirmation_is_charged_to_the_budget():
+    a = nilpotent_diagonal_mod_8()
+    shape = brent_orbit(a)
+    assert shape.preperiod >= 2
+    # shape.size products reach the repeat; confirming it recomputes A^preperiod
+    cost = shape.preperiod.bit_length() + shape.preperiod.bit_count()
+    assert detect_orbit(a, budget=shape.size + cost) == shape
+    assert detect_orbit(a, budget=shape.size + cost - 1) is None
+
+
+def test_budget_one_is_indeterminate():
+    ring = laurent_ring(8)
+    shift = RingMatrix(ring, [[ring.monomial(1)]])
+    for a in (upper_shear(4), nilpotent_diagonal_mod_8(), shift):
+        assert detect_orbit(a, budget=1) is None
+        assert divisibility_witness(a, budget=1) is None
+        with pytest.raises(BudgetExhausted):
+            idempotent_power(a, budget=1)
