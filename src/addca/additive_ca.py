@@ -20,12 +20,11 @@ construction through the commutation identity rather than fixed literals.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
 from .lca import FiniteConfiguration, LcaRule, PropertyReport, _step_kernel, analyze_rule
-from .modring import canonical_matrix, factorize
+from .modring import canonical_matrix, factorize, short_repr
 
 
 class MalformedEndomorphismError(ValueError):
@@ -50,7 +49,7 @@ class AbelianGroup:
         for q in factors:
             mod = factorize(q)  # raises InvalidModulusError for q < 2
             if len(mod.factorization) != 1:
-                raise ValueError(f"factor {reprlib.repr(q)} is not a prime power; split it first")
+                raise ValueError(f"factor {short_repr(q)} is not a prime power; split it first")
         object.__setattr__(self, "factors", factors)
 
     @property

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .lca import (
     render_trajectory,
     simulate,
 )
-from .modring import InvalidModulusError, factorize
+from .modring import InvalidModulusError, factorize, short_repr
 from .polymat import char_poly
 from .power_semigroup import (char_poly_finiteness, decide_finite_powers, detect_orbit,
                               sampled_degree_growth)
@@ -60,17 +59,6 @@ class SpecDocument:
     initial: FiniteConfiguration | None
 
 
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel = 2
-_ECHO_LIMIT = 60
-
-
-def _echo(value) -> str:
-    """A spec value for an error message: its repr, cut to _ECHO_LIMIT characters."""
-    text = _ECHO.repr(value)
-    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT - 3] + "..."
-
-
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)
@@ -80,7 +68,7 @@ def _int_field(data: dict, name: str) -> int:
     _expect(name in data, f"missing required field \"{name}\"")
     value = data[name]
     _expect(isinstance(value, int) and not isinstance(value, bool),
-            f"field \"{name}\" must be an integer, got {_echo(value)}")
+            f"field \"{name}\" must be an integer, got {short_repr(value)}")
     return value
 
 
@@ -101,7 +89,7 @@ def _int_matrix(raw, rank: int, where: str) -> tuple:
                 f"{where} must be a {rank}x{rank} matrix (row {i} is not)")
         for j, entry in enumerate(row):
             _expect(isinstance(entry, int) and not isinstance(entry, bool),
-                    f"{where} entry ({i},{j}) must be an integer, got {_echo(entry)}")
+                    f"{where} entry ({i},{j}) must be an integer, got {short_repr(entry)}")
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -116,11 +104,11 @@ def _initial_config(data: dict, orders: tuple[int, ...]) -> FiniteConfiguration 
         try:
             position = int(key)
         except ValueError:
-            raise SpecError(f"initial position {_echo(key)} is not an integer") from None
+            raise SpecError(f"initial position {short_repr(key)} is not an integer") from None
         _expect(isinstance(vector, list) and len(vector) == len(orders),
-                f"initial cell at {_echo(key)} must be a vector of {len(orders)} integers")
+                f"initial cell at {short_repr(key)} must be a vector of {len(orders)} integers")
         _expect(all(isinstance(v, int) and not isinstance(v, bool) for v in vector),
-                f"initial cell at {_echo(key)} must contain integers only")
+                f"initial cell at {short_repr(key)} must contain integers only")
         cells[position] = tuple(vector)
     return FiniteConfiguration(orders, cells)
 
@@ -129,7 +117,7 @@ def parse_spec(data: dict) -> SpecDocument:
     _expect(isinstance(data, dict), "specification must be a JSON object")
     kind = data.get("kind")
     _expect(kind in ("linear", "additive"),
-            f"field \"kind\" must be \"linear\" or \"additive\", got {_echo(kind)}")
+            f"field \"kind\" must be \"linear\" or \"additive\", got {short_repr(kind)}")
 
     if kind == "linear":
         m = _int_field(data, "m")
@@ -138,9 +126,9 @@ def parse_spec(data: dict) -> SpecDocument:
         except InvalidModulusError as err:
             raise SpecError(f"field \"m\": {err}") from None
         n = _int_field(data, "n")
-        _expect(n >= 1, f"field \"n\" must be >= 1, got {_echo(n)}")
+        _expect(n >= 1, f"field \"n\" must be >= 1, got {short_repr(n)}")
         radius = _int_field(data, "radius")
-        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {_echo(radius)}")
+        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {short_repr(radius)}")
         raw_matrices = _matrix_list(data, radius)
         matrices = tuple(_int_matrix(raw, n, f"matrices[{idx}] (offset {idx - radius})")
                          for idx, raw in enumerate(raw_matrices))
@@ -159,7 +147,7 @@ def parse_spec(data: dict) -> SpecDocument:
             _expect(_int_field(data, "n") == group.rank,
                     f"field \"n\" disagrees with the group rank {group.rank}")
         radius = _int_field(data, "radius")
-        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {_echo(radius)}")
+        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {short_repr(radius)}")
         raw_matrices = _matrix_list(data, radius)
         endos = []
         for idx, raw in enumerate(raw_matrices):

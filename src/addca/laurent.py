@@ -1,4 +1,4 @@
-"""Laurent polynomials over Z/mZ, stored densely and multiplied by Kronecker
+"""Laurent polynomials over Z/mZ, stored sparsely and multiplied by Kronecker
 substitution.
 
 This is the coefficient ring for everything dynamical in the package: the
@@ -18,49 +18,66 @@ F_p[x, x^-1] integral over F_p are the constants, x being transcendental.)
 The test suite double-checks this criterion against a brute-force
 power-enumeration oracle.
 
-Storage.  A polynomial is its lowest exponent ``low`` plus the dense tuple
-``dense`` of canonical coefficients of x^low, x^(low+1), ...; the first and
-last entries are nonzero, and zero is ``low == 0, dense == ()``.  Memory is
-proportional to the span of exponents, not to the number of terms.
+Storage.  A polynomial whose exponents span at most _DENSE_SPAN_PER_TERM
+slots per nonzero term is dense: its lowest exponent ``low`` plus the tuple
+of coefficients of x^low, x^(low+1), ... up to the highest term.  Any other
+is sparse: the tuple ``exps`` of its exponents and the tuple of their
+coefficients.  So memory is proportional to the number of terms, never to
+a wide span of exponents, and the dense tuples feed the Kronecker product
+without unpacking.
 
-Multiplication.  Both operands are packed into one integer each, coefficient
-i in slot i (Kronecker substitution, see Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", 2009).  A slot holds
-2 * bits(m - 1) + bits(min(len a, len b)) bits, enough for any coefficient of
-the integer product, so one big-int multiply yields every convolution sum in
-its own slot.  Slots are rounded up to 1, 2, 4 or 8 bytes and unpacked with
-``memoryview.cast``; wider slots (large moduli) are unpacked by slicing the
-product's bytes.  Each slot is then reduced mod m.  A one-term operand is a
-scaled shift and skips the packing.  The dict convolution this replaced is
-the test oracle ``tests/oracles.py::dict_product``.
+Multiplication picks one of two products from the operands' shape.  When
+a sparse operand makes the term pairs fewer than the slots of the result
+(``1 + x^500`` times itself, say) it convolves the terms through a dict.
+Otherwise both operands are packed into one integer each, the
+coefficient of x^(low + i) in slot i (Kronecker substitution, see Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+2009).  A slot holds 2 * bits(m - 1) + bits(k) bits, k the length of the
+shorter coefficient tuple (at least the number of terms that meet in one
+slot), enough for any coefficient of the integer product, so one big-int
+multiply yields every convolution sum in its own slot.  Slots are rounded up
+to 1, 2, 4 or 8 bytes and unpacked with ``memoryview.cast``; wider slots
+(large moduli) are unpacked by slicing the product's bytes.  Each slot is
+then reduced mod m.  A one-term operand is a scaled shift.  The test oracle
+``tests/oracles.py::dict_product`` convolves term by term without either
+shortcut.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 import sys
-from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .modring import Modulus, ResidueElement, RingMismatchError, factorize
 
-# array / memoryview format of an unsigned slot of 1, 2, 4 or 8 bytes.
+# A polynomial is stored densely when its exponents span at most this many
+# slots per nonzero term, sparsely otherwise.
+_DENSE_SPAN_PER_TERM = 4
+# struct / memoryview format of an unsigned slot of 1, 2, 4 or 8 bytes.
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_BYTEORDER = sys.byteorder  # the order array and memoryview.cast use
+_BYTEORDER = sys.byteorder  # the order native struct formats and memoryview.cast use
 
 
 class LaurentPoly:
     """Immutable Laurent polynomial with canonical int coefficients.
 
-    ``dense[i]`` is the coefficient of x^(low + i), in [0, m); the first and
-    last entries are nonzero and the zero polynomial is ``low = 0,
-    dense = ()``.  Instances are treated as frozen: all operations return
-    new objects.
+    ``low`` is the lowest exponent with a nonzero coefficient.  A dense
+    polynomial has ``exps is None`` and ``coeffs[i]``, in [0, m), the
+    coefficient of x^(low + i), first and last nonzero.  A sparse one has
+    the increasing tuple ``exps`` of exponents with nonzero coefficient and
+    ``coeffs[i]``, in [1, m), the coefficient of x^exps[i].  The form is a
+    function of the polynomial (dense iff its span is at most
+    _DENSE_SPAN_PER_TERM slots per nonzero term), so equal polynomials have
+    equal storage.  Zero is dense with ``low == 0, coeffs == ()``.
+    Instances are treated as frozen: all operations return new objects.
     """
 
-    __slots__ = ("modulus", "low", "dense", "_hash")
+    __slots__ = ("modulus", "low", "exps", "coeffs")
 
     def __init__(self, modulus: Modulus,
                  coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
@@ -73,23 +90,27 @@ class LaurentPoly:
             if isinstance(c, ResidueElement):
                 c = c.value
             data[e] = (data.get(e, 0) + c) % m
-        if 0 in data.values():
-            data = {e: c for e, c in data.items() if c}
         self.modulus = modulus
-        self._hash: int | None = None
-        if not data:
-            self.low, self.dense = 0, ()
-            return
-        low = min(data)
-        dense = [0] * (max(data) - low + 1)
-        for e, c in data.items():
-            dense[e - low] = c
-        self.low, self.dense = low, tuple(dense)
+        self.low, self.exps, self.coeffs = _storage_of_terms(data)
 
     @classmethod
-    def _trimmed(cls, modulus: Modulus, low: int, values) -> "LaurentPoly":
-        """Polynomial with coefficients ``values`` (canonical) from x^low up,
-        dropping zeros at both ends."""
+    def _make(cls, modulus: Modulus, low: int, exps: tuple | None,
+              coeffs: tuple) -> "LaurentPoly":
+        poly = object.__new__(cls)
+        poly.modulus = modulus
+        poly.low = low
+        poly.exps = exps
+        poly.coeffs = coeffs
+        return poly
+
+    @classmethod
+    def _from_terms(cls, modulus: Modulus, data: dict[int, int]) -> "LaurentPoly":
+        """Polynomial with canonical coefficient ``data[e]`` at x^e."""
+        return cls._make(modulus, *_storage_of_terms(data))
+
+    @classmethod
+    def _from_slots(cls, modulus: Modulus, low: int, values) -> "LaurentPoly":
+        """Polynomial with canonical coefficient ``values[i]`` at x^(low + i)."""
         end = len(values)
         while end and not values[end - 1]:
             end -= 1
@@ -98,16 +119,21 @@ class LaurentPoly:
             start += 1
         poly = object.__new__(cls)
         poly.modulus = modulus
-        poly.low = low + start if end else 0
-        poly.dense = tuple(values[start:end])
-        poly._hash = None
+        if end - start > _DENSE_SPAN_PER_TERM * (len(values) - values.count(0)):
+            poly.low = low + start
+            poly.exps = tuple(compress(range(low, low + len(values)), values))
+            poly.coeffs = tuple(filter(None, values))
+        else:
+            poly.low = low + start if end else 0
+            poly.exps = None
+            poly.coeffs = tuple(values[start:end])
         return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, modulus: Modulus) -> "LaurentPoly":
-        return cls._trimmed(modulus, 0, ())
+        return cls._make(modulus, 0, None, ())
 
     @classmethod
     def constant(cls, modulus: Modulus, value: int) -> "LaurentPoly":
@@ -120,20 +146,38 @@ class LaurentPoly:
     # -- views -------------------------------------------------------------
 
     def support(self) -> tuple[int, ...]:
-        return tuple(compress(range(self.low, self.low + len(self.dense)), self.dense))
+        if self.exps is not None:
+            return self.exps
+        return tuple(compress(range(self.low, self.low + len(self.coeffs)), self.coeffs))
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return zip(self.support(), filter(None, self.dense))
+        return zip(self.support(), filter(None, self.coeffs))
 
     def is_zero(self) -> bool:
-        return not self.dense
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        return not self.dense or (self.low == 0 and len(self.dense) == 1)
+        return not self.coeffs or (self.low == 0 and len(self.coeffs) == 1)
 
     def constant_value(self) -> int:
+        if self.exps is not None:
+            index = bisect_left(self.exps, 0)
+            return self.coeffs[index] if index < len(self.exps) and not self.exps[index] else 0
         index = -self.low
-        return self.dense[index] if 0 <= index < len(self.dense) else 0
+        return self.coeffs[index] if 0 <= index < len(self.coeffs) else 0
+
+    def _span(self) -> int:
+        """Number of exponents from the lowest to the highest (0 for zero)."""
+        return len(self.coeffs) if self.exps is None else self.exps[-1] - self.low + 1
+
+    def _slots(self) -> Sequence[int]:
+        """Coefficients of x^low, x^(low + 1), ... up to the highest exponent."""
+        if self.exps is None:
+            return self.coeffs
+        values = [0] * self._span()
+        for e, c in zip(self.exps, self.coeffs):
+            values[e - self.low] = c
+        return values
 
     # -- ring structure ----------------------------------------------------
 
@@ -145,58 +189,84 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        if not other.dense:
+        if not other.coeffs:
             return self
-        if not self.dense:
+        if not self.coeffs:
             return other
         m = self.modulus.m
-        low = min(self.low, other.low)
-        out = [0] * (max(self.low + len(self.dense), other.low + len(other.dense)) - low)
-        start = self.low - low
-        out[start:start + len(self.dense)] = self.dense
-        start = other.low - low
-        stop = start + len(other.dense)
-        out[start:stop] = [(x + y) % m for x, y in zip(out[start:stop], other.dense)]
-        return LaurentPoly._trimmed(self.modulus, low, out)
+        if self.exps is None and other.exps is None:
+            low = min(self.low, other.low)
+            span = max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low
+            if span <= _DENSE_SPAN_PER_TERM * (len(self.coeffs) + len(other.coeffs)):
+                out = [0] * span
+                start = self.low - low
+                out[start:start + len(self.coeffs)] = self.coeffs
+                start = other.low - low
+                stop = start + len(other.coeffs)
+                out[start:stop] = [(x + y) % m for x, y in zip(out[start:stop], other.coeffs)]
+                return LaurentPoly._from_slots(self.modulus, low, out)
+        data = dict(self.items())
+        for e, c in other.items():
+            data[e] = (data.get(e, 0) + c) % m
+        return LaurentPoly._from_terms(self.modulus, data)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
         m = self.modulus.m
-        return LaurentPoly._trimmed(self.modulus, self.low,
-                                    [m - c if c else 0 for c in self.dense])
+        return LaurentPoly._make(self.modulus, self.low, self.exps,
+                                 tuple([m - c if c else 0 for c in self.coeffs]))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        a, b = self.dense, other.dense
-        low = self.low + other.low
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) <= 1:
-            return self._scaled(b, a[0], low) if a else LaurentPoly.zero(self.modulus)
+        a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        if len(a.coeffs) <= 1:
+            return b._scaled(a.coeffs[0], a.low) if a.coeffs else LaurentPoly.zero(self.modulus)
+        if a.exps is None and b.exps is None:
+            a_slots, b_slots = a.coeffs, b.coeffs
+        else:
+            if len(a.coeffs) * len(b.coeffs) < a._span() + b._span():
+                return a._convolve(b)
+            a_slots, b_slots = a._slots(), b._slots()
         m = self.modulus.m
-        width = (2 * (m - 1).bit_length() + len(a).bit_length() + 7) // 8
-        slots = len(a) + len(b) - 1
+        width = (2 * (m - 1).bit_length() + len(a.coeffs).bit_length() + 7) // 8
+        slots = len(a_slots) + len(b_slots) - 1
         if width <= 8:
             width = 1 << (width - 1).bit_length()
             fmt = _SLOT_FORMATS[width]
-            product = (int.from_bytes(array(fmt, a), _BYTEORDER)
-                       * int.from_bytes(array(fmt, b), _BYTEORDER))
+            product = (int.from_bytes(struct.pack(f"{len(a_slots)}{fmt}", *a_slots), _BYTEORDER)
+                       * int.from_bytes(struct.pack(f"{len(b_slots)}{fmt}", *b_slots),
+                                        _BYTEORDER))
             view = memoryview(product.to_bytes(slots * width, _BYTEORDER)).cast(fmt)
             out = [c % m for c in view]
         else:
-            product = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-                       * int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b),
+            product = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a_slots),
+                                      "little")
+                       * int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b_slots),
                                         "little"))
             data = product.to_bytes(slots * width, "little")
             out = [int.from_bytes(data[i:i + width], "little") % m
                    for i in range(0, len(data), width)]
-        return LaurentPoly._trimmed(self.modulus, low, out)
+        return LaurentPoly._from_slots(self.modulus, a.low + b.low, out)
 
-    def _scaled(self, dense: tuple, value: int, low: int) -> "LaurentPoly":
+    def _convolve(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Term-by-term product, for operands with few terms per result slot."""
         m = self.modulus.m
-        return LaurentPoly._trimmed(self.modulus, low, [c * value % m for c in dense])
+        data: dict[int, int] = {}
+        for e1, c1 in self.items():
+            for e2, c2 in other.items():
+                data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
+        return LaurentPoly._from_terms(self.modulus, {e: c % m for e, c in data.items()})
+
+    def _scaled(self, value: int, offset: int) -> "LaurentPoly":
+        """value * x^offset * self."""
+        m = self.modulus.m
+        values = [c * value % m for c in self.coeffs]
+        if self.exps is None:
+            return LaurentPoly._from_slots(self.modulus, self.low + offset, values)
+        return LaurentPoly._from_terms(self.modulus,
+                                       dict(zip(map(offset.__add__, self.exps), values)))
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if exponent < 0:
@@ -215,22 +285,23 @@ class LaurentPoly:
     def scale(self, value: int | ResidueElement) -> "LaurentPoly":
         if isinstance(value, ResidueElement):
             value = value.value
-        return self._scaled(self.dense, value, self.low)
+        return self._scaled(value, 0)
 
     def shift(self, offset: int) -> "LaurentPoly":
         """Multiply by x^offset."""
-        return LaurentPoly._trimmed(self.modulus, self.low + offset, self.dense)
+        if not self.coeffs:
+            return self
+        exps = None if self.exps is None else tuple(map(offset.__add__, self.exps))
+        return LaurentPoly._make(self.modulus, self.low + offset, exps, self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return (self.modulus.m == other.modulus.m and self.low == other.low
-                and self.dense == other.dense)
+                and self.coeffs == other.coeffs and self.exps == other.exps)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.modulus.m, self.low, self.dense))
-        return self._hash
+        return hash((self.modulus.m, self.low, self.exps, self.coeffs))
 
     # -- prime-aware structure ----------------------------------------------
 
@@ -241,30 +312,53 @@ class LaurentPoly:
     def reduce_mod_prime(self, p: int) -> "LaurentPoly":
         """Coefficientwise reduction onto (Z/pZ)[x, x^-1]."""
         self._require_prime_factor(p)
-        return LaurentPoly._trimmed(factorize(p), self.low, [c % p for c in self.dense])
+        values = [c % p for c in self.coeffs]
+        if self.exps is None:
+            return LaurentPoly._from_slots(factorize(p), self.low, values)
+        return LaurentPoly._from_terms(factorize(p), dict(zip(self.exps, values)))
 
     def pos_degree(self, p: int) -> int:
         """Largest exponent > 0 whose coefficient survives mod p (0 if none)."""
         self._require_prime_factor(p)
-        for i in range(len(self.dense) - 1, max(-self.low, -1), -1):
-            if self.dense[i] % p:
-                return self.low + i
+        coeffs = self.coeffs
+        if self.exps is None:
+            for i in range(len(coeffs) - 1, max(-self.low, -1), -1):
+                if coeffs[i] % p:
+                    return self.low + i
+            return 0
+        for e, c in zip(reversed(self.exps), reversed(coeffs)):
+            if e <= 0:
+                break
+            if c % p:
+                return e
         return 0
 
     def neg_degree(self, p: int) -> int:
         """Smallest exponent < 0 whose coefficient survives mod p (0 if none)."""
         self._require_prime_factor(p)
-        for i in range(min(-self.low, len(self.dense))):
-            if self.dense[i] % p:
-                return self.low + i
+        coeffs = self.coeffs
+        if self.exps is None:
+            for i in range(min(-self.low, len(coeffs))):
+                if coeffs[i] % p:
+                    return self.low + i
+            return 0
+        for e, c in zip(self.exps, coeffs):
+            if e >= 0:
+                break
+            if c % p:
+                return e
         return 0
 
     def integrality_obstruction(self) -> int | None:
         """Smallest prime p | m with f mod p non-constant, or None when f is
         integral over Z/mZ."""
-        index = -self.low
-        rest = self.dense
-        if 0 <= index < len(rest):
+        rest = self.coeffs
+        if self.exps is None:
+            index = -self.low
+            if 0 <= index < len(rest):
+                rest = rest[:index] + rest[index + 1:]
+        elif 0 in self.exps:
+            index = self.exps.index(0)
             rest = rest[:index] + rest[index + 1:]
         for p in self.modulus.primes:
             if any(c % p for c in rest):
@@ -278,7 +372,7 @@ class LaurentPoly:
     # -- rendering / parsing -------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.dense:
+        if not self.coeffs:
             return "0"
         parts = []
         for e, c in reversed(list(self.items())):
@@ -292,6 +386,22 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self} mod {self.modulus.m})"
+
+
+def _storage_of_terms(data: dict[int, int]) -> tuple[int, tuple | None, tuple]:
+    """(low, exps, coeffs) of the polynomial with canonical coefficient
+    ``data[e]`` at x^e."""
+    exps = sorted(e for e, c in data.items() if c)
+    if not exps:
+        return 0, None, ()
+    low = exps[0]
+    span = exps[-1] - low + 1
+    if span > _DENSE_SPAN_PER_TERM * len(exps):
+        return low, tuple(exps), tuple(map(data.__getitem__, exps))
+    values = [0] * span
+    for e in exps:
+        values[e - low] = data[e]
+    return low, None, tuple(values)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?x(?:\^(-?\d+))?$")

@@ -16,6 +16,13 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 
+def short_repr(value) -> str:
+    """``reprlib.repr(value)`` cut to 60 characters, for echoing a value in an
+    error message."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 class InvalidModulusError(ValueError):
     """The modulus is not an integer >= 2, or cannot be factored exactly."""
 
@@ -55,11 +62,13 @@ class Modulus:
         return f"Z/{self.m}"
 
 
-# Trial division runs up to this bound; Miller-Rabin with the first 12 primes
-# as bases is deterministic below MILLER_RABIN_BOUND.
+# Trial division runs up to this bound; Miller-Rabin with the first 13 primes
+# as bases is deterministic below MILLER_RABIN_BOUND, the least composite
+# that passes all 13 (with the first 12 the bound would be
+# 318_665_857_834_031_151_167_461, itself such a composite).
 TRIAL_DIVISION_BOUND = 1 << 12
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +80,7 @@ def factorize(m: int) -> Modulus:
     for m < 2 and for a larger cofactor that trial division cannot split.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise InvalidModulusError(f"modulus must be an integer >= 2, got {reprlib.repr(m)}")
+        raise InvalidModulusError(f"modulus must be an integer >= 2, got {short_repr(m)}")
     rest = m
     factors: dict[int, int] = {}
     d = 2
@@ -82,7 +91,7 @@ def factorize(m: int) -> Modulus:
         d += 1 if d == 2 else 2
     if rest >= MILLER_RABIN_BOUND:
         raise InvalidModulusError(
-            f"modulus {reprlib.repr(m)} has a factor of {rest.bit_length()} bits with no "
+            f"modulus {short_repr(m)} has a factor of {rest.bit_length()} bits with no "
             f"prime divisor below {TRIAL_DIVISION_BOUND}; it cannot be factored exactly")
     for p in _prime_factors(rest):
         factors[p] = factors.get(p, 0) + 1
@@ -100,7 +109,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 12 primes as bases: exact for n < MILLER_RABIN_BOUND."""
+    """Miller-Rabin with the first 13 primes as bases: exact for n < MILLER_RABIN_BOUND."""
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:

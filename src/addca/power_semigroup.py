@@ -204,12 +204,13 @@ def sampled_degree_growth(matrix: RingMatrix, doublings: int = 5) -> list[int]:
     """
     profile = []
     power = matrix
-    for _ in range(doublings + 1):
+    while True:
         best = 0
         for row in power.rows:
             for entry in row:
                 for p in entry.modulus.primes:
                     best = max(best, entry.pos_degree(p), -entry.neg_degree(p))
         profile.append(best)
+        if len(profile) > doublings:
+            return profile
         power = power * power
-    return profile

@@ -164,6 +164,20 @@ def test_orbit_infinite_rule_reports_degree_growth(capsys):
     assert "max entry degrees along doubled powers: [1, 2, 4, 8, 16, 32]" in out
 
 
+def test_orbit_on_a_wide_gapped_rule(capsys, tmp_path):
+    """Only the offsets -R and R are nonzero, so the doubled powers hold few
+    terms spread over up to 64R exponents."""
+    radius = 10**4
+    matrices = [[[0]] for _ in range(2 * radius + 1)]
+    matrices[0] = matrices[-1] = [[1]]
+    spec = {"kind": "linear", "m": 3, "n": 1, "radius": radius, "matrices": matrices}
+    code, out, _ = run_cli(capsys, "orbit", write_spec(tmp_path, spec))
+    assert code == 0
+    assert "coefficient verdict: infinite" in out
+    samples = [radius * 2**k for k in range(6)]
+    assert f"max entry degrees along doubled powers: {samples}" in out
+
+
 def test_spec_error_names_bad_json_line(capsys, tmp_path):
     path = write_spec(tmp_path, "{\n  \"kind\": \"linear\",\n  oops\n}\n")
     code, _, err = run_cli(capsys, "analyze", path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -203,9 +204,11 @@ def test_kronecker_product_matches_dict_convolution():
         checked = 0
         for f, g in _product_operands(rng, m):
             expected = dict_product(f, g)
-            assert f * g == expected, (m, f.low, f.dense[:5], g.low, g.dense[:5])
+            product = f * g
+            assert product == expected, (m, f.low, f.coeffs[:5], g.low, g.coeffs[:5])
             assert g * f == expected
-            assert all(0 < c < m for c in expected.dense[:1] + expected.dense[-1:])
+            assert all(0 <= c < m for c in product.coeffs)
+            assert product.is_zero() or (product.coeffs[0] and product.coeffs[-1])
             checked += 1
         assert checked == 40 + 4 + 2 * len(EXTREME_LENGTHS)
 
@@ -213,20 +216,50 @@ def test_kronecker_product_matches_dict_convolution():
 def test_far_apart_exponents_keep_one_slot():
     modulus = factorize(9)
     product = LaurentPoly.monomial(modulus, 10**9) * LaurentPoly.monomial(modulus, -10**9)
-    assert (product.low, product.dense) == (0, (1,))
+    assert (product.low, product.exps, product.coeffs) == (0, None, (1,))
     assert product == LaurentPoly.constant(modulus, 1)
     parsed = parse_laurent("x^1000000000", modulus)
-    assert (parsed.low, parsed.dense) == (10**9, (1,))
+    assert (parsed.low, parsed.exps, parsed.coeffs) == (10**9, None, (1,))
     assert parsed.support() == (10**9,)
 
 
-def test_dense_storage_is_trimmed_and_canonical():
+def test_storage_form_is_canonical():
     m4 = factorize(4)
     f = LaurentPoly(m4, [(-3, 2), (-3, 2), (-1, 5), (2, 8), (4, 0)])
-    assert (f.low, f.dense) == (-1, (1,))
+    assert (f.low, f.exps, f.coeffs) == (-1, None, (1,))
     g = parse_laurent("2x^2 + 2", m4)
     assert (g * g).is_zero() and (g * g).low == 0  # 4x^4 + 8x^2 + 4 = 0 mod 4
     h = parse_laurent("x + 2 + 2x^-1", m4).scale(2)
-    assert (h.low, h.dense) == (1, (2,))
+    assert (h.low, h.exps, h.coeffs) == (1, None, (2,))
     assert list(parse_laurent("x^3 + 3x^-2", m4).items()) == [(-2, 3), (3, 1)]
-    assert (-parse_laurent("x^3 + 3x^-2", m4)).dense == (1, 0, 0, 0, 0, 3)
+    assert (-parse_laurent("x^3 + 3x^-2", m4)).coeffs == (1, 0, 0, 0, 0, 3)
+    assert (parse_laurent("x^3 + 3x^-2", m4) + parse_laurent("x^-2", m4)).coeffs == (1,)
+    # More than four slots per term is stored sparsely, and a product, sum,
+    # scaling or reduction that fills the span back in is stored densely.
+    gapped = parse_laurent("2x^100 + 1", m4)
+    assert (gapped.low, gapped.exps, gapped.coeffs) == (0, (0, 100), (1, 2))
+    assert gapped * gapped == LaurentPoly.constant(m4, 1)  # 4x^200 + 4x^100 + 1
+    square = parse_laurent("x^100 + 1", m4) ** 2
+    assert (square.exps, square.coeffs) == ((0, 100, 200), (1, 2, 1))
+    assert gapped.scale(2) == LaurentPoly.constant(m4, 2)
+    assert gapped.scale(2).exps is None
+    assert gapped.reduce_mod_prime(2).exps is None
+    assert (gapped + LaurentPoly(m4, {100: 2})).exps is None
+    filled = gapped + LaurentPoly(m4, {e: 1 for e in range(1, 100)})
+    assert filled.exps is None and len(filled.coeffs) == 101
+    assert filled - LaurentPoly(m4, {e: 1 for e in range(1, 100)}) == gapped
+    for poly in (gapped, square, filled, -gapped, gapped.shift(-7), square.scale(2)):
+        rebuilt = LaurentPoly(m4, dict(poly.items()))
+        assert (rebuilt.low, rebuilt.exps, rebuilt.coeffs) == (poly.low, poly.exps, poly.coeffs)
+
+
+def test_wide_sparse_powers_stay_sparse():
+    """(x^-R + x^R)^32 over Z/3 keeps its few terms at R = 10^4: storage and
+    products scale with the terms, not with the span of 64R exponents."""
+    modulus = factorize(3)
+    radius = 10**4
+    power = parse_laurent(f"x^{radius} + x^-{radius}", modulus) ** 32
+    terms = {radius * (2 * k - 32): comb(32, k) % 3 for k in range(33)}
+    assert power == LaurentPoly(modulus, terms)
+    assert power.exps is not None and len(power.coeffs) == sum(1 for c in terms.values() if c)
+    assert power.pos_degree(3) == 32 * radius and power.neg_degree(3) == -32 * radius

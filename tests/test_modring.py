@@ -7,6 +7,7 @@ import math
 import pytest
 
 from addca.modring import (
+    MILLER_RABIN_BOUND,
     InvalidModulusError,
     ResidueElement,
     RingMismatchError,
@@ -53,6 +54,17 @@ def test_factorize_large_moduli_exactly():
     for m in (mersenne61, (2**31 - 1) ** 2, p * q):
         modulus = factorize(m)
         assert math.prod(prime**k for prime, k in modulus.factorization) == m
+
+
+def test_factorize_splits_strong_pseudoprimes_below_the_bound():
+    # psi_12, the least composite that passes Miller-Rabin for the first 12
+    # prime bases; base 41 exposes it and Pollard rho splits it.
+    psi12 = 318_665_857_834_031_151_167_461
+    assert factorize(psi12).factorization == ((399_165_290_221, 1), (798_330_580_441, 1))
+    # psi_13 passes all 13 bases, so it is exactly where the bound has to stop.
+    assert MILLER_RABIN_BOUND == 3_317_044_064_679_887_385_961_981
+    with pytest.raises(InvalidModulusError, match="cannot be factored exactly"):
+        factorize(MILLER_RABIN_BOUND)
 
 
 def test_factorize_rejects_unsplittable_large_cofactor():
