@@ -175,6 +175,9 @@ def load_spec(path: str) -> SpecDocument:
         raise SpecError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     except RecursionError:
         raise SpecError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # an integer literal past the int-to-str digit limit
+        raise SpecError(f"{path}: a number has more than "
+                        f"{sys.get_int_max_str_digits()} digits") from None
     try:
         return parse_spec(data)
     except SpecError as err:

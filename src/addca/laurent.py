@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .modring import Modulus, ResidueElement, RingMismatchError, factorize
+from .modring import Modulus, RingMismatchError, factorize
 
 # A polynomial is stored densely when its exponents span at most this many
 # slots per nonzero term, sparsely otherwise.
@@ -87,8 +87,6 @@ class LaurentPoly:
         m = modulus.m
         data: dict[int, int] = {}
         for e, c in items:
-            if isinstance(c, ResidueElement):
-                c = c.value
             data[e] = (data.get(e, 0) + c) % m
         self.modulus = modulus
         self.low, self.exps, self.coeffs = _storage_of_terms(data)
@@ -282,9 +280,7 @@ class LaurentPoly:
                 base = base * base
         return result
 
-    def scale(self, value: int | ResidueElement) -> "LaurentPoly":
-        if isinstance(value, ResidueElement):
-            value = value.value
+    def scale(self, value: int) -> "LaurentPoly":
         return self._scaled(value, 0)
 
     def shift(self, offset: int) -> "LaurentPoly":
@@ -301,7 +297,9 @@ class LaurentPoly:
                 and self.coeffs == other.coeffs and self.exps == other.exps)
 
     def __hash__(self) -> int:
-        return hash((self.modulus.m, self.low, self.exps, self.coeffs))
+        # Exponents are hashed doubled: CPython has hash(-1) == hash(-2).
+        exps = None if self.exps is None else tuple([2 * e for e in self.exps])
+        return hash((self.modulus.m, 2 * self.low, exps, self.coeffs))
 
     # -- prime-aware structure ----------------------------------------------
 

@@ -1,10 +1,11 @@
-"""Exact arithmetic in Z/mZ: canonical residues, factoring, CRT splitting.
+"""The modulus m of Z/mZ: exact factoring, canonical integer matrices, errors.
 
-Everything downstream (Laurent polynomials, matrices, CA rules) reduces to
-residue arithmetic, so elements here are deliberately tiny value objects.
-Moduli are factored exactly: trial division takes the small primes, and a
-cofactor below 3.3e24 is split by deterministic Miller-Rabin and Pollard rho.
-A larger cofactor without small factors is rejected, never guessed.
+Z/mZ has no element type of its own.  Its elements are the constant Laurent
+polynomials, ``laurent_ring(m).from_int(v)``, so a constant matrix over Z/mZ
+is ``matrix_from_ints(laurent_ring(m), rows)``.  Moduli are factored exactly:
+trial division takes the small primes, and a cofactor below 3.3e24 is split
+by deterministic Miller-Rabin and Pollard rho.  A larger cofactor without
+small factors is rejected, never guessed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 def short_repr(value) -> str:
@@ -178,108 +179,3 @@ def canonical_matrix(matrix, moduli: Sequence[int]) -> tuple | None:
     if len(rows) != size or any(len(row) != size for row in rows):
         return None
     return tuple(tuple(v % q for v in row) for row, q in zip(rows, moduli))
-
-
-def _same_ring(a: "ResidueElement", b: "ResidueElement") -> None:
-    if a.modulus.m != b.modulus.m:
-        raise RingMismatchError(
-            f"cannot combine residues mod {a.modulus.m} and mod {b.modulus.m}"
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class ResidueElement:
-    """An element of Z/mZ, stored as its canonical representative in [0, m)."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.modulus.m)
-
-    def __add__(self, other: "ResidueElement") -> "ResidueElement":
-        _same_ring(self, other)
-        return ResidueElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "ResidueElement") -> "ResidueElement":
-        _same_ring(self, other)
-        return ResidueElement(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "ResidueElement") -> "ResidueElement":
-        _same_ring(self, other)
-        return ResidueElement(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "ResidueElement":
-        return ResidueElement(-self.value, self.modulus)
-
-    def __pow__(self, exponent: int) -> "ResidueElement":
-        return ResidueElement(pow(self.value, exponent, self.modulus.m), self.modulus)
-
-    def inverse(self) -> "ResidueElement":
-        return ResidueElement(pow(self.value, -1, self.modulus.m), self.modulus)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus.m) == 1
-
-    def is_nilpotent(self) -> bool:
-        """True iff some power vanishes, i.e. every prime dividing m divides value."""
-        return all(self.value % p == 0 for p in self.modulus.primes)
-
-    def crt_split(self) -> tuple["ResidueElement", ...]:
-        """Project onto the prime-power component rings of Z/mZ."""
-        return tuple(
-            ResidueElement(self.value % q, factorize(q))
-            for q in self.modulus.prime_powers()
-        )
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.modulus.m})"
-
-
-def crt_combine(parts: tuple[ResidueElement, ...] | list[ResidueElement],
-                modulus: Modulus) -> ResidueElement:
-    """Inverse of :meth:`ResidueElement.crt_split` for the given modulus.
-
-    The parts must line up, in order, with the prime-power components of
-    ``modulus``; the result is the unique residue reducing to each part.
-    """
-    expected = modulus.prime_powers()
-    got = tuple(part.modulus.m for part in parts)
-    if got != expected:
-        raise RingMismatchError(
-            f"component moduli {got} do not match prime powers {expected} of {modulus.m}"
-        )
-    total = 0
-    for part in parts:
-        q = part.modulus.m
-        rest = modulus.m // q
-        total += part.value * rest * pow(rest, -1, q)
-    return ResidueElement(total, modulus)
-
-
-@dataclass(frozen=True, slots=True)
-class ZmodRing:
-    """Handle for Z/mZ used by generic matrix/polynomial code."""
-
-    modulus: Modulus
-
-    def zero(self) -> ResidueElement:
-        return ResidueElement(0, self.modulus)
-
-    def one(self) -> ResidueElement:
-        return ResidueElement(1, self.modulus)
-
-    def from_int(self, value: int) -> ResidueElement:
-        return ResidueElement(value, self.modulus)
-
-    def elements(self) -> Iterator[ResidueElement]:
-        for v in range(self.modulus.m):
-            yield ResidueElement(v, self.modulus)
-
-
-def zmod(m: int) -> ZmodRing:
-    """Shorthand: the ring handle for Z/mZ."""
-    return ZmodRing(factorize(m))

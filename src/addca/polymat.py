@@ -1,13 +1,13 @@
 """Square matrices over a commutative ring, with division-free invariants.
 
-The application rings (Z/mZ and its Laurent extension) have zero divisors, so
-none of the classical elimination schemes apply: there is no echelon form and
-fraction-free tricks such as Bareiss still divide.  The characteristic
-polynomial is therefore computed with the Berkowitz vector recurrence, which
-uses ring operations only, and the determinant is read off its constant term.
-The Frobenius companion matrix goes the other way, from a monic polynomial to
-a matrix.  The independent cross-checks of Berkowitz (minor sums by a Laplace
-DP, Cayley-Hamilton) live in the test oracles.
+The coefficient ring (Z/mZ)[x, x^-1], whose constants are Z/mZ, has zero
+divisors, so none of the classical elimination schemes apply: there is no
+echelon form and fraction-free tricks such as Bareiss still divide.  The
+characteristic polynomial is therefore computed with the Berkowitz vector
+recurrence, which uses ring operations only, and the determinant is read off
+its constant term.  The Frobenius companion matrix goes the other way, from a
+monic polynomial to a matrix.  The independent cross-checks of Berkowitz
+(minor sums by a Laplace DP, Cayley-Hamilton) live in the test oracles.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from . import tpoly
 from .laurent import LaurentPoly
-from .modring import ResidueElement
 from .polymat import CharPoly, RingMatrix, char_poly, identity
 
 DEFAULT_BUDGET = 100_000
@@ -84,14 +83,11 @@ def decide_finite_powers(matrix: RingMatrix) -> FinitenessVerdict:
 def char_poly_finiteness(poly: CharPoly) -> FinitenessVerdict:
     """Finiteness verdict for every matrix whose characteristic polynomial is ``poly``.
 
-    Tests a_0 ... a_{n-1} for integrality over Z/mZ (a_n = 1 needs no test):
-    constants of Z/mZ always are, Laurent coefficients are asked for their
-    `LaurentPoly.integrality_obstruction`.
+    Tests a_0 ... a_{n-1} for integrality over Z/mZ (a_n = 1 needs no test)
+    with `LaurentPoly.integrality_obstruction`; a constant always passes.
     """
     for index in range(poly.degree):
         coeff = poly.coeffs[index]
-        if isinstance(coeff, ResidueElement):
-            continue
         if not isinstance(coeff, LaurentPoly):
             raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
         prime = coeff.integrality_obstruction()

@@ -23,7 +23,6 @@ from typing import Any, Sequence
 from addca import tpoly
 from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_divmod, _fp_gcd, associated_matrix
-from addca.modring import ResidueElement, crt_combine, factorize
 from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity, zeros
 from addca.power_semigroup import OrbitShape
 
@@ -63,13 +62,16 @@ def balance_surjectivity_oracle(rule: LcaRule, guard: int = 2**20) -> bool:
     return all(counts.get(letter, 0) == expected for letter in letters)
 
 
-def _kernel_cycle_candidates(letters: list[tuple], zero_letter: tuple, width: int, local):
+def _kernel_cycle_candidates(letters: list[tuple], zero_letter: tuple, sources, local):
     """Yield candidate kernel words: letter sequences along cycles of the
-    zero-output de Bruijn subgraph that use at least one nonzero letter.
+    zero-output de Bruijn subgraph that leave one of the ``sources`` windows
+    by a nonzero letter and return to it.
 
     Any cycle of zero-output edges carrying a nonzero letter somewhere must
-    contain an edge whose own letter is nonzero, so scanning those edges and
-    asking whether they close into a cycle is a complete search.
+    contain an edge whose own letter is nonzero, so scanning those edges out
+    of every window and asking whether they close into a cycle is a complete
+    search.  With the all-zero window as the only source, the words are the
+    nonzero finite-support paths from and back to zero.
     """
 
     def transitions(state: tuple) -> list[tuple[tuple, tuple]]:
@@ -80,8 +82,8 @@ def _kernel_cycle_candidates(letters: list[tuple], zero_letter: tuple, width: in
                 out.append((letter, word[1:]))
         return out
 
-    for source in product(letters, repeat=width):
-        for first_letter, entry in transitions(tuple(source)):
+    for source in sources:
+        for first_letter, entry in transitions(source):
             if first_letter == zero_letter:
                 continue
             parents: dict[tuple, tuple[tuple, tuple] | None] = {entry: None}
@@ -115,7 +117,8 @@ def periodic_kernel_witness(rule: LcaRule) -> list[tuple] | None:
     letters = alphabet(rule)
     zero_letter = tuple([0] * rule.n)
     local = partial(local_map, rule)
-    for word in _kernel_cycle_candidates(letters, zero_letter, 2 * rule.radius, local):
+    for word in _kernel_cycle_candidates(letters, zero_letter,
+                                         product(letters, repeat=2 * rule.radius), local):
         if _is_periodic_kernel_word(word, rule.radius, local):
             return word
     return None
@@ -144,39 +147,10 @@ def finite_support_kernel_witness(rule: LcaRule) -> FiniteConfiguration | None:
     """
     letters = alphabet(rule)
     zero_letter = tuple([0] * rule.n)
-    width = 2 * rule.radius
-    zero_state = (zero_letter,) * width
-
-    def transitions(state: tuple) -> list[tuple[tuple, tuple]]:
-        out = []
-        for letter in letters:
-            word = state + (letter,)
-            if local_map(rule, word) == zero_letter:
-                out.append((letter, word[1:]))
-        return out
-
+    zero_state = (zero_letter,) * (2 * rule.radius)
     # leading zeros can be trimmed, so the first letter may be taken nonzero
-    for first_letter, entry in transitions(zero_state):
-        if first_letter == zero_letter:
-            continue
-        parents: dict[tuple, tuple[tuple, tuple] | None] = {entry: None}
-        queue = deque([entry])
-        while queue:
-            state = queue.popleft()
-            for letter, nxt in transitions(state):
-                if nxt not in parents:
-                    parents[nxt] = (state, letter)
-                    queue.append(nxt)
-        if zero_state not in parents:
-            continue
-        path_letters: list[tuple] = []
-        cursor: tuple | None = zero_state
-        while cursor is not None and parents[cursor] is not None:
-            prev, letter = parents[cursor]
-            path_letters.append(letter)
-            cursor = prev
-        path_letters.reverse()
-        word = [first_letter, *path_letters]
+    for word in _kernel_cycle_candidates(letters, zero_letter, [zero_state],
+                                         partial(local_map, rule)):
         config = FiniteConfiguration((rule.modulus.m,) * rule.n,
                                      {pos: letter for pos, letter in enumerate(word)})
         if not config.is_zero() and _maps_to_zero(rule, config):
@@ -230,7 +204,8 @@ def additive_periodic_kernel_witness(rule) -> list[tuple] | None:
     """Same cycle search as periodic_kernel_witness, alphabet = group elements."""
     letters = additive_alphabet(rule)
     zero_letter = (0,) * rule.group.rank
-    for word in _kernel_cycle_candidates(letters, zero_letter, 2 * rule.radius,
+    for word in _kernel_cycle_candidates(letters, zero_letter,
+                                         product(letters, repeat=2 * rule.radius),
                                          lambda w: additive_local_map(rule, w)):
         if is_periodic_additive_kernel_word(rule, word):
             return word
@@ -472,7 +447,7 @@ def evaluate_at_matrix(poly: CharPoly, matrix: RingMatrix) -> RingMatrix:
     return acc
 
 
-def integral_witness_constant(f: LaurentPoly) -> ResidueElement | None:
+def integral_witness_constant(f: LaurentPoly) -> int | None:
     """A constant c with (f - c)^K == 0 for K = max prime exponent of m.
 
     Exists exactly when f is integral over Z/mZ: c only needs to agree with
@@ -481,11 +456,12 @@ def integral_witness_constant(f: LaurentPoly) -> ResidueElement | None:
     """
     if not f.is_integral_over_base():
         return None
-    modulus = f.modulus
-    parts = [ResidueElement(f.reduce_mod_prime(p).constant_value(), factorize(p))
-             for p in modulus.primes]
-    combined = crt_combine(parts, factorize(modulus.nilradical_generator()))
-    return ResidueElement(combined.value, modulus)
+    radical = f.modulus.nilradical_generator()
+    total = 0
+    for p in f.modulus.primes:
+        rest = radical // p
+        total += f.reduce_mod_prime(p).constant_value() * rest * pow(rest, -1, p)
+    return total % radical
 
 
 def dict_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -34,7 +34,7 @@ from addca.lca import (
     step,
 )
 from addca.lca import step as lca_step
-from addca.modring import factorize, zmod
+from addca.modring import factorize
 from addca.polymat import (
     RingMatrix,
     char_poly,
@@ -267,7 +267,7 @@ def test_criterion_5_nilpotent_traces():
         trace = matrix.trace().constant_value()
         if trace % m:
             nonzero_traces += 1
-        if not zmod(m).from_int(trace).is_nilpotent():
+        if not all(trace % p == 0 for p in factorize(m).primes):
             failures += 1
         elif not any(pow(trace, j, m) == 0 for j in range(1, 9)):
             failures += 1  # brute-force confirmation of nilpotency

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from addca.cli import main
+from addca.cli import SpecError, main, parse_spec
 from addca.lca import PropertyReport
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -188,7 +192,8 @@ def test_spec_error_names_bad_json_line(capsys, tmp_path):
 def test_spec_error_on_undecodable_or_too_deep_json(capsys, tmp_path):
     path = tmp_path / "rule.json"
     for raw, needle in ((b'{"x": "\xff"}', "not valid UTF-8"),
-                        (b"[" * 100_000, "nested too deeply")):
+                        (b"[" * 100_000, "nested too deeply"),
+                        (b'{"m": ' + b"7" * 5000 + b"}", "digits")):
         path.write_bytes(raw)
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert code == 2 and out == ""
@@ -266,3 +271,84 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "transitive: yes" in result.stdout
+
+
+# -- fuzzing ----------------------------------------------------------------
+
+_HUGE = st.integers(min_value=-2**200, max_value=2**200)
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+                  st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+
+
+def _mostly(draw, good, bad):
+    """A value from ``good``, or about one time in eight from ``bad`` (the
+    choice shrinks toward ``good``)."""
+    return draw(bad if draw(st.integers(0, 7)) == 7 else good)
+
+
+@st.composite
+def fuzzed_specs(draw):
+    """Rule specs that are mostly well-shaped, with any field replaced by a
+    wrong type, a bool, a huge or negative int, an empty or ragged list, or
+    dropped."""
+    kind = _mostly(draw, st.sampled_from(["linear", "additive"]), _JUNK)
+    size = draw(st.integers(1, 3))
+    radius = draw(st.integers(0, 2))
+    spec = {"kind": kind}
+    if kind == "additive":
+        group = draw(st.lists(st.sampled_from([2, 3, 4, 5, 8, 9]), min_size=1, max_size=size))
+        spec["group"] = _mostly(draw, st.just(group), st.lists(_HUGE | _JUNK, max_size=2) | _JUNK)
+        size = len(group)
+    else:
+        spec["m"] = _mostly(draw, st.integers(2, 12), st.integers(-3, 1) | _HUGE | _JUNK)
+    spec["n"] = _mostly(draw, st.just(size), st.integers(-3, 0) | _HUGE | _JUNK)
+    spec["radius"] = _mostly(draw, st.just(radius), st.integers(-3, -1) | _HUGE | _JUNK)
+    # about one spec in four draws its entries from everything, the rest small ints
+    entry = st.integers(-3, 20)
+    entry = entry | _HUGE | _JUNK if draw(st.integers(0, 3)) == 3 else entry
+    matrix = st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size)
+    ragged = st.lists(st.lists(entry, max_size=3), max_size=3)
+    spec["matrices"] = _mostly(
+        draw, st.lists(matrix, min_size=2 * radius + 1, max_size=2 * radius + 1),
+        st.lists(matrix | ragged, max_size=3) | _JUNK)
+    cells = {}
+    for _ in range(draw(st.integers(0, 3))):
+        position = _mostly(draw, st.integers(-5, 5).map(str),
+                           st.sampled_from(["", "x", "1.5", " 7", "-0", str(10**30)]))
+        cells[position] = _mostly(draw, st.lists(entry, min_size=size, max_size=size),
+                                  ragged | _JUNK)
+    spec["initial"] = _mostly(draw, st.just(cells), _JUNK)
+    for key in list(spec):
+        if draw(st.integers(0, 9)) == 9:
+            del spec[key]
+    return _mostly(draw, st.just(spec), st.lists(st.integers(0, 3), max_size=2) | _JUNK)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_specs())
+def test_parse_spec_raises_only_spec_error(data):
+    try:
+        parse_spec(data)
+    except SpecError:
+        pass
+
+
+_FUZZ_ARGS = {
+    "analyze": [],
+    "charpoly": [],
+    "orbit": ["--budget", "20"],
+    "simulate": ["--steps", "3", "--window", "3"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_specs(), st.sampled_from(sorted(_FUZZ_ARGS)), st.sampled_from(["text", "json"]))
+def test_cli_exits_cleanly_on_fuzzed_specs(tmp_path_factory, data, verb, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "rule.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([verb, str(path), "--format", fmt, *_FUZZ_ARGS[verb]])
+    assert code in (0, 2, 3), (code, data)
+    assert (code == 2) == err.getvalue().startswith("spec error: "), err.getvalue()

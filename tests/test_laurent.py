@@ -119,7 +119,7 @@ def test_integral_witness_constant_kills_nilpotent_part():
             assert not f.is_integral_over_base()
             continue
         found += 1
-        shifted = f - LaurentPoly.constant(f.modulus, c.value)
+        shifted = f - LaurentPoly.constant(f.modulus, c)
         power = shifted ** f.modulus.max_exponent
         assert power.is_zero(), (f, c)
     assert found >= 40
@@ -251,6 +251,18 @@ def test_storage_form_is_canonical():
     for poly in (gapped, square, filled, -gapped, gapped.shift(-7), square.scale(2)):
         rebuilt = LaurentPoly(m4, dict(poly.items()))
         assert (rebuilt.low, rebuilt.exps, rebuilt.coeffs) == (poly.low, poly.exps, poly.coeffs)
+
+
+def test_hash_separates_exponents():
+    """CPython has hash(-1) == hash(-2); the hash must still tell x^-1 from
+    x^-2, in the dense and in the sparse form."""
+    modulus = factorize(5)
+    monomials = [LaurentPoly.monomial(modulus, e) for e in range(-50, 51)]
+    assert len({hash(f) for f in monomials}) == len(monomials)
+    left = parse_laurent("x^-10 + x^-1 + x^500", modulus)
+    right = parse_laurent("x^-10 + x^-2 + x^500", modulus)
+    assert left.exps is not None and right.exps is not None
+    assert left != right and hash(left) != hash(right)
 
 
 def test_wide_sparse_powers_stay_sparse():

@@ -1,4 +1,5 @@
-"""Residue arithmetic: canonical forms, nilpotency, CRT round-trips."""
+"""Moduli: exact factoring, and Z/mZ as the constant Laurent polynomials
+(canonical residues, nilpotency, ring axioms)."""
 
 from __future__ import annotations
 
@@ -6,14 +7,12 @@ import math
 
 import pytest
 
+from addca.laurent import laurent_ring
 from addca.modring import (
     MILLER_RABIN_BOUND,
     InvalidModulusError,
-    ResidueElement,
     RingMismatchError,
-    crt_combine,
     factorize,
-    zmod,
 )
 
 
@@ -75,49 +74,52 @@ def test_factorize_rejects_unsplittable_large_cofactor():
 
 
 def test_canonical_representative():
-    r = zmod(6)
-    assert r.from_int(-1).value == 5
-    assert r.from_int(6).value == 0
-    assert (r.from_int(4) + r.from_int(5)).value == 3
-    assert (r.from_int(2) - r.from_int(5)).value == 3
-    assert (-r.from_int(2)).value == 4
-    assert (r.from_int(2) ** 5).value == 2
+    r = laurent_ring(6)
+    assert r.from_int(-1).constant_value() == 5
+    assert r.from_int(6).constant_value() == 0 and r.from_int(6).is_zero()
+    assert (r.from_int(4) + r.from_int(5)).constant_value() == 3
+    assert (r.from_int(2) - r.from_int(5)).constant_value() == 3
+    assert (-r.from_int(2)).constant_value() == 4
+    assert (r.from_int(2) ** 5).constant_value() == 2
 
 
 def test_mismatched_moduli_rejected():
     with pytest.raises(RingMismatchError):
-        zmod(4).from_int(1) + zmod(6).from_int(1)
+        laurent_ring(4).from_int(1) + laurent_ring(6).from_int(1)
+
+
+def is_nilpotent(value: int, m: int) -> bool:
+    """A constant c of Z/mZ is nilpotent iff every prime dividing m divides c;
+    then c^K == 0 for K the largest prime exponent of m."""
+    modulus = factorize(m)
+    nilpotent = value % modulus.nilradical_generator() == 0
+    power = laurent_ring(m).from_int(value) ** modulus.max_exponent
+    assert power.is_zero() == nilpotent, (value, m)
+    return nilpotent
 
 
 def test_nilpotent_examples():
     # 2 mod 6: powers cycle through {2, 4} and never hit 0.
     assert brute_force_is_nilpotent(2, 6) is False
-    assert zmod(6).from_int(2).is_nilpotent() is False
+    assert is_nilpotent(2, 6) is False
     # 6 mod 12 squares to 36 = 0 mod 12.
     assert brute_force_is_nilpotent(6, 12) is True
-    assert zmod(12).from_int(6).is_nilpotent() is True
-    assert zmod(8).from_int(2).is_nilpotent() is True
-    assert zmod(9).from_int(3).is_nilpotent() is True
+    assert is_nilpotent(6, 12) is True
+    assert is_nilpotent(2, 8) is True
+    assert is_nilpotent(3, 9) is True
 
 
 def test_nilpotent_matches_power_oracle_exhaustively():
     # Criterion agreement for every modulus up to 60 and every residue.
     for m in range(2, 61):
-        ring = zmod(m)
-        for a in ring.elements():
-            assert a.is_nilpotent() == brute_force_is_nilpotent(a.value, m), (m, a.value)
-
-
-def test_unit_predicate():
-    assert zmod(12).from_int(5).is_unit()
-    assert not zmod(12).from_int(4).is_unit()
-    assert zmod(12).from_int(5).inverse().value == 5  # 25 = 24 + 1
+        for v in range(m):
+            assert is_nilpotent(v, m) == brute_force_is_nilpotent(v, m), (m, v)
 
 
 def test_ring_axioms_exhaustive_small_moduli():
     for m in range(2, 17):
-        ring = zmod(m)
-        elems = list(ring.elements())
+        ring = laurent_ring(m)
+        elems = [ring.from_int(v) for v in range(m)]
         one, zero = ring.one(), ring.zero()
         for a in elems:
             assert a + zero == a
@@ -129,36 +131,3 @@ def test_ring_axioms_exhaustive_small_moduli():
                 for c in elems[:: max(1, m // 4)]:
                     assert (a + b) + c == a + (b + c)
                     assert a * (b + c) == a * b + a * c
-
-
-def test_crt_split_example():
-    a = zmod(12).from_int(7)
-    parts = a.crt_split()
-    assert [(p.value, p.modulus.m) for p in parts] == [(3, 4), (1, 3)]
-
-
-def test_crt_round_trip_exhaustive():
-    for m in range(2, 61):
-        modulus = factorize(m)
-        for v in range(m):
-            a = ResidueElement(v, modulus)
-            assert crt_combine(a.crt_split(), modulus) == a
-
-
-def test_crt_combine_rejects_misaligned_parts():
-    parts = zmod(12).from_int(7).crt_split()
-    with pytest.raises(RingMismatchError):
-        crt_combine(parts[::-1], factorize(12))
-    with pytest.raises(RingMismatchError):
-        crt_combine(parts, factorize(18))
-
-
-def test_crt_split_is_ring_homomorphism():
-    modulus = factorize(60)
-    for v in range(0, 60, 7):
-        for w in range(0, 60, 11):
-            a, b = ResidueElement(v, modulus), ResidueElement(w, modulus)
-            for part_sum, part_a, part_b in zip((a + b).crt_split(), a.crt_split(), b.crt_split()):
-                assert part_sum == part_a + part_b
-            for part_prod, part_a, part_b in zip((a * b).crt_split(), a.crt_split(), b.crt_split()):
-                assert part_prod == part_a * part_b

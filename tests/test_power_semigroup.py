@@ -9,7 +9,6 @@ import pytest
 
 from addca import tpoly
 from addca.laurent import laurent_ring
-from addca.modring import zmod
 from addca.polymat import RingMatrix, char_poly, frobenius_companion, identity, matrix_from_ints
 from addca.power_semigroup import (
     BudgetExhausted,
@@ -70,7 +69,7 @@ def test_identity_power_set_is_singleton():
 
 
 def test_constant_shear_orbit_mod_4():
-    ring = zmod(4)
+    ring = laurent_ring(4)
     a = matrix_from_ints(ring, [[1, 1], [0, 1]])
     assert detect_orbit(a) == OrbitShape(0, 4)
     assert decide_finite_powers(a).finite  # Z/m coefficients are constants
