@@ -21,6 +21,7 @@ construction through the commutation identity rather than fixed literals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .lca import FiniteConfiguration, LcaRule, PropertyReport, _step_kernel, analyze_rule
@@ -120,13 +121,8 @@ class GroupEndomorphism:
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         vec = self.group.reduce(vector)
-        out = []
-        for i, row in enumerate(self.matrix):
-            acc = 0
-            for j in range(self.group.rank):
-                acc += row[j] * vec[j]
-            out.append(acc % self.group.factors[i])
-        return tuple(out)
+        return tuple(sum(map(mul, row, vec)) % q
+                     for row, q in zip(self.matrix, self.group.factors))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,13 +227,12 @@ def project_config(config: FiniteConfiguration, component: PrimeComponent) -> Fi
 # embedding into a linear CA
 
 
-def _require_single_prime(group: AbelianGroup) -> tuple[int, int]:
-    primes = group.primes()
-    if len(primes) != 1:
+def _embedding_scales(group: AbelianGroup) -> tuple[int, tuple[int, ...]]:
+    """(p^k1, s) for a p-group, where xi scales component i by s_i = p^(k1 - k_i)."""
+    if len(group.primes()) != 1:
         raise ValueError("group mixes primes; take prime_components first")
-    p = primes[0]
-    k1 = max(group.prime_exponent(i)[1] for i in range(group.rank))
-    return p, k1
+    top = max(group.factors)
+    return top, tuple(top // q for q in group.factors)
 
 
 def embed(group: AbelianGroup, element: Sequence[int]) -> tuple[int, ...]:
@@ -247,34 +242,24 @@ def embed(group: AbelianGroup, element: Sequence[int]) -> tuple[int, ...]:
     and its image is exactly the set of vectors whose i-th component is
     divisible by p^(k1 - k_i).
     """
-    p, k1 = _require_single_prime(group)
-    vec = group.reduce(element)
-    out = []
-    for i, v in enumerate(vec):
-        _, k_i = group.prime_exponent(i)
-        out.append((v * p ** (k1 - k_i)) % p**k1)
-    return tuple(out)
+    _, scales = _embedding_scales(group)
+    return tuple(v * s for v, s in zip(group.reduce(element), scales))
 
 
 def embed_config(group: AbelianGroup, config: FiniteConfiguration) -> FiniteConfiguration:
     """Cellwise embedding Xi of a configuration over G into one over (Z/p^k1)^n."""
-    p, k1 = _require_single_prime(group)
+    modulus, scales = _embedding_scales(group)
     if config.orders != group.factors:
         raise ValueError("configuration does not live over the given group")
-    orders = (p**k1,) * group.rank
-    return FiniteConfiguration(
-        orders, {pos: embed(group, vec) for pos, vec in config.cells.items()})
+    return FiniteConfiguration((modulus,) * group.rank,
+                               {pos: tuple(v * s for v, s in zip(vec, scales))
+                                for pos, vec in config.cells.items()})
 
 
 def in_embedding_image(group: AbelianGroup, config: FiniteConfiguration) -> bool:
     """Is a configuration over (Z/p^k1)^n cellwise inside Xi(G^Z)?"""
-    p, k1 = _require_single_prime(group)
-    for vec in config.cells.values():
-        for i, v in enumerate(vec):
-            _, k_i = group.prime_exponent(i)
-            if v % p ** (k1 - k_i):
-                return False
-    return True
+    _, scales = _embedding_scales(group)
+    return all(v % s == 0 for vec in config.cells.values() for v, s in zip(vec, scales))
 
 
 def unembed(group: AbelianGroup, vector: Sequence[int]) -> tuple[int, ...]:
@@ -283,49 +268,32 @@ def unembed(group: AbelianGroup, vector: Sequence[int]) -> tuple[int, ...]:
     Raises ValueError when some component is not divisible by the required
     power of p, i.e. the vector is outside xi(G).
     """
-    p, k1 = _require_single_prime(group)
-    vector = tuple(int(v) % p**k1 for v in vector)
+    modulus, scales = _embedding_scales(group)
+    vector = tuple(int(v) % modulus for v in vector)
     if len(vector) != group.rank:
         raise ValueError(f"vector needs {group.rank} components, got {len(vector)}")
-    out = []
-    for i, v in enumerate(vector):
-        _, k_i = group.prime_exponent(i)
-        scale = p ** (k1 - k_i)
+    for i, (v, scale) in enumerate(zip(vector, scales)):
         if v % scale:
             raise ValueError(f"component {i} = {v} is not a multiple of {scale}")
-        out.append(v // scale)
-    return tuple(out)
+    return tuple(v // s for v, s in zip(vector, scales))
 
 
 def associated_lca(rule: AdditiveCaRule) -> LcaRule:
     """The linear CA over (Z/p^k1)^n that extends a single-prime additive CA.
 
     Matrix entry (i, j) at offset z is p^(k_j - k_i) * delta_z(e_j)^i with the
-    canonical representative of delta_z(e_j)^i in [0, p^k_i); when k_i > k_j
-    the scaling is an exact integer division, guaranteed by the homomorphism
-    condition.  Correctness is asserted through L o Xi = Xi o F in the tests.
+    canonical representative of delta_z(e_j)^i in [0, p^k_i), computed as
+    entry * s_i // s_j for the embedding scales s.  When k_i > k_j the
+    division is exact: the homomorphism condition makes the entry divisible
+    by p^(k_i - k_j) = s_j / s_i.  Correctness is asserted through
+    L o Xi = Xi o F in the tests.
     """
-    group = rule.group
-    p, k1 = _require_single_prime(group)
-    modulus = p**k1
-    rank = group.rank
-    matrices = []
-    for endo in rule.endomorphisms:
-        rows = []
-        for i in range(rank):
-            _, k_i = group.prime_exponent(i)
-            row = []
-            for j in range(rank):
-                _, k_j = group.prime_exponent(j)
-                entry = endo.matrix[i][j]  # canonical in [0, p^k_i)
-                if k_j >= k_i:
-                    value = (entry * p ** (k_j - k_i)) % modulus
-                else:
-                    value = (entry // p ** (k_i - k_j)) % modulus
-                row.append(value)
-            rows.append(tuple(row))
-        matrices.append(tuple(rows))
-    return LcaRule(factorize(modulus), rank, rule.radius, tuple(matrices))
+    modulus, scales = _embedding_scales(rule.group)
+    matrices = tuple(
+        tuple(tuple(entry * s_i // s_j % modulus for entry, s_j in zip(row, scales))
+              for row, s_i in zip(endo.matrix, scales))
+        for endo in rule.endomorphisms)
+    return LcaRule(factorize(modulus), rule.group.rank, rule.radius, matrices)
 
 
 # ---------------------------------------------------------------------------

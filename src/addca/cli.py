@@ -48,6 +48,11 @@ from .power_semigroup import (char_poly_finiteness, decide_finite_powers, detect
                               sampled_degree_growth)
 
 
+# simulate builds its (steps + 1) x (2 * window + 1) grid in memory, about 70
+# bytes a cell, so a larger grid is refused before anything is simulated.
+MAX_GRID_CELLS = 10**6
+
+
 class SpecError(ValueError):
     """A rule specification is malformed; the message names the bad field."""
 
@@ -226,6 +231,10 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
         raise SpecError("simulate needs an \"initial\" configuration in the spec")
     _expect(args.steps >= 0, "--steps must be >= 0")
     _expect(args.window >= 0, "--window must be >= 0")
+    cells = (args.steps + 1) * (2 * args.window + 1)
+    _expect(cells <= MAX_GRID_CELLS,
+            f"--steps {args.steps} and --window {args.window} ask for a grid of {cells} cells; "
+            f"the limit is {MAX_GRID_CELLS}")
     if document.kind == "linear":
         trajectory = simulate(document.rule, document.initial, args.steps)
     else:

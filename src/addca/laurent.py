@@ -51,9 +51,10 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .modring import Modulus, RingMismatchError, factorize
+from .modring import Modulus, RingMismatchError, factorize, power
 
 # A polynomial is stored densely when its exponents span at most this many
 # slots per nonzero term, sparsely otherwise.
@@ -267,18 +268,7 @@ class LaurentPoly:
                                        dict(zip(map(offset.__add__, self.exps), values)))
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
-        if exponent < 0:
-            raise ValueError("negative powers of general Laurent polynomials are not defined here")
-        result = LaurentPoly.constant(self.modulus, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(LaurentPoly.constant(self.modulus, 1), self, exponent, mul)
 
     def scale(self, value: int) -> "LaurentPoly":
         return self._scaled(value, 0)
@@ -317,49 +307,18 @@ class LaurentPoly:
 
     def pos_degree(self, p: int) -> int:
         """Largest exponent > 0 whose coefficient survives mod p (0 if none)."""
-        self._require_prime_factor(p)
-        coeffs = self.coeffs
-        if self.exps is None:
-            for i in range(len(coeffs) - 1, max(-self.low, -1), -1):
-                if coeffs[i] % p:
-                    return self.low + i
-            return 0
-        for e, c in zip(reversed(self.exps), reversed(coeffs)):
-            if e <= 0:
-                break
-            if c % p:
-                return e
-        return 0
+        reduced = self.reduce_mod_prime(p)
+        return max(reduced.low + reduced._span() - 1, 0)
 
     def neg_degree(self, p: int) -> int:
         """Smallest exponent < 0 whose coefficient survives mod p (0 if none)."""
-        self._require_prime_factor(p)
-        coeffs = self.coeffs
-        if self.exps is None:
-            for i in range(min(-self.low, len(coeffs))):
-                if coeffs[i] % p:
-                    return self.low + i
-            return 0
-        for e, c in zip(self.exps, coeffs):
-            if e >= 0:
-                break
-            if c % p:
-                return e
-        return 0
+        return min(self.reduce_mod_prime(p).low, 0)
 
     def integrality_obstruction(self) -> int | None:
         """Smallest prime p | m with f mod p non-constant, or None when f is
         integral over Z/mZ."""
-        rest = self.coeffs
-        if self.exps is None:
-            index = -self.low
-            if 0 <= index < len(rest):
-                rest = rest[:index] + rest[index + 1:]
-        elif 0 in self.exps:
-            index = self.exps.index(0)
-            rest = rest[:index] + rest[index + 1:]
         for p in self.modulus.primes:
-            if any(c % p for c in rest):
+            if not self.reduce_mod_prime(p).is_constant():
                 return p
         return None
 

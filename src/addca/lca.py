@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly, LaurentRing, laurent_ring
 from .modring import Modulus, canonical_matrix, factorize
-from .polymat import RingMatrix, char_poly, determinant
+from .polymat import CharPoly, RingMatrix, char_poly, determinant
 from .power_semigroup import decide_finite_powers
 
 
@@ -367,8 +367,10 @@ def analyze_rule(rule: LcaRule) -> PropertyReport:
         notes["transitivity"] = "not surjective"
     else:
         p, gcd = transitivity_obstruction(rule)
+        ring = laurent_ring(p)
         notes["transitivity"] = (
-            f"G_{p} = {_format_fp_poly(gcd)} (gcd over F_{p}[t] of the x-slices of "
+            f"G_{p} = {CharPoly(tuple(map(ring.from_int, gcd)), ring)} "
+            f"(gcd over F_{p}[t] of the x-slices of "
             f"chi mod {p}): a root of order k gives det(A^k - I) = 0 mod {p}")
     return PropertyReport(
         sensitive=not verdict.finite,
@@ -411,18 +413,6 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
         a, b = b, r
     inv = pow(a[-1], -1, p)
     return [(c * inv) % p for c in a]
-
-
-def _format_fp_poly(coeffs: list[int]) -> str:
-    """Render in the style of CharPoly, e.g. t^2 + 2*t + 1."""
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c and k == 0:
-            parts.append(str(c))
-        elif c:
-            parts.append(("" if c == 1 else f"{c}*") + ("t" if k == 1 else f"t^{k}"))
-    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

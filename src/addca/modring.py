@@ -1,4 +1,5 @@
-"""The modulus m of Z/mZ: exact factoring, canonical integer matrices, errors.
+"""The modulus m of Z/mZ: exact factoring, canonical integer matrices, errors,
+and the square-and-multiply power shared by every ring in the package.
 
 Z/mZ has no element type of its own.  Its elements are the constant Laurent
 polynomials, ``laurent_ring(m).from_int(v)``, so a constant matrix over Z/mZ
@@ -160,6 +161,29 @@ def _pollard_rho(n: int) -> int:
                 g = math.gcd(abs(x - saved), n)
         if g != n:
             return g
+
+
+def power(one, base, exponent: int, mul):
+    """base^exponent by square and multiply, with ``one`` the identity of ``mul``.
+
+    Makes at most ``power_cost(exponent)`` calls of ``mul``: one per set bit
+    of the exponent and one squaring per further bit.
+    """
+    if exponent < 0:
+        raise ValueError(f"negative exponent {exponent}: only nonnegative powers are defined")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return result
+
+
+def power_cost(exponent: int) -> int:
+    """Products charged for one ``power(one, base, exponent, mul)``."""
+    return exponent.bit_length() + exponent.bit_count()
 
 
 def canonical_matrix(matrix, moduli: Sequence[int]) -> tuple | None:

@@ -13,7 +13,10 @@ monic polynomial to a matrix.  The independent cross-checks of Berkowitz
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Any, Sequence
+
+from .modring import power
 
 
 class RingMatrix:
@@ -24,7 +27,7 @@ class RingMatrix:
     empty principal submatrices make sense (their determinant is one).
     """
 
-    __slots__ = ("ring", "n", "rows", "_hash")
+    __slots__ = ("ring", "n", "rows")
 
     def __init__(self, ring, rows: Sequence[Sequence[Any]]):
         rows = tuple(tuple(row) for row in rows)
@@ -34,7 +37,6 @@ class RingMatrix:
         self.ring = ring
         self.n = n
         self.rows = rows
-        self._hash: int | None = None
 
     def _check(self, other: "RingMatrix") -> None:
         if self.n != other.n or self.ring != other.ring:
@@ -57,35 +59,14 @@ class RingMatrix:
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         self._check(other)
-        n = self.n
-        cols = tuple(zip(*other.rows)) if n else ()
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return RingMatrix(self.ring, out)
+        cols = tuple(zip(*other.rows))
+        return RingMatrix(self.ring, [[_dot(row, col) for col in cols] for row in self.rows])
 
     def scale(self, c: Any) -> "RingMatrix":
         return RingMatrix(self.ring, [[c * a for a in row] for row in self.rows])
 
     def __pow__(self, exponent: int) -> "RingMatrix":
-        if exponent < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = identity(self.ring, self.n)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(identity(self.ring, self.n), self, exponent, mul)
 
     def trace(self) -> Any:
         acc = self.ring.zero()
@@ -99,9 +80,7 @@ class RingMatrix:
         return self.n == other.n and self.ring == other.ring and self.rows == other.rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ring, self.rows))
-        return self._hash
+        return hash((self.ring, self.rows))
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.rows)
@@ -168,7 +147,7 @@ def char_poly(matrix: RingMatrix) -> CharPoly:
     Krylov products R M^k S.  Complexity O(n^4) ring operations, no division.
     """
     ring = matrix.ring
-    one, zero = ring.one(), ring.zero()
+    one = ring.one()
     coeffs_desc = [one]  # char poly of the empty matrix
     for r in range(matrix.n):
         d = matrix.rows[r][r]
@@ -177,28 +156,16 @@ def char_poly(matrix: RingMatrix) -> CharPoly:
         toeplitz = [one, -d]
         vec = col
         for _ in range(r):
-            acc = zero
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            toeplitz.append(-acc)
-            vec = [
-                _dot(matrix.rows[i][:r], vec, zero) for i in range(r)
-            ]
-        new = [zero] * (r + 2)
-        for i in range(r + 2):
-            acc = zero
-            for j in range(len(coeffs_desc)):
-                k = i - j
-                if 0 <= k < len(toeplitz):
-                    acc = acc + toeplitz[k] * coeffs_desc[j]
-            new[i] = acc
-        coeffs_desc = new
+            toeplitz.append(-_dot(row, vec))
+            vec = [_dot(matrix.rows[i][:r], vec) for i in range(r)]
+        coeffs_desc = [_dot(toeplitz[i::-1], coeffs_desc) for i in range(r + 2)]
     return CharPoly(tuple(reversed(coeffs_desc)), ring)
 
 
-def _dot(a, b, zero):
-    acc = zero
-    for x, y in zip(a, b):
+def _dot(a: Sequence[Any], b: Sequence[Any]) -> Any:
+    """a[0] * b[0] + a[1] * b[1] + ... over the shorter of a and b (never empty)."""
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
         acc = acc + x * y
     return acc
 

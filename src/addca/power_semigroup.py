@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from . import tpoly
 from .laurent import LaurentPoly
+from .modring import power_cost
 from .polymat import CharPoly, RingMatrix, char_poly, identity
 
 DEFAULT_BUDGET = 100_000
@@ -104,7 +105,7 @@ def _first_repeat(start, advance, power, budget: int) -> OrbitShape | None:
     is recomputed as ``power(j)`` and compared with x_k; the first equal one
     is the first repeat, so (j, k - j) is the minimal shape.  A hash
     collision only costs a recomputation, never a wrong shape.  Each advance
-    is charged one unit of ``budget`` and each power(j) `_power_cost(j)`;
+    is charged one unit of ``budget`` and each power(j) `power_cost(j)`;
     once the budget is spent the result is None (indeterminate, never
     "infinite").
     """
@@ -113,7 +114,7 @@ def _first_repeat(start, advance, power, budget: int) -> OrbitShape | None:
     while True:
         earlier = seen.setdefault(hash(value), [])
         for j in earlier:
-            spent += _power_cost(j)
+            spent += power_cost(j)
             if spent > budget:
                 return None
             if power(j) == value:
@@ -124,11 +125,6 @@ def _first_repeat(start, advance, power, budget: int) -> OrbitShape | None:
         spent += 1
         value = advance(value)
         k += 1
-
-
-def _power_cost(exponent: int) -> int:
-    """Products charged for one square-and-multiply power x^exponent."""
-    return exponent.bit_length() + exponent.bit_count()
 
 
 def detect_orbit(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> OrbitShape | None:
@@ -186,7 +182,7 @@ def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> in
     k = _idempotent_exponent(orbit)
     low = tpoly.pow_t_mod(chi, k, ring)
     high = tpoly.pow_t_mod(chi, 2 * k, ring)
-    if not tpoly.is_zero(tpoly.sub(high, low, ring)):
+    if high != low:
         raise AssertionError("cycle detection produced a non-witness exponent")
     return k
 

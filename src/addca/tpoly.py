@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+from .modring import power
+
 Coeffs = list  # list of ring elements, ascending powers of t
 
 
@@ -19,29 +21,6 @@ def normalize(coeffs: Sequence[Any], ring) -> Coeffs:
     while out and out[-1] == zero:
         out.pop()
     return out
-
-
-def is_zero(coeffs: Sequence[Any]) -> bool:
-    return len(coeffs) == 0
-
-
-def degree(coeffs: Sequence[Any]) -> int:
-    """Degree with the convention deg 0 = -1."""
-    return len(coeffs) - 1
-
-
-def add(a: Sequence[Any], b: Sequence[Any], ring) -> Coeffs:
-    zero = ring.zero()
-    out = [zero] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return normalize(out, ring)
-
-
-def sub(a: Sequence[Any], b: Sequence[Any], ring) -> Coeffs:
-    return add(a, [-c for c in b], ring)
 
 
 def mul(a: Sequence[Any], b: Sequence[Any], ring) -> Coeffs:
@@ -81,15 +60,6 @@ def mul_mod_monic(a: Sequence[Any], b: Sequence[Any], divisor: Sequence[Any], ri
 
 def pow_t_mod(divisor: Sequence[Any], exponent: int, ring) -> Coeffs:
     """Residue of t^exponent modulo a monic divisor, by square and multiply."""
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = mod_monic([ring.one()], divisor, ring)
-    base = mod_monic([ring.zero(), ring.one()], divisor, ring)
-    e = exponent
-    while e:
-        if e & 1:
-            result = mul_mod_monic(result, base, divisor, ring)
-        e >>= 1
-        if e:
-            base = mul_mod_monic(base, base, divisor, ring)
-    return result
+    return power(mod_monic([ring.one()], divisor, ring),
+                 mod_monic([ring.zero(), ring.one()], divisor, ring), exponent,
+                 lambda a, b: mul_mod_monic(a, b, divisor, ring))

@@ -9,7 +9,9 @@ Laplace scheme that shares nothing with Berkowitz) and against
 Cayley-Hamilton; Laurent integrality against a CRT constant c with (f - c)
 nilpotent.  Former production paths are kept here too, each checking its
 successor on a fixed corpus: the transitivity gcd descent over F_p(x)[t],
-the dict convolution of Laurent polynomials, and Brent's cycle detection.
+the dict convolution of Laurent polynomials, Brent's cycle detection, the
+two-case entry formula of the additive-to-linear embedding and the F_p[t]
+rendering of G_p.
 """
 
 from __future__ import annotations
@@ -260,13 +262,13 @@ def descent_transitivity_oracle(rule: LcaRule) -> bool:
 
 def _coprime_with_t_power_minus_one(chi: list, h: int, ring: LaurentRing) -> bool:
     """Is gcd(chi, t^h - 1) trivial over the fraction field F_p(x)?"""
-    g = tpoly.sub(tpoly.pow_t_mod(chi, h, ring), [ring.one()], ring)
-    if tpoly.is_zero(g):
+    g = tpoly_sub(tpoly.pow_t_mod(chi, h, ring), [ring.one()], ring)
+    if not g:
         return False  # chi divides t^h - 1 outright
     f = list(chi)
-    while tpoly.degree(g) >= 1:
+    while len(g) > 1:
         r = _pseudo_remainder(f, g, ring)
-        if tpoly.is_zero(r):
+        if not r:
             return False  # g is a common factor of positive degree
         f, g = g, _strip_fp_content(r, ring)
     return True
@@ -275,9 +277,9 @@ def _coprime_with_t_power_minus_one(chi: list, h: int, ring: LaurentRing) -> boo
 def _pseudo_remainder(f: list, g: list, ring: LaurentRing) -> list:
     """prem(f, g): remainder of lc(g)^k * f modulo g, fraction-free."""
     out = list(f)
-    dg = tpoly.degree(g)
+    dg = len(g) - 1
     lc = g[-1]
-    while tpoly.degree(out) >= dg:
+    while len(out) > dg:
         top = out.pop()
         out = [lc * c for c in out]
         shift = len(out) - dg
@@ -285,6 +287,54 @@ def _pseudo_remainder(f: list, g: list, ring: LaurentRing) -> list:
             out[shift + i] = out[shift + i] - top * g[i]
         out = tpoly.normalize(out, ring)
     return out
+
+
+def tpoly_sub(a: Sequence[Any], b: Sequence[Any], ring) -> list:
+    """a - b for ascending t-coefficient lists, trailing zeros dropped."""
+    out = [ring.zero()] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = out[i] + c
+    for i, c in enumerate(b):
+        out[i] = out[i] - c
+    return tpoly.normalize(out, ring)
+
+
+def format_fp_poly(coeffs: list[int]) -> str:
+    """Reference rendering of a monic polynomial over F_p, ascending
+    coefficients in [0, p), in the style of CharPoly: t^2 + 2*t + 1."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c and k == 0:
+            parts.append(str(c))
+        elif c:
+            parts.append(("" if c == 1 else f"{c}*") + ("t" if k == 1 else f"t^{k}"))
+    return " + ".join(parts)
+
+
+def associated_lca_matrices(rule) -> tuple:
+    """Local matrices of the linear CA extending a single-prime additive CA,
+    by the two-case formula: entry (i, j) times p^(k_j - k_i) when k_j >= k_i,
+    else entry exactly divided by p^(k_i - k_j), reduced mod p^k1."""
+    group = rule.group
+    exponents = [group.prime_exponent(i) for i in range(group.rank)]
+    p = exponents[0][0]
+    modulus = p ** max(k for _, k in exponents)
+    matrices = []
+    for endo in rule.endomorphisms:
+        rows = []
+        for i, (_, k_i) in enumerate(exponents):
+            row = []
+            for j, (_, k_j) in enumerate(exponents):
+                entry = endo.matrix[i][j]
+                if k_j >= k_i:
+                    row.append(entry * p ** (k_j - k_i) % modulus)
+                else:
+                    assert entry % p ** (k_i - k_j) == 0
+                    row.append(entry // p ** (k_i - k_j) % modulus)
+            rows.append(tuple(row))
+        matrices.append(tuple(rows))
+    return tuple(matrices)
 
 
 def _strip_fp_content(coeffs: list, ring: LaurentRing) -> list:

@@ -57,6 +57,7 @@ from oracles import (
     evaluate_at_matrix,
     finite_support_kernel_witness,
     periodic_kernel_witness,
+    tpoly_sub,
 )
 from test_additive_ca import random_config, random_endomorphism, random_rule
 
@@ -139,7 +140,7 @@ def _divides_t2k_minus_tk(matrix: RingMatrix, k: int) -> bool:
     chi = list(char_poly(matrix).coeffs)
     low = tpoly.pow_t_mod(chi, k, ring)
     high = tpoly.pow_t_mod(chi, 2 * k, ring)
-    return tpoly.is_zero(tpoly.sub(high, low, ring))
+    return not tpoly_sub(high, low, ring)
 
 
 # ---------------------------------------------------------------------------

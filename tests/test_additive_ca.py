@@ -37,6 +37,7 @@ from oracles import (
     additive_balance_surjectivity_oracle,
     additive_local_map,
     additive_periodic_kernel_witness,
+    associated_lca_matrices,
     finite_support_kernel_witness,
     is_periodic_additive_kernel_word,
     periodic_kernel_witness,
@@ -259,6 +260,17 @@ def test_embed_example_and_image_membership():
     with pytest.raises(ValueError, match="mixes primes"):
         embed(AbelianGroup((4, 3)), (1, 1))
 
+    group = AbelianGroup((8, 2, 4))  # scales (1, 4, 2)
+    assert embed(group, (5, 1, 3)) == (5, 4, 6)
+    assert unembed(group, (13, 4, 6)) == (5, 1, 3)
+    with pytest.raises(ValueError, match="component 2 = 3 is not a multiple of 2"):
+        unembed(group, (5, 4, 3))
+    image = embed_config(group, FiniteConfiguration((8, 2, 4), {0: (5, 1, 3), 2: (0, 1, 1)}))
+    assert image == FiniteConfiguration((8, 8, 8), {0: (5, 4, 6), 2: (0, 4, 2)})
+    assert in_embedding_image(group, image)
+    assert not in_embedding_image(group, FiniteConfiguration((8, 8, 8), {1: (1, 4, 1)}))
+    assert not in_embedding_image(group, FiniteConfiguration((8, 8, 8), {1: (1, 2, 2)}))
+
 
 def test_embed_is_additive_and_injective():
     for factors in [(4, 2), (2, 4), (8, 2, 2), (9, 3), (3, 3), (2,)]:
@@ -292,6 +304,17 @@ def test_associated_lca_entries():
 
     with pytest.raises(ValueError, match="mixes primes"):
         associated_lca(diag_rule(AbelianGroup((4, 3)), (1, 1)))
+
+
+def test_associated_lca_matches_two_case_formula():
+    """entry * s_i // s_j against the oracle's p^(k_j - k_i) scaling and exact
+    division, on fixed-seed endomorphisms of mixed-exponent p-groups."""
+    rng = random.Random(70331)
+    for factors in [(8, 2, 4), (27, 3), (2, 8, 4, 2), (9, 27, 3)]:
+        group = AbelianGroup(factors)
+        for _ in range(40):
+            rule = random_rule(rng, group, 1)
+            assert associated_lca(rule).matrices == associated_lca_matrices(rule), rule
 
 
 def test_embedding_intertwines_the_dynamics():

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addca.cli import SpecError, main, parse_spec
+from addca.cli import MAX_GRID_CELLS, SpecError, main, parse_spec
 from addca.lca import PropertyReport
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -113,6 +114,19 @@ def test_simulate_requires_initial(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", path)
     assert code == 2
     assert "initial" in err
+
+
+def test_simulate_rejects_an_oversized_grid(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", str(SPECS / "rule90.json"),
+                             "--steps", "2", "--window", str(10**9))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "--window" in err and "--steps" in err and str(MAX_GRID_CELLS) in err
+    # one cell over the limit is refused, before any simulation
+    code, _, err = run_cli(capsys, "simulate", str(SPECS / "rule90.json"),
+                           "--steps", "0", "--window", str(MAX_GRID_CELLS // 2))
+    assert code == 2 and f"grid of {MAX_GRID_CELLS + 1} cells" in err
 
 
 def test_charpoly_shear(capsys):

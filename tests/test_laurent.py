@@ -83,6 +83,40 @@ def test_prime_aware_degrees_example():
     assert h.neg_degree(2) == 0
 
 
+def _mod_p_draws(rng: random.Random, m: int) -> list[LaurentPoly]:
+    """Zero, constants, and dense and sparse polynomials with negative exponents."""
+    modulus = factorize(m)
+    polys = [LaurentPoly.zero(modulus), LaurentPoly.constant(modulus, rng.randrange(m))]
+    for _ in range(60):
+        terms = rng.randrange(1, 8)
+        span = rng.choice((terms, 4 * terms, 40 * terms))  # dense or sparse storage
+        low = rng.randrange(-span, span)
+        # coefficients share the primes of m often, so terms vanish mod p
+        coeffs = [rng.choice((rng.randrange(m), m // modulus.primes[-1] * rng.randrange(m)))
+                  for _ in range(terms)]
+        polys.append(LaurentPoly(modulus, zip(rng.sample(range(low, low + span), terms), coeffs)))
+    return polys
+
+
+def test_mod_p_questions_match_a_term_reference():
+    """pos_degree, neg_degree and integrality_obstruction, read from
+    reduce_mod_prime, against the same answers read from items()."""
+    rng = random.Random(31337)
+    forms = set()
+    for m in (4, 6, 12, 225, 2**61 - 1):
+        for f in _mod_p_draws(rng, m):
+            forms.add(f.exps is None)
+            primes = f.modulus.primes
+            for p in primes:
+                survivors = [e for e, c in f.items() if c % p]
+                assert f.pos_degree(p) == max([e for e in survivors if e > 0], default=0), (f, p)
+                assert f.neg_degree(p) == min([e for e in survivors if e < 0], default=0), (f, p)
+            expected = next((p for p in primes
+                             if any(c % p for e, c in f.items() if e != 0)), None)
+            assert f.integrality_obstruction() == expected, f
+    assert forms == {True, False}
+
+
 def test_integrality_examples():
     m4 = factorize(4)
     assert not parse_laurent("x", m4).is_integral_over_base()

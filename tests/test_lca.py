@@ -24,7 +24,7 @@ from addca.lca import (
     step,
     transitivity_obstruction,
 )
-from addca.lca import _fp_gcd, _format_fp_poly
+from addca.lca import _fp_gcd
 from addca.modring import factorize
 from addca.power_semigroup import detect_orbit
 from addca.polymat import RingMatrix, determinant, identity
@@ -34,6 +34,7 @@ from oracles import (
     bounded_transitivity_oracle,
     config_series_components,
     descent_transitivity_oracle,
+    format_fp_poly,
     periodic_kernel_witness,
     tychonoff_distance,
 )
@@ -272,7 +273,7 @@ def test_transitivity_certificate_gives_a_failing_power():
         if not report.surjective:
             continue
         p, gcd = transitivity_obstruction(rule)
-        assert report.notes["transitivity"].startswith(f"G_{p} = {_format_fp_poly(gcd)} ")
+        assert report.notes["transitivity"].startswith(f"G_{p} = {format_fp_poly(gcd)} ")
         # the least j with gcd(G_p, t^(p^j - 1) - 1) != 1 over F_p; j <= deg G_p
         k = next(p**j - 1 for j in range(1, len(gcd))
                  if len(_fp_gcd(gcd, [p - 1] + [0] * (p**j - 2) + [1], p)) > 1)

@@ -13,6 +13,8 @@ from addca.modring import (
     InvalidModulusError,
     RingMismatchError,
     factorize,
+    power,
+    power_cost,
 )
 
 
@@ -131,3 +133,22 @@ def test_ring_axioms_exhaustive_small_moduli():
                 for c in elems[:: max(1, m // 4)]:
                     assert (a + b) + c == a + (b + c)
                     assert a * (b + c) == a * b + a * c
+
+
+def test_power_squares_and_multiplies_exactly_once_per_bit():
+    """One product per set bit and one squaring per further bit, which is
+    within power_cost; the identity is never squared."""
+    for exponent in list(range(70)) + [2**20, 2**20 - 1, 10**9 + 7]:
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return a * b % 1009
+
+        assert power(1, 3, exponent, counting_mul) == pow(3, exponent, 1009)
+        squarings = max(exponent.bit_length() - 1, 0)
+        assert len(calls) == exponent.bit_count() + squarings, exponent
+        assert len(calls) <= power_cost(exponent)
+    assert power("one", "base", 0, None) == "one"
+    with pytest.raises(ValueError, match="negative exponent"):
+        power(1, 3, -1, int.__mul__)

@@ -22,7 +22,7 @@ from addca.power_semigroup import (
     sampled_degree_growth,
 )
 
-from oracles import brent_orbit, brent_residue_orbit
+from oracles import brent_orbit, brent_residue_orbit, tpoly_sub
 from test_polymat import random_laurent_matrix, random_zmod_matrix
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
@@ -126,8 +126,7 @@ def test_divisibility_witness_for_shear():
     # re-divide explicitly: t^(2k) - t^k must reduce to zero mod chi
     ring = a.ring
     chi = list(char_poly(a).coeffs)
-    diff = tpoly.sub(tpoly.pow_t_mod(chi, 2 * k, ring), tpoly.pow_t_mod(chi, k, ring), ring)
-    assert tpoly.is_zero(diff)
+    assert not tpoly_sub(tpoly.pow_t_mod(chi, 2 * k, ring), tpoly.pow_t_mod(chi, k, ring), ring)
 
 
 def test_divisibility_witness_budget_exhaustion():
