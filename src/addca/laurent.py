@@ -38,7 +38,8 @@ slot), enough for any coefficient of the integer product, so one big-int
 multiply yields every convolution sum in its own slot.  Slots are rounded up
 to 1, 2, 4 or 8 bytes and unpacked with ``memoryview.cast``; wider slots
 (large moduli) are unpacked by slicing the product's bytes.  Each slot is
-then reduced mod m.  A one-term operand is a scaled shift.  The test oracle
+then reduced mod m.  The packing helpers also serve ``polymat.char_poly``,
+which evaluates a whole matrix at x = 2^s.  A one-term operand is a scaled shift.  The test oracle
 ``tests/oracles.py::dict_product`` convolves term by term without either
 shortcut.
 """
@@ -136,7 +137,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, modulus: Modulus, value: int) -> "LaurentPoly":
-        return cls(modulus, {0: value})
+        return cls._from_slots(modulus, 0, (value % modulus.m,))
 
     @classmethod
     def monomial(cls, modulus: Modulus, exponent: int, coefficient: int = 1) -> "LaurentPoly":
@@ -229,24 +230,9 @@ class LaurentPoly:
                 return a._convolve(b)
             a_slots, b_slots = a._slots(), b._slots()
         m = self.modulus.m
-        width = (2 * (m - 1).bit_length() + len(a.coeffs).bit_length() + 7) // 8
-        slots = len(a_slots) + len(b_slots) - 1
-        if width <= 8:
-            width = 1 << (width - 1).bit_length()
-            fmt = _SLOT_FORMATS[width]
-            product = (int.from_bytes(struct.pack(f"{len(a_slots)}{fmt}", *a_slots), _BYTEORDER)
-                       * int.from_bytes(struct.pack(f"{len(b_slots)}{fmt}", *b_slots),
-                                        _BYTEORDER))
-            view = memoryview(product.to_bytes(slots * width, _BYTEORDER)).cast(fmt)
-            out = [c % m for c in view]
-        else:
-            product = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a_slots),
-                                      "little")
-                       * int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b_slots),
-                                        "little"))
-            data = product.to_bytes(slots * width, "little")
-            out = [int.from_bytes(data[i:i + width], "little") % m
-                   for i in range(0, len(data), width)]
+        width = slot_width(2 * (m - 1).bit_length() + len(a.coeffs).bit_length())
+        product = pack_slots(a_slots, width) * pack_slots(b_slots, width)
+        out = [c % m for c in unpack_slots(product, len(a_slots) + len(b_slots) - 1, width)]
         return LaurentPoly._from_slots(self.modulus, a.low + b.low, out)
 
     def _convolve(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -361,6 +347,29 @@ def _storage_of_terms(data: dict[int, int]) -> tuple[int, tuple | None, tuple]:
     return low, None, tuple(values)
 
 
+def slot_width(bits: int) -> int:
+    """Bytes per slot for slot values of ``bits`` bits: 1, 2, 4 or 8, or the
+    exact byte count above 8."""
+    width = (bits + 7) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def pack_slots(values: Sequence[int], width: int) -> int:
+    """The int with ``values[i]``, each in [0, 256^width), in byte slot i."""
+    if width <= 8:
+        return int.from_bytes(struct.pack(f"{len(values)}{_SLOT_FORMATS[width]}", *values),
+                              _BYTEORDER)
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in values), "little")
+
+
+def unpack_slots(value: int, slots: int, width: int) -> Sequence[int]:
+    """The first ``slots`` slot values of a non-negative int below 256^(slots * width)."""
+    if width <= 8:
+        return memoryview(value.to_bytes(slots * width, _BYTEORDER)).cast(_SLOT_FORMATS[width])
+    data = value.to_bytes(slots * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
 _TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?x(?:\^(-?\d+))?$")
 
 
@@ -400,7 +409,7 @@ class LaurentRing:
         return LaurentPoly.zero(self.modulus)
 
     def one(self) -> LaurentPoly:
-        return LaurentPoly.constant(self.modulus, 1)
+        return LaurentPoly._make(self.modulus, 0, None, (1,))
 
     def from_int(self, value: int) -> LaurentPoly:
         return LaurentPoly.constant(self.modulus, value)

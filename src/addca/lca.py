@@ -423,14 +423,22 @@ def render_trajectory(trajectory: Sequence[FiniteConfiguration], window: int) ->
     """Plain-text space-time diagram: one row per time step, cells in [-W, W].
 
     Cell vectors are comma-joined digit groups; when every visible cell fits
-    in one character the grid is printed without separators.
+    in one character the grid is printed without separators.  A zero cell's
+    text is no longer than any other, so the width pass reads only nonzero
+    cells, and each row is built as one string.
     """
-    texts: list[list[str]] = []
-    width = 1
+    positions = range(-window, window + 1)
+    zero = ",".join("0" * len(trajectory[0].orders)) if trajectory else ""
+    width = max(1, len(zero))
     for config in trajectory:
-        row = [",".join(str(v) for v in config.get(pos)) for pos in range(-window, window + 1)]
-        width = max(width, max((len(t) for t in row), default=1))
-        texts.append(row)
-    if width == 1:
-        return "\n".join("".join(row) for row in texts)
-    return "\n".join(" ".join(t.rjust(width) for t in row) for row in texts)
+        cells = config.cells
+        width = max([width] + [len(",".join(map(str, cells[pos])))
+                               for pos in positions if pos in cells])
+    blank = zero.rjust(width)
+    separator = "" if width == 1 else " "
+    rows = []
+    for config in trajectory:
+        cells = config.cells
+        rows.append(separator.join([",".join(map(str, cells[pos])).rjust(width)
+                                    if pos in cells else blank for pos in positions]))
+    return "\n".join(rows)

@@ -4,18 +4,38 @@ The coefficient ring (Z/mZ)[x, x^-1], whose constants are Z/mZ, has zero
 divisors, so none of the classical elimination schemes apply: there is no
 echelon form and fraction-free tricks such as Bareiss still divide.  The
 characteristic polynomial is therefore computed with the Berkowitz vector
-recurrence, which uses ring operations only, and the determinant is read off
-its constant term.  The Frobenius companion matrix goes the other way, from a
-monic polynomial to a matrix.  The independent cross-checks of Berkowitz
-(minor sums by a Laplace DP, Cayley-Hamilton) live in the test oracles.
+recurrence (Berkowitz, IPL 18, 1984), which uses ring operations only, and
+the determinant is read off its constant term.
+
+Because the recurrence uses only +, - and *, it commutes with any ring map,
+so a Laurent matrix runs it on integers.  Write A = x^lo A' with A'
+polynomial of degree < span.  Evaluating A' at x = 2^s is Kronecker
+substitution (Harvey 2009): each entry packs its coefficients into s-bit
+slots.  Over Z the coefficient of t^(n-j) in det(tI - A') is a sum of
+C(n, j) j! products of j entries of l1 norm at most (m-1) span, so every
+x-coefficient of every t-coefficient is below n! ((m-1) span)^n in absolute
+value.  With 2^(s-1) above that bound the balanced s-bit digits of the
+Berkowitz result are exactly those coefficients; reduced mod m and shifted
+by x^(lo (n-j)) they give the characteristic polynomial of A.  A matrix whose
+span exceeds _DENSE_SPAN_PER_TERM slots per nonzero term (the rule
+LaurentPoly uses for its own storage) runs the same recurrence on its
+Laurent entries instead, so x^(10^9) never becomes a 10^9-slot integer.
+
+The Frobenius companion matrix goes the other way, from a monic polynomial
+to a matrix.  The independent cross-checks of Berkowitz (minor sums by a
+Laplace DP, Cayley-Hamilton) live in the test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from math import factorial
+from operator import add, mul
 from typing import Any, Sequence
 
+from .laurent import (_DENSE_SPAN_PER_TERM, LaurentPoly, LaurentRing, pack_slots,
+                      slot_width, unpack_slots)
 from .modring import power
 
 
@@ -120,16 +140,17 @@ class CharPoly:
 
     def __str__(self) -> str:
         parts = []
+        zero, one = self.ring.zero(), self.ring.one()
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
-            if c == self.ring.zero():
+            if c == zero:
                 continue
             text = str(c)
             if k == 0:
                 parts.append(f"({text})" if ("+" in text or " " in text) else text)
                 continue
             t_part = "t" if k == 1 else f"t^{k}"
-            if c == self.ring.one():
+            if c == one:
                 parts.append(t_part)
             elif "+" in text or " " in text:
                 parts.append(f"({text})*{t_part}")
@@ -139,35 +160,73 @@ class CharPoly:
 
 
 def char_poly(matrix: RingMatrix) -> CharPoly:
-    """Characteristic polynomial det(t*I - A) via the Berkowitz recurrence.
+    """Characteristic polynomial det(t*I - A).
+
+    A Laurent matrix whose exponents are dense enough is evaluated at
+    x = 2^s and runs Berkowitz over Z (see the module docstring); any other
+    matrix runs Berkowitz on its entries.
+    """
+    ring = matrix.ring
+    if isinstance(ring, LaurentRing):
+        entries = [a for row in matrix.rows for a in row if a.coeffs]
+        if entries:
+            lo = min([a.low for a in entries])
+            span = max([a.low + a._span() for a in entries]) - lo
+            if span <= _DENSE_SPAN_PER_TERM * sum([len(a.coeffs) - a.coeffs.count(0)
+                                                   for a in entries]):
+                return _char_poly_at_power_of_two(matrix, lo, span)
+    return CharPoly(tuple(reversed(_berkowitz(matrix.rows, ring.one()))), ring)
+
+
+def _char_poly_at_power_of_two(matrix: RingMatrix, lo: int, span: int) -> CharPoly:
+    """char_poly of a Laurent matrix with exponents in [lo, lo + span), by
+    Berkowitz over Z at x = 2^s."""
+    ring, n = matrix.ring, matrix.n
+    modulus = ring.modulus
+    m = modulus.m
+    width = slot_width((factorial(n) * ((m - 1) * span) ** n).bit_length() + 1)
+    bits = 8 * width
+    rows = [[pack_slots(a._slots(), width) << bits * (a.low - lo) if a.coeffs else 0
+             for a in row] for row in matrix.rows]
+    coeffs_desc = _berkowitz(rows, 1)
+    # Adding half to every slot makes the balanced digits non-negative.
+    half = 1 << bits - 1
+    top = n * (span - 1) + 1  # slots of the constant coefficient
+    halves = pack_slots([half] * top, width)
+    coeffs = [ring.one()]
+    for j in range(1, n + 1):  # coeffs_desc[j] is the coefficient of t^(n-j)
+        slots = j * (span - 1) + 1
+        digits = unpack_slots(coeffs_desc[j] + (halves >> bits * (top - slots)), slots, width)
+        coeffs.append(LaurentPoly._from_slots(modulus, lo * j, [(u - half) % m for u in digits]))
+    return CharPoly(tuple(reversed(coeffs)), ring)
+
+
+def _berkowitz(rows: Sequence[Sequence[Any]], one: Any) -> list:
+    """Coefficients of det(t*I - A), highest power of t first.
 
     Grows the leading principal submatrix one row at a time; at each stage the
     coefficient vector is multiplied by a Toeplitz matrix whose column is
     built from the new diagonal entry d, the border row R / column S and the
-    Krylov products R M^k S.  Complexity O(n^4) ring operations, no division.
+    Krylov products R M^k S.  O(n^4) ring operations, no division.
     """
-    ring = matrix.ring
-    one = ring.one()
-    coeffs_desc = [one]  # char poly of the empty matrix
-    for r in range(matrix.n):
-        d = matrix.rows[r][r]
-        row = matrix.rows[r][:r]
-        col = [matrix.rows[i][r] for i in range(r)]
-        toeplitz = [one, -d]
-        vec = col
-        for _ in range(r):
+    if not rows:
+        return [one]
+    coeffs_desc = [one, -rows[0][0]]  # t - a_00
+    for r in range(1, len(rows)):
+        block = [rows[i][:r] for i in range(r)]
+        row = rows[r][:r]
+        vec = [rows[i][r] for i in range(r)]
+        toeplitz = [one, -rows[r][r], -_dot(row, vec)]
+        for _ in range(r - 1):
+            vec = [_dot(block_row, vec) for block_row in block]
             toeplitz.append(-_dot(row, vec))
-            vec = [_dot(matrix.rows[i][:r], vec) for i in range(r)]
         coeffs_desc = [_dot(toeplitz[i::-1], coeffs_desc) for i in range(r + 2)]
-    return CharPoly(tuple(reversed(coeffs_desc)), ring)
+    return coeffs_desc
 
 
 def _dot(a: Sequence[Any], b: Sequence[Any]) -> Any:
     """a[0] * b[0] + a[1] * b[1] + ... over the shorter of a and b (never empty)."""
-    acc = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        acc = acc + x * y
-    return acc
+    return reduce(add, map(mul, a, b))
 
 
 def determinant(matrix: RingMatrix) -> Any:

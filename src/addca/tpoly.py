@@ -44,9 +44,10 @@ def mod_monic(a: Sequence[Any], divisor: Sequence[Any], ring) -> Coeffs:
     d = len(divisor) - 1
     if d == 0:
         return []
+    zero = ring.zero()
     while len(out) - 1 >= d:
         top = out.pop()
-        if top == ring.zero():
+        if top == zero:
             continue
         shift = len(out) - d
         for i in range(d):

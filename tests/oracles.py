@@ -386,6 +386,20 @@ def tychonoff_distance(a: FiniteConfiguration, b: FiniteConfiguration) -> float:
     raise AssertionError("configurations compare equal cellwise but not as objects")
 
 
+def render_trajectory_by_cells(trajectory: Sequence[FiniteConfiguration], window: int) -> str:
+    """Reference space-time diagram: the text of every cell in the window,
+    zero or not, is built first and the grid joined from the list."""
+    texts: list[list[str]] = []
+    width = 1
+    for config in trajectory:
+        row = [",".join(str(v) for v in config.get(pos)) for pos in range(-window, window + 1)]
+        width = max(width, max((len(t) for t in row), default=1))
+        texts.append(row)
+    if width == 1:
+        return "\n".join("".join(row) for row in texts)
+    return "\n".join(" ".join(t.rjust(width) for t in row) for row in texts)
+
+
 def config_series_components(config: FiniteConfiguration, ring) -> list:
     """The vector of Laurent polynomials P_c with component i = sum c_i^(pos) X^pos."""
     n = len(config.orders)

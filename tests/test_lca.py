@@ -36,6 +36,7 @@ from oracles import (
     descent_transitivity_oracle,
     format_fp_poly,
     periodic_kernel_witness,
+    render_trajectory_by_cells,
     tychonoff_distance,
 )
 
@@ -156,6 +157,20 @@ def test_space_time_rendering_golden():
         "010101010",
         "100000001",
     ])
+
+
+def test_space_time_rendering_matches_cell_by_cell_reference():
+    """Zero and nonzero cells, one and several components, single- and
+    multi-digit values, supports inside, across and beyond the window."""
+    rng = random.Random(1018)
+    for orders in ((2,), (7,), (12,), (4, 4), (10, 3, 2), (101, 2)):
+        for _ in range(12):
+            window = rng.randrange(0, 6)
+            trajectory = [FiniteConfiguration(orders, {
+                rng.randrange(-9, 10): tuple(rng.randrange(o) for o in orders)
+                for _ in range(rng.randrange(0, 8))}) for _ in range(rng.randrange(0, 4))]
+            assert (render_trajectory(trajectory, window)
+                    == render_trajectory_by_cells(trajectory, window)), (orders, window)
 
 
 def test_space_time_rendering_wide_cells():

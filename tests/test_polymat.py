@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
+from addca import tpoly
 from addca.laurent import LaurentPoly, laurent_ring, parse_laurent
 from addca.polymat import (
     CharPoly,
     RingMatrix,
+    _berkowitz,
     char_poly,
     determinant,
     frobenius_companion,
@@ -26,6 +29,9 @@ from oracles import (
 )
 
 MODULI = [2, 3, 4, 6, 8]
+# Moduli of the differential test of the integer Berkowitz path: small
+# primes and prime powers, and primes whose coefficients fill 31 and 61 bits.
+DIFFERENTIAL_MODULI = [2, 4, 9, 25, 2**31 - 1, 2**61 - 1]
 
 
 def random_laurent_matrix(rng: random.Random, m: int, n: int, span: int = 1) -> RingMatrix:
@@ -235,3 +241,72 @@ def test_matrix_power_and_hash():
     assert a ** 4 == identity(ring, 2)
     assert a ** 0 == identity(ring, 2)
     assert hash(a * a) == hash(a ** 2)
+
+
+def laurent_berkowitz(matrix: RingMatrix) -> CharPoly:
+    """The Berkowitz recurrence run on the Laurent entries themselves."""
+    return CharPoly(tuple(reversed(_berkowitz(matrix.rows, matrix.ring.one()))), matrix.ring)
+
+
+def random_mixed_entry(rng: random.Random, m: int) -> LaurentPoly:
+    """Zero, a constant, a dense run of exponents or a gapped handful of
+    terms, with negative exponents and coefficients from all of [0, m)."""
+    modulus = laurent_ring(m).modulus
+    kind = rng.randrange(4)
+    if kind == 0:
+        return LaurentPoly.zero(modulus)
+    if kind == 1:
+        return LaurentPoly.constant(modulus, rng.randrange(m))
+    if kind == 2:
+        low = rng.randrange(-3, 2)
+        stop = low + rng.randrange(1, 5)
+        return LaurentPoly(modulus, {e: rng.randrange(m) for e in range(low, stop)})
+    exps = rng.sample(range(-6, 7), rng.randrange(2, 4))
+    return LaurentPoly(modulus, {e: rng.choice((1, m - 1, rng.randrange(m))) for e in exps})
+
+
+def test_integer_berkowitz_matches_oracles_differentially():
+    """char_poly (Berkowitz over Z at x = 2^s) against the minor-sum oracle
+    and against the recurrence on Laurent entries, on zero matrices and on
+    random matrices with zero, constant, dense and gapped entries."""
+    rng = random.Random(20261018)
+    for m in DIFFERENTIAL_MODULI:
+        ring = laurent_ring(m)
+        for n in range(9):
+            matrices = [zeros(ring, n)]
+            matrices += [RingMatrix(ring, [[random_mixed_entry(rng, m) for _ in range(n)]
+                                           for _ in range(n)]) for _ in range(2 if n < 7 else 1)]
+            for a in matrices:
+                poly = char_poly(a)
+                assert poly == laurent_berkowitz(a), (m, a.rows)
+                assert poly == char_poly_by_minor_sums(a), (m, a.rows)
+
+
+def test_integer_berkowitz_on_triangular_matrices_of_full_coefficients():
+    """chi of a triangular matrix is the product of t - d_i.  With every d_i
+    the all-(m - 1) polynomial on x^-3 ... x^4, the coefficients of chi over Z
+    are same-sign sums that need far more than n bits(m - 1) bits."""
+    rng = random.Random(4242)
+    for m in DIFFERENTIAL_MODULI:
+        ring = laurent_ring(m)
+        full = LaurentPoly(ring.modulus, {e: m - 1 for e in range(-3, 5)})
+        for n in range(2, 9):
+            rows = [[full if i == j else random_mixed_entry(rng, m) if i < j else ring.zero()
+                     for j in range(n)] for i in range(n)]
+            expected = [ring.one()]
+            for _ in range(n):
+                expected = tpoly.mul(expected, [-full, ring.one()], ring)
+            assert char_poly(RingMatrix(ring, rows)).coeffs == tuple(expected), (m, n)
+
+
+def test_wide_span_matrix_runs_on_laurent_entries():
+    """x^(10^9) must never become a 10^9-slot integer."""
+    ring = laurent_ring(3)
+    a = RingMatrix(ring, [[ring.monomial(10**9), ring.one()],
+                          [ring.one(), ring.monomial(-10**9)]])
+    start = time.perf_counter()
+    poly = char_poly(a)
+    assert time.perf_counter() - start < 1.0
+    assert poly == char_poly_by_minor_sums(a)
+    assert poly.coeffs == (ring.zero(), ring.monomial(10**9, 2) + ring.monomial(-10**9, 2),
+                           ring.one())
