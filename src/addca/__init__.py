@@ -15,14 +15,11 @@ from .additive_ca import (
     PrimeComponent,
     associated_lca,
     decide_properties,
-    embed,
     embed_config,
-    in_embedding_image,
     prime_components,
     project_config,
     simulate_additive,
     step_additive,
-    unembed,
 )
 from .laurent import LaurentPoly, LaurentRing, laurent_ring, parse_laurent
 from .lca import (
@@ -31,7 +28,6 @@ from .lca import (
     PropertyReport,
     analyze_rule,
     associated_matrix,
-    basis_config,
     decide_injective,
     decide_sensitivity,
     decide_surjective,
@@ -39,7 +35,6 @@ from .lca import (
     render_trajectory,
     scalar_rule,
     simulate,
-    spreads,
     step,
 )
 from .modring import (
@@ -53,10 +48,8 @@ from .polymat import (
     RingMatrix,
     char_poly,
     determinant,
-    frobenius_companion,
     identity,
     matrix_from_ints,
-    zeros,
 )
 from .power_semigroup import (
     BudgetExhausted,
@@ -65,7 +58,6 @@ from .power_semigroup import (
     decide_finite_powers,
     detect_orbit,
     divisibility_witness,
-    idempotent_power,
     sampled_degree_growth,
 )
 
@@ -93,7 +85,6 @@ __all__ = [
     "analyze_rule",
     "associated_lca",
     "associated_matrix",
-    "basis_config",
     "char_poly",
     "decide_finite_powers",
     "decide_injective",
@@ -104,13 +95,9 @@ __all__ = [
     "determinant",
     "detect_orbit",
     "divisibility_witness",
-    "embed",
     "embed_config",
     "factorize",
-    "frobenius_companion",
-    "idempotent_power",
     "identity",
-    "in_embedding_image",
     "laurent_ring",
     "matrix_from_ints",
     "parse_laurent",
@@ -121,10 +108,7 @@ __all__ = [
     "scalar_rule",
     "simulate",
     "simulate_additive",
-    "spreads",
     "step",
     "step_additive",
-    "unembed",
-    "zeros",
     "__version__",
 ]

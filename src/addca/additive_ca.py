@@ -235,17 +235,6 @@ def _embedding_scales(group: AbelianGroup) -> tuple[int, tuple[int, ...]]:
     return top, tuple(top // q for q in group.factors)
 
 
-def embed(group: AbelianGroup, element: Sequence[int]) -> tuple[int, ...]:
-    """Coordinatewise embedding of a p-group into (Z/p^k1)^n.
-
-    Component i is scaled by p^(k1 - k_i); the map is injective and additive,
-    and its image is exactly the set of vectors whose i-th component is
-    divisible by p^(k1 - k_i).
-    """
-    _, scales = _embedding_scales(group)
-    return tuple(v * s for v, s in zip(group.reduce(element), scales))
-
-
 def embed_config(group: AbelianGroup, config: FiniteConfiguration) -> FiniteConfiguration:
     """Cellwise embedding Xi of a configuration over G into one over (Z/p^k1)^n."""
     modulus, scales = _embedding_scales(group)
@@ -254,28 +243,6 @@ def embed_config(group: AbelianGroup, config: FiniteConfiguration) -> FiniteConf
     return FiniteConfiguration((modulus,) * group.rank,
                                {pos: tuple(v * s for v, s in zip(vec, scales))
                                 for pos, vec in config.cells.items()})
-
-
-def in_embedding_image(group: AbelianGroup, config: FiniteConfiguration) -> bool:
-    """Is a configuration over (Z/p^k1)^n cellwise inside Xi(G^Z)?"""
-    _, scales = _embedding_scales(group)
-    return all(v % s == 0 for vec in config.cells.values() for v, s in zip(vec, scales))
-
-
-def unembed(group: AbelianGroup, vector: Sequence[int]) -> tuple[int, ...]:
-    """Invert the embedding on its image: xi(unembed(v)) == v.
-
-    Raises ValueError when some component is not divisible by the required
-    power of p, i.e. the vector is outside xi(G).
-    """
-    modulus, scales = _embedding_scales(group)
-    vector = tuple(int(v) % modulus for v in vector)
-    if len(vector) != group.rank:
-        raise ValueError(f"vector needs {group.rank} components, got {len(vector)}")
-    for i, (v, scale) in enumerate(zip(vector, scales)):
-        if v % scale:
-            raise ValueError(f"component {i} = {v} is not a multiple of {scale}")
-    return tuple(v // s for v, s in zip(vector, scales))
 
 
 def associated_lca(rule: AdditiveCaRule) -> LcaRule:

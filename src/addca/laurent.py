@@ -308,10 +308,6 @@ class LaurentPoly:
                 return p
         return None
 
-    def is_integral_over_base(self) -> bool:
-        """True iff f satisfies some monic polynomial with constant coefficients."""
-        return self.integrality_obstruction() is None
-
     # -- rendering / parsing -------------------------------------------------
 
     def __str__(self) -> str:

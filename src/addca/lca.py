@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import LaurentPoly, LaurentRing, laurent_ring
+from .laurent import LaurentPoly, LaurentRing
 from .modring import Modulus, canonical_matrix, factorize
 from .polymat import CharPoly, RingMatrix, char_poly, determinant
 from .power_semigroup import decide_finite_powers
@@ -109,10 +109,6 @@ class FiniteConfiguration:
         self.orders = orders
         self.cells = data
 
-    @classmethod
-    def single(cls, orders: Sequence[int], position: int, vector: Sequence[int]) -> "FiniteConfiguration":
-        return cls(orders, {position: vector})
-
     def get(self, position: int) -> tuple[int, ...]:
         return self.cells.get(position, (0,) * len(self.orders))
 
@@ -121,9 +117,6 @@ class FiniteConfiguration:
 
     def is_zero(self) -> bool:
         return not self.cells
-
-    def max_abs_position(self) -> int:
-        return max((abs(p) for p in self.cells), default=0)
 
     def shift(self, offset: int) -> "FiniteConfiguration":
         return FiniteConfiguration(self.orders,
@@ -213,15 +206,6 @@ def _step_kernel(matrices: Sequence, radius: int,
     return FiniteConfiguration(config.orders, acc)
 
 
-def basis_config(rule: LcaRule, index: int) -> FiniteConfiguration:
-    """The configuration holding the standard basis vector e_index at cell 0."""
-    if not 0 <= index < rule.n:
-        raise ValueError(f"basis index {index} out of range for n={rule.n}")
-    vec = [0] * rule.n
-    vec[index] = 1
-    return FiniteConfiguration.single((rule.modulus.m,) * rule.n, 0, vec)
-
-
 def simulate(rule: LcaRule, config: FiniteConfiguration, steps: int) -> list[FiniteConfiguration]:
     """Trajectory [c, F(c), ..., F^steps(c)]."""
     out = [config]
@@ -230,24 +214,6 @@ def simulate(rule: LcaRule, config: FiniteConfiguration, steps: int) -> list[Fin
         current = step(rule, current)
         out.append(current)
     return out
-
-
-def spreads(rule: LcaRule, index: int, horizon: int, budget: int = 200) -> bool | None:
-    """Semi-decide whether the basis perturbation e_index escapes [-horizon, horizon].
-
-    Iterates the rule on basis_config(index) for up to ``budget`` steps and
-    reports True at the first support excursion beyond the horizon.  None is
-    indeterminate: no excursion was observed within the budget (in particular
-    a perturbation that provably never moves still reports None).
-    """
-    current = basis_config(rule, index)
-    for _ in range(budget):
-        current = step(rule, current)
-        if current.is_zero():
-            return None
-        if current.max_abs_position() > horizon:
-            return True
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +258,14 @@ def transitivity_obstruction(rule: LcaRule) -> tuple[int, list[int]] | None:
     """(p, G_p) for the first prime p | m whose x-slice gcd G_p is not 1.
 
     G_p is monic, with ascending coefficients in [0, p); None when every
-    G_p = 1.
+    G_p = 1.  Berkowitz uses only +, - and *, so chi mod p is chi with every
+    coefficient reduced mod p: one char_poly serves every prime.
     """
-    big = associated_matrix(rule)
+    chi = char_poly(associated_matrix(rule)).coeffs
     for p in rule.modulus.primes:
-        reduced = RingMatrix(laurent_ring(p), [[entry.reduce_mod_prime(p) for entry in row]
-                                               for row in big.rows])
-        chi = char_poly(reduced).coeffs
         slices: dict[int, list[int]] = {}
         for k, coeff in enumerate(chi):
-            for e, v in coeff.items():
+            for e, v in coeff.reduce_mod_prime(p).items():
                 slices.setdefault(e, [0] * len(chi))[k] = v
         gcd = slices.pop(0)  # chi is monic, so this slice is too
         for g in slices.values():
@@ -334,17 +298,6 @@ class PropertyReport:
             "notes": dict(self.notes),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PropertyReport":
-        return cls(
-            sensitive=bool(data["sensitive"]),
-            equicontinuous=bool(data["equicontinuous"]),
-            injective=bool(data["injective"]),
-            surjective=bool(data["surjective"]),
-            transitive=bool(data["transitive"]),
-            notes=dict(data.get("notes", {})),
-        )
-
 
 def analyze_rule(rule: LcaRule) -> PropertyReport:
     """Run all deciders on one rule and collect witness notes."""
@@ -367,9 +320,9 @@ def analyze_rule(rule: LcaRule) -> PropertyReport:
         notes["transitivity"] = "not surjective"
     else:
         p, gcd = transitivity_obstruction(rule)
-        ring = laurent_ring(p)
+        modulus = factorize(p)
         notes["transitivity"] = (
-            f"G_{p} = {CharPoly(tuple(map(ring.from_int, gcd)), ring)} "
+            f"G_{p} = {CharPoly(tuple(LaurentPoly.constant(modulus, c) for c in gcd))} "
             f"(gcd over F_{p}[t] of the x-slices of "
             f"chi mod {p}): a root of order k gives det(A^k - I) = 0 mod {p}")
     return PropertyReport(
@@ -392,25 +345,22 @@ def _fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
     a = list(a)
     inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b) and a:
         c = (a[-1] * inv) % p
         k = len(a) - len(b)
-        q[k] = c
         for i in range(len(b)):
             a[k + i] = (a[k + i] - c * b[i]) % p
         _fp_trim(a)
-    return q, a
+    return a
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _fp_trim(list(a)), _fp_trim(list(b))
     while b:
-        _, r = _fp_divmod(a, b, p)
-        a, b = b, r
+        a, b = b, _fp_rem(a, b, p)
     inv = pow(a[-1], -1, p)
     return [(c * inv) % p for c in a]
 

@@ -21,9 +21,9 @@ span exceeds _DENSE_SPAN_PER_TERM slots per nonzero term (the rule
 LaurentPoly uses for its own storage) runs the same recurrence on its
 Laurent entries instead, so x^(10^9) never becomes a 10^9-slot integer.
 
-The Frobenius companion matrix goes the other way, from a monic polynomial
-to a matrix.  The independent cross-checks of Berkowitz (minor sums by a
-Laplace DP, Cayley-Hamilton) live in the test oracles.
+The independent cross-checks of Berkowitz (minor sums by a Laplace DP,
+Cayley-Hamilton, the Frobenius companion matrix of a monic polynomial) live
+in the test oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Any, Sequence
 
 from .laurent import (_DENSE_SPAN_PER_TERM, LaurentPoly, LaurentRing, pack_slots,
                       slot_width, unpack_slots)
-from .modring import power
+from .modring import Modulus, power
 
 
 class RingMatrix:
@@ -114,25 +114,29 @@ def identity(ring, n: int) -> RingMatrix:
     return RingMatrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
-def zeros(ring, n: int) -> RingMatrix:
-    zero = ring.zero()
-    return RingMatrix(ring, [[zero] * n for _ in range(n)])
-
-
 def matrix_from_ints(ring, rows: Sequence[Sequence[int]]) -> RingMatrix:
     return RingMatrix(ring, [[ring.from_int(v) for v in row] for row in rows])
 
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Monic characteristic polynomial; coeffs[k] is the coefficient of t^k."""
+    """Monic characteristic polynomial; coeffs[k] is the coefficient of t^k.
+
+    The coefficients are Laurent polynomials over the modulus of the leading
+    one.
+    """
 
     coeffs: tuple
-    ring: Any
 
     def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[-1] != self.ring.one():
+        if self.coeffs and not isinstance(self.coeffs[-1], LaurentPoly):
+            raise TypeError(f"unsupported coefficient type {type(self.coeffs[-1]).__name__}")
+        if not self.coeffs or self.coeffs[-1] != LaurentPoly.constant(self.modulus, 1):
             raise ValueError("characteristic polynomial must be monic")
+
+    @property
+    def modulus(self) -> Modulus:
+        return self.coeffs[-1].modulus
 
     @property
     def degree(self) -> int:
@@ -140,10 +144,10 @@ class CharPoly:
 
     def __str__(self) -> str:
         parts = []
-        zero, one = self.ring.zero(), self.ring.one()
+        one = self.coeffs[-1]
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
-            if c == zero:
+            if not c.coeffs:
                 continue
             text = str(c)
             if k == 0:
@@ -175,14 +179,14 @@ def char_poly(matrix: RingMatrix) -> CharPoly:
             if span <= _DENSE_SPAN_PER_TERM * sum([len(a.coeffs) - a.coeffs.count(0)
                                                    for a in entries]):
                 return _char_poly_at_power_of_two(matrix, lo, span)
-    return CharPoly(tuple(reversed(_berkowitz(matrix.rows, ring.one()))), ring)
+    return CharPoly(tuple(reversed(_berkowitz(matrix.rows, ring.one()))))
 
 
 def _char_poly_at_power_of_two(matrix: RingMatrix, lo: int, span: int) -> CharPoly:
     """char_poly of a Laurent matrix with exponents in [lo, lo + span), by
     Berkowitz over Z at x = 2^s."""
-    ring, n = matrix.ring, matrix.n
-    modulus = ring.modulus
+    n = matrix.n
+    modulus = matrix.ring.modulus
     m = modulus.m
     width = slot_width((factorial(n) * ((m - 1) * span) ** n).bit_length() + 1)
     bits = 8 * width
@@ -193,12 +197,12 @@ def _char_poly_at_power_of_two(matrix: RingMatrix, lo: int, span: int) -> CharPo
     half = 1 << bits - 1
     top = n * (span - 1) + 1  # slots of the constant coefficient
     halves = pack_slots([half] * top, width)
-    coeffs = [ring.one()]
+    coeffs = [LaurentPoly.constant(modulus, 1)]
     for j in range(1, n + 1):  # coeffs_desc[j] is the coefficient of t^(n-j)
         slots = j * (span - 1) + 1
         digits = unpack_slots(coeffs_desc[j] + (halves >> bits * (top - slots)), slots, width)
         coeffs.append(LaurentPoly._from_slots(modulus, lo * j, [(u - half) % m for u in digits]))
-    return CharPoly(tuple(reversed(coeffs)), ring)
+    return CharPoly(tuple(reversed(coeffs)))
 
 
 def _berkowitz(rows: Sequence[Sequence[Any]], one: Any) -> list:
@@ -233,20 +237,3 @@ def determinant(matrix: RingMatrix) -> Any:
     """det A = (-1)^n * a_0 where a_0 is the constant term of det(tI - A)."""
     a0 = char_poly(matrix).coeffs[0]
     return a0 if matrix.n % 2 == 0 else -a0
-
-
-def frobenius_companion(poly: CharPoly) -> RingMatrix:
-    """Companion matrix: ones on the superdiagonal, last row -a_0 ... -a_{n-1}.
-
-    Its characteristic polynomial is the given monic polynomial, which makes
-    it the canonical witness that every monic polynomial is a characteristic
-    polynomial.
-    """
-    n = poly.degree
-    if n < 1:
-        raise ValueError("companion matrix needs degree >= 1")
-    ring = poly.ring
-    one, zero = ring.one(), ring.zero()
-    rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
-    rows.append([-poly.coeffs[j] for j in range(n)])
-    return RingMatrix(ring, rows)

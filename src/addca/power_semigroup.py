@@ -88,10 +88,7 @@ def char_poly_finiteness(poly: CharPoly) -> FinitenessVerdict:
     with `LaurentPoly.integrality_obstruction`; a constant always passes.
     """
     for index in range(poly.degree):
-        coeff = poly.coeffs[index]
-        if not isinstance(coeff, LaurentPoly):
-            raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
-        prime = coeff.integrality_obstruction()
+        prime = poly.coeffs[index].integrality_obstruction()
         if prime is not None:
             return FinitenessVerdict(False, failing_index=index, failing_prime=prime)
     return FinitenessVerdict(True)
@@ -139,22 +136,6 @@ def detect_orbit(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> OrbitShape
                          lambda j: matrix ** j, budget)
 
 
-def idempotent_power(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> int:
-    """Least k >= 1 with A^k = A^(2k), for matrices with finite power set.
-
-    Derived from the orbit shape: the smallest multiple of the period that is
-    >= max(preperiod, 1).  Raises BudgetExhausted when the orbit cannot be
-    enumerated within budget.
-    """
-    orbit = detect_orbit(matrix, budget)
-    if orbit is None:
-        raise BudgetExhausted(f"no cycle found within {budget} multiplications")
-    k = _idempotent_exponent(orbit)
-    if matrix ** k != matrix ** (2 * k):
-        raise AssertionError("orbit shape produced a non-idempotent exponent")
-    return k
-
-
 def _idempotent_exponent(orbit: OrbitShape) -> int:
     c = orbit.period
     lo = max(orbit.preperiod, 1)
@@ -171,17 +152,16 @@ def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> in
     t^(2k) - t^k.  None means the budget ran out (residues of a non-integral
     matrix never cycle).
     """
-    ring = matrix.ring
     chi = list(char_poly(matrix).coeffs)
-    orbit = _first_repeat(tuple(tpoly.mod_monic([ring.one()], chi, ring)),
-                          lambda residue: tuple(tpoly.mod_monic([ring.zero(), *residue],
-                                                                chi, ring)),
-                          lambda j: tuple(tpoly.pow_t_mod(chi, j, ring)), budget)
+    zero = LaurentPoly.zero(chi[-1].modulus)
+    orbit = _first_repeat(tuple(tpoly.mod_monic([chi[-1]], chi)),
+                          lambda residue: tuple(tpoly.mod_monic([zero, *residue], chi)),
+                          lambda j: tuple(tpoly.pow_t_mod(chi, j)), budget)
     if orbit is None:
         return None
     k = _idempotent_exponent(orbit)
-    low = tpoly.pow_t_mod(chi, k, ring)
-    high = tpoly.pow_t_mod(chi, 2 * k, ring)
+    low = tpoly.pow_t_mod(chi, k)
+    high = tpoly.pow_t_mod(chi, 2 * k)
     if high != low:
         raise AssertionError("cycle detection produced a non-witness exponent")
     return k

@@ -11,7 +11,10 @@ nilpotent.  Former production paths are kept here too, each checking its
 successor on a fixed corpus: the transitivity gcd descent over F_p(x)[t],
 the dict convolution of Laurent polynomials, Brent's cycle detection, the
 two-case entry formula of the additive-to-linear embedding and the F_p[t]
-rendering of G_p.
+rendering of G_p.  So is the former public API that only the tests call:
+the zero matrix, the Frobenius companion, the idempotent power, the
+element embedding of a p-group with its inverse and image test, the basis
+configurations and the spreading semi-decision.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ from itertools import product
 from typing import Any, Sequence
 
 from addca import tpoly
+from addca.additive_ca import AbelianGroup, _embedding_scales
 from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
-from addca.lca import FiniteConfiguration, LcaRule, _fp_divmod, _fp_gcd, associated_matrix
-from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity, zeros
-from addca.power_semigroup import OrbitShape
+from addca.lca import FiniteConfiguration, LcaRule, _fp_gcd, _fp_trim, associated_matrix
+from addca.lca import step as lca_step
+from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity
+from addca.power_semigroup import (DEFAULT_BUDGET, BudgetExhausted, OrbitShape,
+                                   _idempotent_exponent, detect_orbit)
 
 MINOR_SUM_MAX_DIMENSION = 12
 
@@ -262,7 +268,7 @@ def descent_transitivity_oracle(rule: LcaRule) -> bool:
 
 def _coprime_with_t_power_minus_one(chi: list, h: int, ring: LaurentRing) -> bool:
     """Is gcd(chi, t^h - 1) trivial over the fraction field F_p(x)?"""
-    g = tpoly_sub(tpoly.pow_t_mod(chi, h, ring), [ring.one()], ring)
+    g = tpoly_sub(tpoly.pow_t_mod(chi, h), [ring.one()], ring)
     if not g:
         return False  # chi divides t^h - 1 outright
     f = list(chi)
@@ -285,7 +291,7 @@ def _pseudo_remainder(f: list, g: list, ring: LaurentRing) -> list:
         shift = len(out) - dg
         for i in range(dg):
             out[shift + i] = out[shift + i] - top * g[i]
-        out = tpoly.normalize(out, ring)
+        out = tpoly.normalize(out)
     return out
 
 
@@ -296,7 +302,7 @@ def tpoly_sub(a: Sequence[Any], b: Sequence[Any], ring) -> list:
         out[i] = out[i] + c
     for i, c in enumerate(b):
         out[i] = out[i] - c
-    return tpoly.normalize(out, ring)
+    return tpoly.normalize(out)
 
 
 def format_fp_poly(coeffs: list[int]) -> str:
@@ -337,6 +343,21 @@ def associated_lca_matrices(rule) -> tuple:
     return tuple(matrices)
 
 
+def fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b over F_p, ascending coefficient lists."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a:
+        c = (a[-1] * inv) % p
+        k = len(a) - len(b)
+        q[k] = c
+        for i in range(len(b)):
+            a[k + i] = (a[k + i] - c * b[i]) % p
+        _fp_trim(a)
+    return q, a
+
+
 def _strip_fp_content(coeffs: list, ring: LaurentRing) -> list:
     """Divide a t-polynomial over F_p[x, x^-1] by the F_p[x]-content of its
     coefficients (and by common x-powers), to keep pseudo-remainders small."""
@@ -366,7 +387,7 @@ def _strip_fp_content(coeffs: list, ring: LaurentRing) -> list:
         if dense is None:
             out.append(ring.zero())
             continue
-        quotient, remainder = _fp_divmod(dense, content, p)
+        quotient, remainder = fp_divmod(dense, content, p)
         if remainder:
             raise ArithmeticError("exact division expected")
         offset = c.support()[0]
@@ -379,7 +400,7 @@ def tychonoff_distance(a: FiniteConfiguration, b: FiniteConfiguration) -> float:
     """2^(-l) where l is the least radius at which the configurations differ."""
     if a == b:
         return 0.0
-    horizon = max(a.max_abs_position(), b.max_abs_position())
+    horizon = max(max_abs_position(a), max_abs_position(b))
     for radius in range(horizon + 1):
         if a.get(radius) != b.get(radius) or a.get(-radius) != b.get(-radius):
             return 2.0 ** (-radius)
@@ -478,7 +499,7 @@ def char_poly_by_minor_sums(matrix: RingMatrix) -> CharPoly:
         det = _det_by_laplace_dp(principal_submatrix(matrix, subset, subset))
         k = n - size
         coeffs[k] = coeffs[k] + (det if size % 2 == 0 else -det)
-    return CharPoly(tuple(coeffs), ring)
+    return CharPoly(tuple(coeffs))
 
 
 def column_replace_det(matrix: RingMatrix, cols: Sequence[int]) -> Any:
@@ -518,7 +539,7 @@ def integral_witness_constant(f: LaurentPoly) -> int | None:
     the mod-p constant of f for each prime p, so any CRT lift over the
     product of the distinct primes will do.
     """
-    if not f.is_integral_over_base():
+    if f.integrality_obstruction() is not None:
         return None
     radical = f.modulus.nilradical_generator()
     total = 0
@@ -578,5 +599,111 @@ def brent_residue_orbit(matrix: RingMatrix) -> OrbitShape:
     """Orbit shape of t^0, t^1, ... mod det(tI - A) by Brent's cycle detection."""
     ring = matrix.ring
     chi = list(char_poly(matrix).coeffs)
-    return brent_cycle(tuple(tpoly.mod_monic([ring.one()], chi, ring)),
-                       lambda residue: tuple(tpoly.mod_monic([ring.zero(), *residue], chi, ring)))
+    return brent_cycle(tuple(tpoly.mod_monic([ring.one()], chi)),
+                       lambda residue: tuple(tpoly.mod_monic([ring.zero(), *residue], chi)))
+
+
+# ---------------------------------------------------------------------------
+# former public API that only the tests call
+
+
+def zeros(ring, n: int) -> RingMatrix:
+    zero = ring.zero()
+    return RingMatrix(ring, [[zero] * n for _ in range(n)])
+
+
+def frobenius_companion(poly: CharPoly) -> RingMatrix:
+    """Companion matrix: ones on the superdiagonal, last row -a_0 ... -a_{n-1}.
+
+    Its characteristic polynomial is the given monic polynomial, which makes
+    it the canonical witness that every monic polynomial is a characteristic
+    polynomial.
+    """
+    n = poly.degree
+    if n < 1:
+        raise ValueError("companion matrix needs degree >= 1")
+    ring = LaurentRing(poly.modulus)
+    one, zero = ring.one(), ring.zero()
+    rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
+    rows.append([-poly.coeffs[j] for j in range(n)])
+    return RingMatrix(ring, rows)
+
+
+def idempotent_power(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> int:
+    """Least k >= 1 with A^k = A^(2k), for matrices with finite power set.
+
+    Derived from the orbit shape: the smallest multiple of the period that is
+    >= max(preperiod, 1).  Raises BudgetExhausted when the orbit cannot be
+    enumerated within budget.
+    """
+    orbit = detect_orbit(matrix, budget)
+    if orbit is None:
+        raise BudgetExhausted(f"no cycle found within {budget} multiplications")
+    k = _idempotent_exponent(orbit)
+    if matrix ** k != matrix ** (2 * k):
+        raise AssertionError("orbit shape produced a non-idempotent exponent")
+    return k
+
+
+def embed(group: AbelianGroup, element: Sequence[int]) -> tuple[int, ...]:
+    """Coordinatewise embedding of a p-group into (Z/p^k1)^n.
+
+    Component i is scaled by p^(k1 - k_i); the map is injective and additive,
+    and its image is exactly the set of vectors whose i-th component is
+    divisible by p^(k1 - k_i).
+    """
+    _, scales = _embedding_scales(group)
+    return tuple(v * s for v, s in zip(group.reduce(element), scales))
+
+
+def in_embedding_image(group: AbelianGroup, config: FiniteConfiguration) -> bool:
+    """Is a configuration over (Z/p^k1)^n cellwise inside Xi(G^Z)?"""
+    _, scales = _embedding_scales(group)
+    return all(v % s == 0 for vec in config.cells.values() for v, s in zip(vec, scales))
+
+
+def unembed(group: AbelianGroup, vector: Sequence[int]) -> tuple[int, ...]:
+    """Invert the embedding on its image: xi(unembed(v)) == v.
+
+    Raises ValueError when some component is not divisible by the required
+    power of p, i.e. the vector is outside xi(G).
+    """
+    modulus, scales = _embedding_scales(group)
+    vector = tuple(int(v) % modulus for v in vector)
+    if len(vector) != group.rank:
+        raise ValueError(f"vector needs {group.rank} components, got {len(vector)}")
+    for i, (v, scale) in enumerate(zip(vector, scales)):
+        if v % scale:
+            raise ValueError(f"component {i} = {v} is not a multiple of {scale}")
+    return tuple(v // s for v, s in zip(vector, scales))
+
+
+def max_abs_position(config: FiniteConfiguration) -> int:
+    return max((abs(p) for p in config.cells), default=0)
+
+
+def basis_config(rule: LcaRule, index: int) -> FiniteConfiguration:
+    """The configuration holding the standard basis vector e_index at cell 0."""
+    if not 0 <= index < rule.n:
+        raise ValueError(f"basis index {index} out of range for n={rule.n}")
+    vec = [0] * rule.n
+    vec[index] = 1
+    return FiniteConfiguration((rule.modulus.m,) * rule.n, {0: vec})
+
+
+def spreads(rule: LcaRule, index: int, horizon: int, budget: int = 200) -> bool | None:
+    """Semi-decide whether the basis perturbation e_index escapes [-horizon, horizon].
+
+    Iterates the rule on basis_config(index) for up to ``budget`` steps and
+    reports True at the first support excursion beyond the horizon.  None is
+    indeterminate: no excursion was observed within the budget (in particular
+    a perturbation that provably never moves still reports None).
+    """
+    current = basis_config(rule, index)
+    for _ in range(budget):
+        current = lca_step(rule, current)
+        if current.is_zero():
+            return None
+        if max_abs_position(current) > horizon:
+            return True
+    return None

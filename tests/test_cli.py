@@ -57,7 +57,7 @@ def test_analyze_json_round_trips(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["seed"] == 7
-    report = PropertyReport.from_dict(payload["report"])
+    report = PropertyReport(**payload["report"])
     assert report.to_dict() == payload["report"]
     assert report.sensitive and report.surjective and report.transitive
     assert not report.injective

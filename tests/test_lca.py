@@ -6,13 +6,13 @@ import random
 
 import pytest
 
+from addca import lca
 from addca.laurent import laurent_ring, parse_laurent
 from addca.lca import (
     FiniteConfiguration,
     LcaRule,
     analyze_rule,
     associated_matrix,
-    basis_config,
     decide_injective,
     decide_sensitivity,
     decide_surjective,
@@ -20,23 +20,24 @@ from addca.lca import (
     render_trajectory,
     scalar_rule,
     simulate,
-    spreads,
     step,
     transitivity_obstruction,
 )
 from addca.lca import _fp_gcd
 from addca.modring import factorize
 from addca.power_semigroup import detect_orbit
-from addca.polymat import RingMatrix, determinant, identity
+from addca.polymat import RingMatrix, char_poly, determinant, identity
 
 from oracles import (
     balance_surjectivity_oracle,
+    basis_config,
     bounded_transitivity_oracle,
     config_series_components,
     descent_transitivity_oracle,
     format_fp_poly,
     periodic_kernel_witness,
     render_trajectory_by_cells,
+    spreads,
     tychonoff_distance,
 )
 
@@ -236,7 +237,7 @@ def test_report_round_trip():
     from addca.lca import PropertyReport
 
     report = analyze_rule(rule90())
-    assert PropertyReport.from_dict(report.to_dict()) == report
+    assert PropertyReport(**report.to_dict()) == report
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +277,26 @@ def test_transitivity_matches_former_descent():
         assert decided == descent_transitivity_oracle(rule), rule
         obstructed += not decided and decide_surjective(rule)
     assert obstructed >= 40  # surjective but not transitive: the slices do the work
+
+
+def test_chi_mod_p_is_one_chi_reduced(monkeypatch):
+    """transitivity_obstruction runs Berkowitz once per rule and reduces chi
+    mod each prime p | m; that equals chi of A(X) reduced mod p."""
+    composite = [rule for rule in descent_corpus() if len(rule.modulus.primes) > 1]
+    assert len(composite) >= 40
+    for rule in composite:
+        matrix = associated_matrix(rule)
+        chi = char_poly(matrix).coeffs
+        for p in rule.modulus.primes:
+            reduced = RingMatrix(laurent_ring(p), [[entry.reduce_mod_prime(p) for entry in row]
+                                                   for row in matrix.rows])
+            assert char_poly(reduced).coeffs == tuple(c.reduce_mod_prime(p) for c in chi), rule
+    calls = []
+    monkeypatch.setattr(lca, "char_poly", lambda matrix: calls.append(matrix) or char_poly(matrix))
+    for rule in composite:
+        calls.clear()
+        transitivity_obstruction(rule)
+        assert len(calls) == 1, rule
 
 
 def test_transitivity_certificate_gives_a_failing_power():
