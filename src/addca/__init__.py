@@ -52,7 +52,6 @@ from .polymat import (
     matrix_from_ints,
 )
 from .power_semigroup import (
-    BudgetExhausted,
     FinitenessVerdict,
     OrbitShape,
     decide_finite_powers,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "AdditiveCaRule",
-    "BudgetExhausted",
     "CharPoly",
     "FiniteConfiguration",
     "FinitenessVerdict",

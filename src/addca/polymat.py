@@ -21,6 +21,16 @@ span exceeds _DENSE_SPAN_PER_TERM slots per nonzero term (the rule
 LaurentPoly uses for its own storage) runs the same recurrence on its
 Laurent entries instead, so x^(10^9) never becomes a 10^9-slot integer.
 
+The product of two such matrices A = x^lo_A A' and B = x^lo_B B' is packed
+the same way: entry (i, j) of A'B' at x = 2^s is the integer dot product
+of row i of A'(2^s) and column j of B'(2^s), one int multiply per term and
+one unpack per entry.  Every coefficient is non-negative, and each
+x-coefficient of an entry of A'B' over Z sums n convolutions of at most
+min(span_A, span_B) products below (m-1)^2, so an s of 2 bits(m-1) +
+bits(n min(span_A, span_B)) holds it exactly; reduced mod m and shifted by
+x^(lo_A + lo_B) the slots give AB.  Any other pair of matrices is multiplied
+entry by entry.
+
 The independent cross-checks of Berkowitz (minor sums by a Laplace DP,
 Cayley-Hamilton, the Frobenius companion matrix of a monic polynomial) live
 in the test oracles.
@@ -78,7 +88,15 @@ class RingMatrix:
         return RingMatrix(self.ring, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
+        """Matrix product; two dense Laurent matrices take one packed integer
+        dot product per entry (see the module docstring), any other pair
+        one ring dot product per entry."""
         self._check(other)
+        if isinstance(self.ring, LaurentRing):
+            shape_a = _dense_span(self.rows)
+            shape_b = shape_a and _dense_span(other.rows)
+            if shape_b:
+                return _product_at_power_of_two(self, other, *shape_a, *shape_b)
         cols = tuple(zip(*other.rows))
         return RingMatrix(self.ring, [[_dot(row, col) for col in cols] for row in self.rows])
 
@@ -172,14 +190,50 @@ def char_poly(matrix: RingMatrix) -> CharPoly:
     """
     ring = matrix.ring
     if isinstance(ring, LaurentRing):
-        entries = [a for row in matrix.rows for a in row if a.coeffs]
-        if entries:
-            lo = min([a.low for a in entries])
-            span = max([a.low + a._span() for a in entries]) - lo
-            if span <= _DENSE_SPAN_PER_TERM * sum([len(a.coeffs) - a.coeffs.count(0)
-                                                   for a in entries]):
-                return _char_poly_at_power_of_two(matrix, lo, span)
+        shape = _dense_span(matrix.rows)
+        if shape:
+            return _char_poly_at_power_of_two(matrix, *shape)
     return CharPoly(tuple(reversed(_berkowitz(matrix.rows, ring.one()))))
+
+
+def _dense_span(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int, int] | None:
+    """(lo, span) with every exponent of the entries in [lo, lo + span), when
+    the span is at most _DENSE_SPAN_PER_TERM slots per nonzero term of all
+    the entries; None for a wider or an all-zero matrix."""
+    entries = [a for row in rows for a in row if a.coeffs]
+    if not entries:
+        return None
+    lo = min([a.low for a in entries])
+    span = max([a.low + a._span() for a in entries]) - lo
+    # Every entry has a nonzero term, so the terms are counted only when the
+    # span is wide for the number of entries.
+    if span > _DENSE_SPAN_PER_TERM * len(entries) and span > _DENSE_SPAN_PER_TERM * sum(
+            [len(a.coeffs) - a.coeffs.count(0) for a in entries]):
+        return None
+    return lo, span
+
+
+def _at_power_of_two(rows: Sequence[Sequence[LaurentPoly]], lo: int, width: int) -> list:
+    """Every entry times x^-lo, evaluated at x = 2^(8 width)."""
+    bits = 8 * width
+    return [[pack_slots(a._slots(), width) << bits * (a.low - lo) if a.coeffs else 0
+             for a in row] for row in rows]
+
+
+def _product_at_power_of_two(a: RingMatrix, b: RingMatrix, lo_a: int, span_a: int, lo_b: int,
+                             span_b: int) -> RingMatrix:
+    """a * b for Laurent matrices with exponents in [lo_a, lo_a + span_a) and
+    [lo_b, lo_b + span_b), by one integer dot product per entry at x = 2^s."""
+    modulus = a.ring.modulus
+    m = modulus.m
+    width = slot_width(2 * (m - 1).bit_length() + (a.n * min(span_a, span_b)).bit_length())
+    cols = tuple(zip(*_at_power_of_two(b.rows, lo_b, width)))
+    slots = span_a + span_b - 1
+    return RingMatrix(a.ring, [
+        [LaurentPoly._from_slots(modulus, lo_a + lo_b,
+                                 [c % m for c in unpack_slots(sum(map(mul, row, col)), slots, width)])
+         for col in cols]
+        for row in _at_power_of_two(a.rows, lo_a, width)])
 
 
 def _char_poly_at_power_of_two(matrix: RingMatrix, lo: int, span: int) -> CharPoly:
@@ -190,9 +244,7 @@ def _char_poly_at_power_of_two(matrix: RingMatrix, lo: int, span: int) -> CharPo
     m = modulus.m
     width = slot_width((factorial(n) * ((m - 1) * span) ** n).bit_length() + 1)
     bits = 8 * width
-    rows = [[pack_slots(a._slots(), width) << bits * (a.low - lo) if a.coeffs else 0
-             for a in row] for row in matrix.rows]
-    coeffs_desc = _berkowitz(rows, 1)
+    coeffs_desc = _berkowitz(_at_power_of_two(matrix.rows, lo, width), 1)
     # Adding half to every slot makes the balanced digits non-negative.
     half = 1 << bits - 1
     top = n * (span - 1) + 1  # slots of the constant coefficient

@@ -31,10 +31,6 @@ from .polymat import CharPoly, RingMatrix, char_poly, identity
 DEFAULT_BUDGET = 100_000
 
 
-class BudgetExhausted(RuntimeError):
-    """An enumeration did not finish within its step budget."""
-
-
 @dataclass(frozen=True, slots=True)
 class OrbitShape:
     """Eventual-cycle shape of the power sequence A^0, A^1, ...

@@ -9,11 +9,12 @@ Laplace scheme that shares nothing with Berkowitz) and against
 Cayley-Hamilton; Laurent integrality against a CRT constant c with (f - c)
 nilpotent.  Former production paths are kept here too, each checking its
 successor on a fixed corpus: the transitivity gcd descent over F_p(x)[t],
-the dict convolution of Laurent polynomials, Brent's cycle detection, the
-two-case entry formula of the additive-to-linear embedding and the F_p[t]
-rendering of G_p.  So is the former public API that only the tests call:
-the zero matrix, the Frobenius companion, the idempotent power, the
-element embedding of a p-group with its inverse and image test, the basis
+the dict convolution of Laurent polynomials, the entrywise matrix product,
+Brent's cycle detection, the two-case entry formula of the
+additive-to-linear embedding and the F_p[t] rendering of G_p.  So is the
+former public API that only the tests call: the zero matrix, the Frobenius
+companion, the idempotent power with its budget exception, the element
+embedding of a p-group with its inverse and image test, the basis
 configurations and the spreading semi-decision.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from itertools import product
+from operator import mul
 
 from typing import Any, Sequence
 
@@ -31,8 +33,7 @@ from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_gcd, _fp_trim, associated_matrix
 from addca.lca import step as lca_step
 from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity
-from addca.power_semigroup import (DEFAULT_BUDGET, BudgetExhausted, OrbitShape,
-                                   _idempotent_exponent, detect_orbit)
+from addca.power_semigroup import DEFAULT_BUDGET, OrbitShape, _idempotent_exponent, detect_orbit
 
 MINOR_SUM_MAX_DIMENSION = 12
 
@@ -559,6 +560,13 @@ def dict_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.modulus, out)
 
 
+def matmul_by_entries(a: RingMatrix, b: RingMatrix) -> RingMatrix:
+    """a * b with each entry a sum of Laurent products of a row and a column."""
+    zero = a.ring.zero()
+    cols = list(zip(*b.rows))
+    return RingMatrix(a.ring, [[sum(map(mul, row, col), zero) for col in cols] for row in a.rows])
+
+
 def brent_cycle(start, advance) -> OrbitShape:
     """Minimal (preperiod, period) of an eventually periodic sequence by
     Brent's cycle detection; ``advance`` maps a value to its successor."""
@@ -627,6 +635,10 @@ def frobenius_companion(poly: CharPoly) -> RingMatrix:
     rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
     rows.append([-poly.coeffs[j] for j in range(n)])
     return RingMatrix(ring, rows)
+
+
+class BudgetExhausted(RuntimeError):
+    """An enumeration did not finish within its step budget."""
 
 
 def idempotent_power(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> int:

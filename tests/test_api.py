@@ -20,7 +20,7 @@ DRIVERS = sorted([ROOT / "perfbench" / "bench_workloads.py", ROOT / "perfbench" 
 REMOVED = ("ResidueElement", "ZmodRing", "zmod", "crt_combine", "crt_split",
            # moved to tests/oracles.py: only the tests call them
            "spreads", "basis_config", "idempotent_power", "embed", "unembed",
-           "in_embedding_image", "frobenius_companion", "zeros")
+           "in_embedding_image", "frobenius_companion", "zeros", "BudgetExhausted")
 
 
 def test_all_names_resolve_and_are_unique():

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from addca import tpoly
-from addca.laurent import LaurentPoly, laurent_ring, parse_laurent
+from addca import polymat, tpoly
+from addca.laurent import LaurentPoly, laurent_ring, parse_laurent, slot_width
 from addca.polymat import (
     CharPoly,
     RingMatrix,
@@ -18,12 +18,14 @@ from addca.polymat import (
     identity,
     matrix_from_ints,
 )
+from addca.power_semigroup import detect_orbit, sampled_degree_growth
 
 from oracles import (
     cayley_hamilton_check,
     char_poly_by_minor_sums,
     column_replace_det,
     frobenius_companion,
+    matmul_by_entries,
     principal_submatrix,
     zeros,
 )
@@ -310,3 +312,126 @@ def test_wide_span_matrix_runs_on_laurent_entries():
     assert poly == char_poly_by_minor_sums(a)
     assert poly.coeffs == (ring.zero(), ring.monomial(10**9, 2) + ring.monomial(-10**9, 2),
                            ring.one())
+
+
+def random_matrix(rng: random.Random, m: int, n: int) -> RingMatrix:
+    return RingMatrix(laurent_ring(m), [[random_mixed_entry(rng, m) for _ in range(n)]
+                                        for _ in range(n)])
+
+
+def sparse_matrix(rng: random.Random, m: int, n: int, radius: int = 1000) -> RingMatrix:
+    """Entries on x^-radius and x^radius only: far too wide to pack."""
+    modulus = laurent_ring(m).modulus
+    return RingMatrix(laurent_ring(m), [
+        [LaurentPoly(modulus, {-radius: rng.randrange(m), radius: rng.randrange(m)})
+         for _ in range(n)] for _ in range(n)])
+
+
+def full_matrix(m: int, n: int, low: int, span: int) -> RingMatrix:
+    """Every entry the all-(m - 1) polynomial on x^low ... x^(low + span - 1)."""
+    ring = laurent_ring(m)
+    full = LaurentPoly(ring.modulus, {e: m - 1 for e in range(low, low + span)})
+    return RingMatrix(ring, [[full] * n for _ in range(n)])
+
+
+def narrow_slot_overflow_shape(m: int) -> tuple[int, int] | None:
+    """(n, span) with n <= 5 at which the product of two all-(m - 1)
+    matrices fills its slot: one bit less rounds down to fewer bytes, and
+    the largest coefficient over Z, n span (m - 1)^2, overflows them."""
+    for n in range(1, 6):
+        for span in range(1, 41):
+            bits = 2 * (m - 1).bit_length() + (n * span).bit_length()
+            narrow = slot_width(bits - 1)
+            if narrow < slot_width(bits) and n * span * (m - 1) ** 2 >= 256 ** narrow:
+                return n, span
+    return None
+
+
+def assert_canonical(matrix: RingMatrix) -> None:
+    for row in matrix.rows:
+        for entry in row:
+            rebuilt = LaurentPoly(entry.modulus, dict(entry.items()))
+            assert entry == rebuilt and hash(entry) == hash(rebuilt), entry
+
+
+def test_matrix_product_matches_entrywise_oracle_differentially():
+    """RingMatrix.__mul__ (one packed dot product per entry when both
+    factors are dense) against the entrywise product, on zero, identity,
+    random, sparse and full-coefficient factors."""
+    rng = random.Random(20261019)
+    for m in DIFFERENTIAL_MODULI:
+        ring = laurent_ring(m)
+        pairs = []
+        for n in range(6):
+            a, b = random_matrix(rng, m, n), random_matrix(rng, m, n)
+            shifted = RingMatrix(ring, [[entry.shift(rng.randrange(-9, 10)) for entry in row]
+                                        for row in b.rows])
+            pairs += [(a, b), (b, a), (a, shifted), (zeros(ring, n), a), (a, zeros(ring, n)),
+                      (identity(ring, n), a), (a, identity(ring, n)),
+                      (a, sparse_matrix(rng, m, n)), (sparse_matrix(rng, m, n), a),
+                      (full_matrix(m, n, -2, 3), full_matrix(m, n, 1, 4))]
+        wide = RingMatrix(ring, [[ring.monomial(10**9), ring.one()],
+                                 [ring.one(), ring.monomial(-10**9)]])
+        pairs += [(wide, wide), (wide, random_matrix(rng, m, 2)), (random_matrix(rng, m, 2), wide)]
+        shape = narrow_slot_overflow_shape(m)
+        # For m = 2 and 9, (m - 1)^2 <= 2^(2 bits(m - 1) - 2): two slot bits stay unused.
+        assert (shape is None) == (m in (2, 9)), m
+        if shape:
+            n, span = shape
+            pairs.append((full_matrix(m, n, -1, span), full_matrix(m, n, -1, span)))
+        for a, b in pairs:
+            product = a * b
+            assert product == matmul_by_entries(a, b), (m, a.rows, b.rows)
+            assert_canonical(product)
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap owner.name so that every call appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_dense_products_make_no_entry_multiplies(monkeypatch):
+    rng = random.Random(99)
+    dense = random_laurent_matrix(rng, 9, 3, span=2)
+    sparse = sparse_matrix(rng, 9, 3)
+    calls = _count_calls(monkeypatch, LaurentPoly, "__mul__")
+    dense * dense
+    assert not calls
+    for a, b in ((sparse, sparse), (dense, sparse), (sparse, dense)):
+        calls.clear()
+        a * b
+        assert len(calls) == 27, (a.rows, b.rows)
+
+
+def test_power_searches_make_the_same_matrix_products(monkeypatch):
+    """detect_orbit and sampled_degree_growth make as many matrix products
+    whether the products are packed or entrywise."""
+    rng = random.Random(2026)
+    ring = laurent_ring(4)
+    shear = RingMatrix(ring, [[ring.one(), ring.monomial(1)], [ring.zero(), ring.one()]])
+    matrices = [shear, random_zmod_matrix(rng, 9, 3), random_laurent_matrix(rng, 4, 2),
+                sparse_matrix(rng, 8, 2, radius=50)]
+    calls = _count_calls(monkeypatch, RingMatrix, "__mul__")
+
+    def run(matrix):
+        calls.clear()
+        orbit = detect_orbit(matrix, budget=40)
+        orbit_products = len(calls)
+        calls.clear()
+        profile = sampled_degree_growth(matrix, 4)
+        return orbit, orbit_products, profile, len(calls)
+
+    for matrix in matrices:
+        packed = run(matrix)
+        with monkeypatch.context() as entrywise:
+            entrywise.setattr(polymat, "_dense_span", lambda rows: None)
+            assert run(matrix) == packed
+        assert packed[3] == 4

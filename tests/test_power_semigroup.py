@@ -11,7 +11,6 @@ from addca import tpoly
 from addca.laurent import laurent_ring
 from addca.polymat import RingMatrix, char_poly, identity, matrix_from_ints
 from addca.power_semigroup import (
-    BudgetExhausted,
     OrbitShape,
     _first_repeat,
     _idempotent_exponent,
@@ -21,8 +20,8 @@ from addca.power_semigroup import (
     sampled_degree_growth,
 )
 
-from oracles import (brent_orbit, brent_residue_orbit, frobenius_companion, idempotent_power,
-                     tpoly_sub)
+from oracles import (BudgetExhausted, brent_orbit, brent_residue_orbit, frobenius_companion,
+                     idempotent_power, tpoly_sub)
 from test_polymat import random_laurent_matrix, random_zmod_matrix
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
