@@ -21,7 +21,7 @@ from .additive_ca import (
     simulate_additive,
     step_additive,
 )
-from .laurent import LaurentPoly, LaurentRing, laurent_ring, parse_laurent
+from .laurent import LaurentPoly, LaurentRing, laurent_ring
 from .lca import (
     FiniteConfiguration,
     LcaRule,
@@ -98,7 +98,6 @@ __all__ = [
     "identity",
     "laurent_ring",
     "matrix_from_ints",
-    "parse_laurent",
     "prime_components",
     "project_config",
     "render_trajectory",

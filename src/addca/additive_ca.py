@@ -20,9 +20,8 @@ construction through the commutation identity rather than fixed literals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lca import FiniteConfiguration, LcaRule, PropertyReport, _step_kernel, analyze_rule
 from .modring import canonical_matrix, factorize, short_repr
@@ -32,8 +31,7 @@ class MalformedEndomorphismError(ValueError):
     """An integer matrix does not define an endomorphism of the group."""
 
 
-@dataclass(frozen=True, slots=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple("AbelianGroup", [("factors", tuple)])):
     """A finite abelian group presented as a product of primary cyclic factors.
 
     ``factors[i]`` is a prime power q_i >= 2 and the group is the product of
@@ -41,27 +39,21 @@ class AbelianGroup:
     i taken mod q_i.
     """
 
-    factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        factors = tuple(int(q) for q in self.factors)
+    def __new__(cls, factors: Sequence[int]) -> "AbelianGroup":
+        factors = tuple(int(q) for q in factors)
         if not factors:
             raise ValueError("group needs at least one cyclic factor")
         for q in factors:
             mod = factorize(q)  # raises InvalidModulusError for q < 2
             if len(mod.factorization) != 1:
                 raise ValueError(f"factor {short_repr(q)} is not a prime power; split it first")
-        object.__setattr__(self, "factors", factors)
+        return super().__new__(cls, factors)
 
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-    def order(self) -> int:
-        total = 1
-        for q in self.factors:
-            total *= q
-        return total
 
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted({factorize(q).primes[0] for q in self.factors}))
@@ -77,14 +69,9 @@ class AbelianGroup:
             raise ValueError(f"element needs {self.rank} components, got {len(vector)}")
         return tuple(v % q for v, q in zip(vector, self.factors))
 
-    def elements(self):
-        from itertools import product
 
-        return product(*(range(q) for q in self.factors))
-
-
-@dataclass(frozen=True, slots=True)
-class GroupEndomorphism:
+class GroupEndomorphism(NamedTuple("GroupEndomorphism", [("group", AbelianGroup),
+                                                         ("matrix", tuple)])):
     """An endomorphism of an AbelianGroup given by an integer matrix.
 
     Column j is the image of the j-th canonical generator, written in
@@ -94,18 +81,17 @@ class GroupEndomorphism:
     and must vanish when the factors involve different primes.
     """
 
-    group: AbelianGroup
-    matrix: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rank = self.group.rank
-        reduced = canonical_matrix(self.matrix, self.group.factors)
+    def __new__(cls, group: AbelianGroup, matrix) -> "GroupEndomorphism":
+        rank = group.rank
+        reduced = canonical_matrix(matrix, group.factors)
         if reduced is None:
             raise MalformedEndomorphismError(f"matrix must be {rank}x{rank}")
         for i in range(rank):
-            p_i, k_i = self.group.prime_exponent(i)
+            p_i, k_i = group.prime_exponent(i)
             for j in range(rank):
-                p_j, k_j = self.group.prime_exponent(j)
+                p_j, k_j = group.prime_exponent(j)
                 entry = reduced[i][j]
                 if entry == 0:
                     continue
@@ -117,7 +103,7 @@ class GroupEndomorphism:
                     raise MalformedEndomorphismError(
                         f"entry ({i},{j}) = {entry} must be divisible by "
                         f"{p_i}^{k_i - k_j} to define a homomorphism")
-        object.__setattr__(self, "matrix", reduced)
+        return super().__new__(cls, group, reduced)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         vec = self.group.reduce(vector)
@@ -125,29 +111,27 @@ class GroupEndomorphism:
                      for row, q in zip(self.matrix, self.group.factors))
 
 
-@dataclass(frozen=True, slots=True)
-class AdditiveCaRule:
+class AdditiveCaRule(NamedTuple("AdditiveCaRule", [("group", AbelianGroup), ("radius", int),
+                                                   ("endomorphisms", tuple)])):
     """A radius-r additive CA on G^Z: F(c)_i = sum_z delta_z(c_{i+z})."""
 
-    group: AbelianGroup
-    radius: int
-    endomorphisms: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.radius < 0:
+    def __new__(cls, group: AbelianGroup, radius: int, endomorphisms) -> "AdditiveCaRule":
+        if radius < 0:
             raise ValueError("radius must be >= 0")
-        endos = tuple(self.endomorphisms)
-        if len(endos) != 2 * self.radius + 1:
+        endos = tuple(endomorphisms)
+        if len(endos) != 2 * radius + 1:
             raise ValueError(
-                f"expected {2 * self.radius + 1} endomorphisms, got {len(endos)}")
+                f"expected {2 * radius + 1} endomorphisms, got {len(endos)}")
         normalized = []
         for endo in endos:
             if not isinstance(endo, GroupEndomorphism):
-                endo = GroupEndomorphism(self.group, endo)
-            elif endo.group != self.group:
+                endo = GroupEndomorphism(group, endo)
+            elif endo.group != group:
                 raise ValueError("endomorphism attached to a different group")
             normalized.append(endo)
-        object.__setattr__(self, "endomorphisms", tuple(normalized))
+        return super().__new__(cls, group, radius, tuple(normalized))
 
     def offsets(self) -> range:
         return range(-self.radius, self.radius + 1)
@@ -175,8 +159,7 @@ def simulate_additive(rule: AdditiveCaRule, config: FiniteConfiguration,
 # primary decomposition
 
 
-@dataclass(frozen=True)
-class PrimeComponent:
+class PrimeComponent(NamedTuple):
     """One prime-primary component of an additive CA.
 
     ``rule`` lives over the factors of the original group that belong to

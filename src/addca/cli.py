@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .additive_ca import (
     AdditiveCaRule,
@@ -57,8 +57,7 @@ class SpecError(ValueError):
     """A rule specification is malformed; the message names the bad field."""
 
 
-@dataclass
-class SpecDocument:
+class SpecDocument(NamedTuple):
     kind: str
     rule: LcaRule | AdditiveCaRule
     initial: FiniteConfiguration | None

@@ -46,14 +46,11 @@ shortcut.
 
 from __future__ import annotations
 
-import re
 import struct
 import sys
-from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .modring import Modulus, RingMismatchError, factorize, power
 
@@ -158,13 +155,6 @@ class LaurentPoly:
 
     def is_constant(self) -> bool:
         return not self.coeffs or (self.low == 0 and len(self.coeffs) == 1)
-
-    def constant_value(self) -> int:
-        if self.exps is not None:
-            index = bisect_left(self.exps, 0)
-            return self.coeffs[index] if index < len(self.exps) and not self.exps[index] else 0
-        index = -self.low
-        return self.coeffs[index] if 0 <= index < len(self.coeffs) else 0
 
     def _span(self) -> int:
         """Number of exponents from the lowest to the highest (0 for zero)."""
@@ -308,7 +298,7 @@ class LaurentPoly:
                 return p
         return None
 
-    # -- rendering / parsing -------------------------------------------------
+    # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -366,37 +356,7 @@ def unpack_slots(value: int, slots: int, width: int) -> Sequence[int]:
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?x(?:\^(-?\d+))?$")
-
-
-def parse_laurent(text: str, modulus: Modulus) -> LaurentPoly:
-    """Parse the rendering produced by ``str(LaurentPoly)``.
-
-    Accepts sums of ``c``, ``x``, ``c x^e`` and ``x^e`` terms joined by '+',
-    e.g. ``"2x^3 + x + 5 + x^-2"``.
-    """
-    text = text.strip()
-    if text == "0":
-        return LaurentPoly.zero(modulus)
-    terms: list[tuple[int, int]] = []
-    for raw in text.split("+"):
-        token = raw.strip()
-        if not token:
-            raise ValueError(f"empty term in {text!r}")
-        if token.isdigit():
-            terms.append((0, int(token)))
-            continue
-        match = _TERM_RE.match(token)
-        if not match:
-            raise ValueError(f"cannot parse Laurent term {token!r}")
-        coeff = int(match.group(1)) if match.group(1) else 1
-        exponent = int(match.group(2)) if match.group(2) else 1
-        terms.append((exponent, coeff))
-    return LaurentPoly(modulus, terms)
-
-
-@dataclass(frozen=True, slots=True)
-class LaurentRing:
+class LaurentRing(NamedTuple):
     """Handle for (Z/mZ)[x, x^-1] used by generic matrix/polynomial code."""
 
     modulus: Modulus

@@ -26,9 +26,8 @@ and every dynamical question handled here reduces to algebra on A(X):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, LaurentRing
 from .modring import Modulus, canonical_matrix, factorize
@@ -40,34 +39,30 @@ from .power_semigroup import decide_finite_powers
 # rules and configurations
 
 
-@dataclass(frozen=True, slots=True)
-class LcaRule:
+class LcaRule(NamedTuple("LcaRule", [("modulus", Modulus), ("n", int), ("radius", int),
+                                     ("matrices", tuple)])):
     """A radius-r linear CA rule on (Z/mZ)^n: one n x n matrix per offset.
 
     ``matrices[k]`` is the matrix A_z for z = k - radius, entries canonical
     residues in [0, m).
     """
 
-    modulus: Modulus
-    n: int
-    radius: int
-    matrices: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, modulus: Modulus, n: int, radius: int, matrices) -> "LcaRule":
+        if n < 1:
             raise ValueError("alphabet rank n must be >= 1")
-        if self.radius < 0:
+        if radius < 0:
             raise ValueError("radius must be >= 0")
-        mats = tuple(self.matrices)
-        if len(mats) != 2 * self.radius + 1:
+        mats = tuple(matrices)
+        if len(mats) != 2 * radius + 1:
             raise ValueError(
-                f"expected {2 * self.radius + 1} matrices for radius {self.radius}, got {len(mats)}"
+                f"expected {2 * radius + 1} matrices for radius {radius}, got {len(mats)}"
             )
-        moduli = (self.modulus.m,) * self.n
-        normalized = tuple(canonical_matrix(mat, moduli) for mat in mats)
+        normalized = tuple(canonical_matrix(mat, (modulus.m,) * n) for mat in mats)
         if None in normalized:
-            raise ValueError(f"each local matrix must be {self.n}x{self.n}")
-        object.__setattr__(self, "matrices", normalized)
+            raise ValueError(f"each local matrix must be {n}x{n}")
+        return super().__new__(cls, modulus, n, radius, normalized)
 
     def matrix_at_offset(self, z: int) -> tuple:
         return self.matrices[z + self.radius]
@@ -277,8 +272,7 @@ def transitivity_obstruction(rule: LcaRule) -> tuple[int, list[int]] | None:
     return None
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Decision summary for one CA, with human-readable witness notes."""
 
     sensitive: bool
@@ -286,17 +280,10 @@ class PropertyReport:
     injective: bool
     surjective: bool
     transitive: bool
-    notes: dict[str, str] = field(default_factory=dict)
+    notes: dict[str, str]
 
     def to_dict(self) -> dict:
-        return {
-            "sensitive": self.sensitive,
-            "equicontinuous": self.equicontinuous,
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "transitive": self.transitive,
-            "notes": dict(self.notes),
-        }
+        return {**self._asdict(), "notes": dict(self.notes)}
 
 
 def analyze_rule(rule: LcaRule) -> PropertyReport:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -33,32 +32,40 @@ class RingMismatchError(ValueError):
     """Two elements from different rings were combined."""
 
 
-@dataclass(frozen=True, slots=True)
 class Modulus:
     """A modulus m >= 2 together with its prime factorization.
 
     ``factorization`` is a tuple of (prime, exponent) pairs in increasing
     prime order; it is carried around so that per-prime questions
-    (nilpotency, reductions) never re-factor.
+    (nilpotency, reductions) never re-factor.  Immutable, and compared and
+    hashed by both fields.  Unlike the package's NamedTuple value types it is
+    a plain ``__slots__`` class, because every Laurent operation reads ``m``
+    and a slot is read faster than a tuple field.
     """
 
-    m: int
-    factorization: tuple[tuple[int, int], ...]
+    __slots__ = ("m", "factorization")
+
+    def __init__(self, m: int, factorization: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "factorization", factorization)
 
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factorization)
 
-    @property
-    def max_exponent(self) -> int:
-        return max(k for _, k in self.factorization)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Modulus")
 
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(p**k for p, k in self.factorization)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Modulus):
+            return NotImplemented
+        return self.m == other.m and self.factorization == other.factorization
 
-    def nilradical_generator(self) -> int:
-        """Product of the distinct primes dividing m (generates the nilradical)."""
-        return math.prod(self.primes)
+    def __hash__(self) -> int:
+        return hash((self.m, self.factorization))
+
+    def __repr__(self) -> str:
+        return f"Modulus(m={self.m!r}, factorization={self.factorization!r})"
 
     def __str__(self) -> str:
         return f"Z/{self.m}"

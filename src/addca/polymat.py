@@ -38,11 +38,10 @@ in the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import factorial
 from operator import add, mul
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .laurent import (_DENSE_SPAN_PER_TERM, LaurentPoly, LaurentRing, pack_slots,
                       slot_width, unpack_slots)
@@ -106,12 +105,6 @@ class RingMatrix:
     def __pow__(self, exponent: int) -> "RingMatrix":
         return power(identity(self.ring, self.n), self, exponent, mul)
 
-    def trace(self) -> Any:
-        acc = self.ring.zero()
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingMatrix):
             return NotImplemented
@@ -136,21 +129,21 @@ def matrix_from_ints(ring, rows: Sequence[Sequence[int]]) -> RingMatrix:
     return RingMatrix(ring, [[ring.from_int(v) for v in row] for row in rows])
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple("CharPoly", [("coeffs", tuple)])):
     """Monic characteristic polynomial; coeffs[k] is the coefficient of t^k.
 
     The coefficients are Laurent polynomials over the modulus of the leading
     one.
     """
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.coeffs and not isinstance(self.coeffs[-1], LaurentPoly):
-            raise TypeError(f"unsupported coefficient type {type(self.coeffs[-1]).__name__}")
-        if not self.coeffs or self.coeffs[-1] != LaurentPoly.constant(self.modulus, 1):
+    def __new__(cls, coeffs: tuple) -> "CharPoly":
+        if coeffs and not isinstance(coeffs[-1], LaurentPoly):
+            raise TypeError(f"unsupported coefficient type {type(coeffs[-1]).__name__}")
+        if not coeffs or coeffs[-1] != LaurentPoly.constant(coeffs[-1].modulus, 1):
             raise ValueError("characteristic polynomial must be monic")
+        return super().__new__(cls, coeffs)
 
     @property
     def modulus(self) -> Modulus:

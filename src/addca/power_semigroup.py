@@ -21,7 +21,7 @@ verifies the exponent k of the last bullet by polynomial division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tpoly
 from .laurent import LaurentPoly
@@ -31,8 +31,7 @@ from .polymat import CharPoly, RingMatrix, char_poly, identity
 DEFAULT_BUDGET = 100_000
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitShape:
+class OrbitShape(NamedTuple):
     """Eventual-cycle shape of the power sequence A^0, A^1, ...
 
     ``preperiod`` is the least q with A^(q+c) = A^q and ``period`` the least
@@ -47,8 +46,7 @@ class OrbitShape:
         return self.preperiod + self.period
 
 
-@dataclass(frozen=True, slots=True)
-class FinitenessVerdict:
+class FinitenessVerdict(NamedTuple):
     """Outcome of the finiteness decision for a matrix power set.
 
     When infinite, ``failing_index``/``failing_prime`` name the first

@@ -15,11 +15,15 @@ additive-to-linear embedding and the F_p[t] rendering of G_p.  So is the
 former public API that only the tests call: the zero matrix, the Frobenius
 companion, the idempotent power with its budget exception, the element
 embedding of a p-group with its inverse and image test, the basis
-configurations and the spreading semi-decision.
+configurations, the spreading semi-decision, the prime powers, largest
+exponent and nilradical generator of a modulus, the Laurent parser, the
+constant term, the matrix trace and a group's order and elements.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from collections import deque
 from functools import partial
 from itertools import product
@@ -32,6 +36,7 @@ from addca.additive_ca import AbelianGroup, _embedding_scales
 from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_gcd, _fp_trim, associated_matrix
 from addca.lca import step as lca_step
+from addca.modring import Modulus
 from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity
 from addca.power_semigroup import DEFAULT_BUDGET, OrbitShape, _idempotent_exponent, detect_orbit
 
@@ -542,11 +547,11 @@ def integral_witness_constant(f: LaurentPoly) -> int | None:
     """
     if f.integrality_obstruction() is not None:
         return None
-    radical = f.modulus.nilradical_generator()
+    radical = nilradical_generator(f.modulus)
     total = 0
     for p in f.modulus.primes:
         rest = radical // p
-        total += f.reduce_mod_prime(p).constant_value() * rest * pow(rest, -1, p)
+        total += constant_value(f.reduce_mod_prime(p)) * rest * pow(rest, -1, p)
     return total % radical
 
 
@@ -719,3 +724,65 @@ def spreads(rule: LcaRule, index: int, horizon: int, budget: int = 200) -> bool 
         if max_abs_position(current) > horizon:
             return True
     return None
+
+
+def prime_powers(modulus: Modulus) -> tuple[int, ...]:
+    return tuple(p**k for p, k in modulus.factorization)
+
+
+def max_exponent(modulus: Modulus) -> int:
+    return max(k for _, k in modulus.factorization)
+
+
+def nilradical_generator(modulus: Modulus) -> int:
+    """Product of the distinct primes dividing m (generates the nilradical)."""
+    return math.prod(modulus.primes)
+
+
+_TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?x(?:\^(-?\d+))?$")
+
+
+def parse_laurent(text: str, modulus: Modulus) -> LaurentPoly:
+    """Parse the rendering produced by ``str(LaurentPoly)``.
+
+    Accepts sums of ``c``, ``x``, ``c x^e`` and ``x^e`` terms joined by '+',
+    e.g. ``"2x^3 + x + 5 + x^-2"``.
+    """
+    text = text.strip()
+    if text == "0":
+        return LaurentPoly.zero(modulus)
+    terms: list[tuple[int, int]] = []
+    for raw in text.split("+"):
+        token = raw.strip()
+        if not token:
+            raise ValueError(f"empty term in {text!r}")
+        if token.isdigit():
+            terms.append((0, int(token)))
+            continue
+        match = _TERM_RE.match(token)
+        if not match:
+            raise ValueError(f"cannot parse Laurent term {token!r}")
+        coeff = int(match.group(1)) if match.group(1) else 1
+        exponent = int(match.group(2)) if match.group(2) else 1
+        terms.append((exponent, coeff))
+    return LaurentPoly(modulus, terms)
+
+
+def constant_value(f: LaurentPoly) -> int:
+    """The coefficient of x^0."""
+    return dict(f.items()).get(0, 0)
+
+
+def matrix_trace(matrix: RingMatrix) -> Any:
+    acc = matrix.ring.zero()
+    for i in range(matrix.n):
+        acc = acc + matrix.rows[i][i]
+    return acc
+
+
+def group_order(group: AbelianGroup) -> int:
+    return math.prod(group.factors)
+
+
+def group_elements(group: AbelianGroup):
+    return product(*(range(q) for q in group.factors))

@@ -51,9 +51,12 @@ from oracles import (
     balance_surjectivity_oracle,
     bounded_transitivity_oracle,
     char_poly_by_minor_sums,
+    constant_value,
     evaluate_at_matrix,
     finite_support_kernel_witness,
     frobenius_companion,
+    matrix_trace,
+    max_exponent,
     periodic_kernel_witness,
     spreads,
     tpoly_sub,
@@ -267,11 +270,11 @@ def test_criterion_5_nilpotent_traces():
         produced += 1
         ring = laurent_ring(m)
         matrix = matrix_from_ints(ring, entries)
-        index_bound = n * factorize(m).max_exponent
+        index_bound = n * max_exponent(factorize(m))
         if matrix**index_bound != zeros(ring, n):
             failures += 1
             continue
-        trace = matrix.trace().constant_value()
+        trace = constant_value(matrix_trace(matrix))
         if trace % m:
             nonzero_traces += 1
         if not all(trace % p == 0 for p in factorize(m).primes):

@@ -1,15 +1,23 @@
-"""Public API guard: ``addca.__all__`` matches what the package exports."""
+"""Public API guard: ``addca.__all__`` matches what the package exports, the
+import stays light, and the value types are immutable values."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import addca
+from addca import (AbelianGroup, AdditiveCaRule, FinitenessVerdict, GroupEndomorphism, LcaRule,
+                   Modulus, OrbitShape, analyze_rule, associated_matrix, char_poly, factorize,
+                   laurent_ring, prime_components, scalar_rule)
+from addca.cli import parse_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_TRACE = ROOT / "perfbench" / "bench_trace.py"
@@ -17,10 +25,15 @@ BENCH_TRACE = ROOT / "perfbench" / "bench_trace.py"
 DRIVERS = sorted([ROOT / "perfbench" / "bench_workloads.py", ROOT / "perfbench" / "run.py",
                   *(ROOT / "scripts").glob("*.py")])
 
+# Standard modules that nothing in a process running addca needs; dataclasses
+# imports the other four.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
 REMOVED = ("ResidueElement", "ZmodRing", "zmod", "crt_combine", "crt_split",
            # moved to tests/oracles.py: only the tests call them
            "spreads", "basis_config", "idempotent_power", "embed", "unembed",
-           "in_embedding_image", "frobenius_companion", "zeros", "BudgetExhausted")
+           "in_embedding_image", "frobenius_companion", "zeros", "BudgetExhausted",
+           "parse_laurent")
 
 
 def test_all_names_resolve_and_are_unique():
@@ -96,3 +109,56 @@ def test_benchmark_and_script_references_resolve(path):
         for attribute in chain:
             assert hasattr(owner, attribute), f"{path.name}: {module}.{'.'.join(chain)}"
             owner = getattr(owner, attribute)
+
+
+def test_import_loads_no_introspection_modules():
+    """A fresh ``import addca, addca.cli`` pays for none of HEAVY_MODULES."""
+    code = ("import addca, addca.cli, sys; "
+            "print(' '.join(name for name in sys.argv[1:] if name in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, *HEAVY_MODULES],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == []
+
+
+def _group():
+    return AbelianGroup((4, 2))
+
+
+def _additive_rule():
+    return AdditiveCaRule(AbelianGroup((4, 3)), 0, (((1, 0), (0, 2)),))
+
+
+_RULE90_SPEC = {"kind": "linear", "m": 2, "n": 1, "radius": 1,
+                "matrices": [[[1]], [[0]], [[1]]], "initial": {"0": [1]}}
+
+# (type name, field to overwrite, factory building a fresh equal instance)
+VALUE_TYPES = [
+    ("Modulus", "m", lambda: Modulus(12, ((2, 2), (3, 1)))),
+    ("LaurentRing", "modulus", lambda: laurent_ring(4)),
+    ("OrbitShape", "period", lambda: OrbitShape(2, 3)),
+    ("FinitenessVerdict", "finite", lambda: FinitenessVerdict(False, 1, 2)),
+    ("PrimeComponent", "prime", lambda: prime_components(_additive_rule())[0]),
+    ("SpecDocument", "rule", lambda: parse_spec(_RULE90_SPEC)),
+    ("PropertyReport", "notes", lambda: analyze_rule(scalar_rule(2, (1, 0, 1)))),
+    ("LcaRule", "matrices", lambda: scalar_rule(4, (1, 2, 3))),
+    ("CharPoly", "coeffs",
+     lambda: char_poly(associated_matrix(LcaRule(factorize(4), 2, 0, (((1, 2), (3, 1)),))))),
+    ("AbelianGroup", "factors", _group),
+    ("GroupEndomorphism", "matrix", lambda: GroupEndomorphism(_group(), ((1, 2), (1, 1)))),
+    ("AdditiveCaRule", "endomorphisms", _additive_rule),
+]
+
+
+@pytest.mark.parametrize("name, field, make", VALUE_TYPES, ids=[row[0] for row in VALUE_TYPES])
+def test_value_types_are_immutable_values(name, field, make):
+    value = make()
+    assert type(value).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    assert not hasattr(value, "__dict__")
+    rebuilt = make()
+    assert rebuilt is not value and rebuilt == value
+    if name != "PropertyReport":  # its notes are a dict, so it has no hash
+        assert hash(rebuilt) == hash(value)

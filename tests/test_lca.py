@@ -7,7 +7,7 @@ import random
 import pytest
 
 from addca import lca
-from addca.laurent import laurent_ring, parse_laurent
+from addca.laurent import laurent_ring
 from addca.lca import (
     FiniteConfiguration,
     LcaRule,
@@ -35,6 +35,7 @@ from oracles import (
     config_series_components,
     descent_transitivity_oracle,
     format_fp_poly,
+    parse_laurent,
     periodic_kernel_witness,
     render_trajectory_by_cells,
     spreads,
