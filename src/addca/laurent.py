@@ -39,9 +39,11 @@ multiply yields every convolution sum in its own slot.  Slots are rounded up
 to 1, 2, 4 or 8 bytes and unpacked with ``memoryview.cast``; wider slots
 (large moduli) are unpacked by slicing the product's bytes.  Each slot is
 then reduced mod m.  The packing helpers also serve ``polymat.char_poly``,
-which evaluates a whole matrix at x = 2^s.  A one-term operand is a scaled shift.  The test oracle
-``tests/oracles.py::dict_product`` convolves term by term without either
-shortcut.
+which evaluates a whole matrix at x = 2^s, and the packed power walks of
+``power_semigroup``, which reduce every slot mod m with ``SlotReducer``
+instead of unpacking.  A one-term operand is a scaled shift.  The test
+oracle ``tests/oracles.py::dict_product`` convolves term by term without
+either shortcut.
 """
 
 from __future__ import annotations
@@ -269,17 +271,15 @@ class LaurentPoly:
 
     # -- prime-aware structure ----------------------------------------------
 
-    def _require_prime_factor(self, p: int) -> None:
-        if p not in self.modulus.primes:
-            raise ValueError(f"{p} is not a prime divisor of the modulus {self.modulus.m}")
-
     def reduce_mod_prime(self, p: int) -> "LaurentPoly":
         """Coefficientwise reduction onto (Z/pZ)[x, x^-1]."""
-        self._require_prime_factor(p)
+        target = self.modulus.prime_moduli.get(p)
+        if target is None:
+            raise ValueError(f"{p} is not a prime divisor of the modulus {self.modulus.m}")
         values = [c % p for c in self.coeffs]
         if self.exps is None:
-            return LaurentPoly._from_slots(factorize(p), self.low, values)
-        return LaurentPoly._from_terms(factorize(p), dict(zip(self.exps, values)))
+            return LaurentPoly._from_slots(target, self.low, values)
+        return LaurentPoly._from_terms(target, dict(zip(self.exps, values)))
 
     def pos_degree(self, p: int) -> int:
         """Largest exponent > 0 whose coefficient survives mod p (0 if none)."""
@@ -354,6 +354,44 @@ def unpack_slots(value: int, slots: int, width: int) -> Sequence[int]:
         return memoryview(value.to_bytes(slots * width, _BYTEORDER)).cast(_SLOT_FORMATS[width])
     data = value.to_bytes(slots * width, "little")
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+class SlotReducer:
+    """Reduces every slot of packed ints mod m without unpacking them.
+
+    For slot values below 2^bits, let s = bits + bits(m) and M = ceil(2^s / m).
+    Then floor(v M / 2^s) = floor(v / m) for every such v, because
+    2^s > m 2^bits (division by an invariant integer, Granlund and
+    Montgomery, PLDI 1994).  The slots are ``width`` bytes, at least
+    bits + bits(M) and s bits, so each v M stays inside its own slot and
+    v - m ((v M >> s) & mask), with 2^(8 width - s) - 1 in every slot of
+    mask, is v with each slot reduced mod m.
+    """
+
+    __slots__ = ("m", "width", "_shift", "_magic", "_digit", "_mask", "_mask_bits")
+
+    def __init__(self, m: int, bits: int):
+        shift = bits + m.bit_length()
+        magic = -(-(1 << shift) // m)
+        self.m = m
+        self.width = slot_width(max(bits + magic.bit_length(), shift))
+        self._shift = shift
+        self._magic = magic
+        self._digit = (1 << 8 * self.width - shift) - 1
+        self._mask = self._mask_bits = 0
+
+    def __call__(self, values: Sequence[int]) -> list[int]:
+        """``values`` with every slot, each below 2^bits, reduced mod m."""
+        need = max(map(int.bit_length, values))
+        if need > self._mask_bits:
+            # Grow the mask to twice the slots needed, so that a walk whose
+            # values lengthen step by step rebuilds it only O(log) times.
+            bits = 8 * self.width
+            slots = 2 * (need // bits + 1)
+            self._mask = self._digit * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
+            self._mask_bits = bits * slots
+        m, shift, magic, mask = self.m, self._shift, self._magic, self._mask
+        return [v - m * ((v * magic >> shift) & mask) for v in values]
 
 
 class LaurentRing(NamedTuple):

@@ -37,21 +37,23 @@ class Modulus:
 
     ``factorization`` is a tuple of (prime, exponent) pairs in increasing
     prime order; it is carried around so that per-prime questions
-    (nilpotency, reductions) never re-factor.  Immutable, and compared and
-    hashed by both fields.  Unlike the package's NamedTuple value types it is
-    a plain ``__slots__`` class, because every Laurent operation reads ``m``
+    (nilpotency, reductions) never re-factor.  ``primes`` lists its primes,
+    and ``prime_moduli`` maps each prime p to the Modulus of Z/pZ; both are
+    built once here.  Immutable, and compared and hashed by ``m`` and
+    ``factorization``.  Unlike the package's NamedTuple value types it is a
+    plain ``__slots__`` class, because every Laurent operation reads ``m``
     and a slot is read faster than a tuple field.
     """
 
-    __slots__ = ("m", "factorization")
+    __slots__ = ("m", "factorization", "primes", "prime_moduli")
 
     def __init__(self, m: int, factorization: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "factorization", factorization)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factorization)
+        primes = tuple(p for p, _ in factorization)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "prime_moduli", {
+            p: self if p == m else Modulus(p, ((p, 1),)) for p in primes})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Modulus")

@@ -29,7 +29,10 @@ x-coefficient of an entry of A'B' over Z sums n convolutions of at most
 min(span_A, span_B) products below (m-1)^2, so an s of 2 bits(m-1) +
 bits(n min(span_A, span_B)) holds it exactly; reduced mod m and shifted by
 x^(lo_A + lo_B) the slots give AB.  Any other pair of matrices is multiplied
-entry by entry.
+entry by entry.  `power_semigroup` walks the powers of one dense matrix on
+these packed entries without unpacking between steps: its slots are wide
+enough for the reduction mod m to run on the packed integers too
+(`laurent.SlotReducer`).
 
 The independent cross-checks of Berkowitz (minor sums by a Laplace DP,
 Cayley-Hamilton, the Frobenius companion matrix of a monic polynomial) live

@@ -16,17 +16,35 @@ executable cross-checks.  `detect_orbit` enumerates A^0, A^1, ... and
 first-repeat search: one product per distinct element, a map from hashes to
 indices instead of the elements themselves, and a recomputed x_j to confirm
 every hash hit, so the shape found is exact.  `divisibility_witness` then
-verifies the exponent k of the last bullet by polynomial division.
+verifies the exponent k of the last bullet by squaring t^k mod det(tI - A).
+
+Both walks run on packed integers when the Laurent entries are dense (the
+rule of `polymat._dense_span`).  A = x^lo A' is evaluated once at
+x = 2^W, as in `polymat`, and a walk state is (low, the n^2 entries of
+x^-low A^j at x = 2^W), with low the lowest exponent of A^j, so equal
+matrices have equal states.  One advance is n^2 integer dot products
+against the cached packed columns of A', then a slot-wise reduction mod m
+on the packed integers themselves (`laurent.SlotReducer`: v - m ((v M >> s)
+& mask) with M = ceil(2^s / m), exact for slots below 2^b when 2^s > m 2^b),
+then a shift that drops the zero slots below every entry.  The residues
+t^j mod chi walk the same way: -a_0 ... -a_(n-1) are packed once, and one
+advance is r_(i-1) + top * (-a_i), reduced.  Every hash hit is confirmed
+against A^j or ``pow_t_mod(chi, j)`` computed independently and packed the
+same way.  A matrix or chi that is not dense, or a state that turns sparse
+(x^k and x^-k in one state would be a 2k-slot integer), walks Laurent
+objects from the start instead, so the shape is the one that walk finds
+with the same budget.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from . import tpoly
-from .laurent import LaurentPoly
+from .laurent import _DENSE_SPAN_PER_TERM, LaurentPoly, LaurentRing, SlotReducer
 from .modring import power_cost
-from .polymat import CharPoly, RingMatrix, char_poly, identity
+from .polymat import CharPoly, RingMatrix, _at_power_of_two, _dense_span, char_poly, identity
 
 DEFAULT_BUDGET = 100_000
 
@@ -124,10 +142,104 @@ def detect_orbit(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> OrbitShape
     Returns the minimal (preperiod, period), or None when the budget (counted
     in matrix multiplications, including the A^j recomputed to confirm a
     hash hit) runs out.  A None is always "indeterminate": it never claims
-    the power set is infinite.
+    the power set is infinite.  A dense Laurent matrix walks packed states
+    (see the module docstring); any other matrix, or one whose powers turn
+    sparse, walks `RingMatrix` products.
     """
+    shape = _dense_span(matrix.rows) if isinstance(matrix.ring, LaurentRing) else None
+    if shape:
+        try:
+            return _first_repeat(*_packed_power_walk(matrix, *shape), budget)
+        except _SparseWalk:
+            pass
     return _first_repeat(identity(matrix.ring, matrix.n), lambda value: value * matrix,
                          lambda j: matrix ** j, budget)
+
+
+class _SparseWalk(Exception):
+    """A packed walk reached a state that Laurent storage would keep sparse."""
+
+
+def _packed_power_walk(matrix: RingMatrix, lo: int, span: int) -> tuple:
+    """(start, advance, power) of the packed walk on A^0, A^1, ..., for a
+    matrix with exponents in [lo, lo + span)."""
+    n = matrix.n
+    m = matrix.ring.modulus.m
+    # An entry of S A sums n convolutions of at most span products below m^2.
+    reduce = SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())
+    width = reduce.width
+    cols = tuple(zip(*_at_power_of_two(matrix.rows, lo, width)))
+
+    def advance(state: tuple) -> tuple:
+        low, entries = state
+        return _normalized(low + lo, reduce([sum(map(mul, entries[i:i + n], col))
+                                             for i in range(0, n * n, n) for col in cols]),
+                           width)
+
+    def power(j: int) -> tuple:
+        return _packed([a for row in (matrix ** j).rows for a in row], width)
+
+    return (0, tuple([int(i == j) for i in range(n) for j in range(n)])), advance, power
+
+
+def _packed_residue_walk(chi: list[LaurentPoly], lo: int) -> tuple:
+    """(start, advance, power) of the packed walk on t^0, t^1, ... mod chi,
+    for a chi whose lower coefficients have exponents from lo up."""
+    n = len(chi) - 1
+    m = chi[-1].modulus.m
+    zero = LaurentPoly.zero(chi[-1].modulus)
+    negchi = [-c for c in chi[:-1]]
+    # A slot of r_(i-1) + top (-a_i) is below m + span(a_i) m^2.
+    reduce = SlotReducer(m, (m - 1 + max([c._span() for c in negchi]) * (m - 1) ** 2)
+                         .bit_length())
+    width = reduce.width
+    bits = 8 * width
+    # t r = r_(n-1) t^n + ..., and t^n = -a_(n-1) t^(n-1) - ... - a_0 mod chi;
+    # the packed -a_i sit at x^lo, so the sum is aligned at x^min(lo, 0).
+    negchi = [c << bits * max(lo, 0) for c in _at_power_of_two([negchi], lo, width)[0]]
+    shift = bits * max(-lo, 0)
+
+    def advance(state: tuple) -> tuple:
+        low, residue = state
+        top = residue[-1]
+        return _normalized(low + min(lo, 0),
+                           reduce([(r << shift) + top * c for r, c in zip((0, *residue), negchi)]),
+                           width)
+
+    def power(j: int) -> tuple:
+        residue = tpoly.pow_t_mod(chi, j)
+        return _packed(residue + [zero] * (n - len(residue)), width)
+
+    return (0, (1,) + (0,) * (n - 1)), advance, power
+
+
+def _packed(entries: list[LaurentPoly], width: int) -> tuple[int, tuple[int, ...]]:
+    """Walk state of Laurent polynomials: their lowest exponent (0 if all are
+    zero) and each one times x^-low at x = 2^(8 width)."""
+    low = min([a.low for a in entries if a.coeffs], default=0)
+    return low, tuple(_at_power_of_two([entries], low, width)[0])
+
+
+def _normalized(low: int, values: list[int], width: int) -> tuple[int, tuple[int, ...]]:
+    """The walk state x^low (values at x = 2^(8 width)) with the zero slots
+    shared by the bottom of every value shifted out.
+
+    Raises _SparseWalk when the slots outnumber _DENSE_SPAN_PER_TERM times the
+    set bits (at least the nonzero slots), the storage rule of `LaurentPoly`,
+    so that x^k and x^-k in one state never become a 2k-slot integer.
+    """
+    bits = 8 * width
+    lowest = min([(v & -v).bit_length() for v in values if v], default=0)
+    if not lowest:
+        return 0, tuple(values)
+    slots = (lowest - 1) // bits
+    if slots:
+        low += slots
+        values = [v >> bits * slots for v in values]
+    if max(map(int.bit_length, values)) > bits * _DENSE_SPAN_PER_TERM * sum(
+            map(int.bit_count, values)):
+        raise _SparseWalk
+    return low, tuple(values)
 
 
 def _idempotent_exponent(orbit: OrbitShape) -> int:
@@ -139,26 +251,39 @@ def _idempotent_exponent(orbit: OrbitShape) -> int:
 def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> int | None:
     """An exponent k >= 1 such that det(tI - A) divides t^(2k) - t^k.
 
-    Runs the first-repeat search on the residues t^j mod det(tI - A) in the
-    quotient ring L[t]/(chi); since chi is monic the reduction needs no
-    division.  A hash hit at j is confirmed against ``pow_t_mod(chi, j)``.
-    The returned exponent is double-checked by explicitly reducing
-    t^(2k) - t^k.  None means the budget ran out (residues of a non-integral
+    Runs the first-repeat search on the residues t^j mod chi = det(tI - A) in
+    the quotient ring L[t]/(chi); since chi is monic the reduction needs no
+    division.  When the coefficients a_0 ... a_(n-1) of chi are dense (the
+    rule of `_dense_span`) the residues walk packed (see the module
+    docstring), otherwise, or once they turn sparse, as lists of Laurent
+    polynomials.  A hash hit at j is confirmed against ``pow_t_mod(chi, j)``.
+    The returned exponent is double-checked: squaring t^k mod chi must give
+    t^k back.  None means the budget ran out (residues of a non-integral
     matrix never cycle).
     """
     chi = list(char_poly(matrix).coeffs)
-    zero = LaurentPoly.zero(chi[-1].modulus)
-    orbit = _first_repeat(tuple(tpoly.mod_monic([chi[-1]], chi)),
-                          lambda residue: tuple(tpoly.mod_monic([zero, *residue], chi)),
-                          lambda j: tuple(tpoly.pow_t_mod(chi, j)), budget)
+    orbit = _residue_orbit(chi, budget)
     if orbit is None:
         return None
     k = _idempotent_exponent(orbit)
     low = tpoly.pow_t_mod(chi, k)
-    high = tpoly.pow_t_mod(chi, 2 * k)
-    if high != low:
+    if tpoly.mod_monic(tpoly.mul(low, low), chi) != low:
         raise AssertionError("cycle detection produced a non-witness exponent")
     return k
+
+
+def _residue_orbit(chi: list[LaurentPoly], budget: int) -> OrbitShape | None:
+    """Shape of t^0, t^1, ... mod the monic chi, by `_first_repeat`."""
+    shape = _dense_span([chi[:-1]])
+    if shape:
+        try:
+            return _first_repeat(*_packed_residue_walk(chi, shape[0]), budget)
+        except _SparseWalk:
+            pass
+    zero = LaurentPoly.zero(chi[-1].modulus)
+    return _first_repeat(tuple(tpoly.mod_monic([chi[-1]], chi)),
+                         lambda residue: tuple(tpoly.mod_monic([zero, *residue], chi)),
+                         lambda j: tuple(tpoly.pow_t_mod(chi, j)), budget)
 
 
 def sampled_degree_growth(matrix: RingMatrix, doublings: int = 5) -> list[int]:
@@ -175,7 +300,8 @@ def sampled_degree_growth(matrix: RingMatrix, doublings: int = 5) -> list[int]:
         for row in power.rows:
             for entry in row:
                 for p in entry.modulus.primes:
-                    best = max(best, entry.pos_degree(p), -entry.neg_degree(p))
+                    reduced = entry.reduce_mod_prime(p)
+                    best = max(best, reduced.low + reduced._span() - 1, -reduced.low)
         profile.append(best)
         if len(profile) > doublings:
             return profile

@@ -7,13 +7,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from addca import tpoly
-from addca.laurent import laurent_ring
-from addca.polymat import RingMatrix, char_poly, identity, matrix_from_ints
+from addca import power_semigroup, tpoly
+from addca.laurent import LaurentPoly, SlotReducer, laurent_ring, pack_slots, unpack_slots
+from addca.polymat import RingMatrix, _dense_span, char_poly, identity, matrix_from_ints
 from addca.power_semigroup import (
+    DEFAULT_BUDGET,
     OrbitShape,
+    _SparseWalk,
     _first_repeat,
     _idempotent_exponent,
+    _packed_power_walk,
+    _packed_residue_walk,
     decide_finite_powers,
     detect_orbit,
     divisibility_witness,
@@ -250,9 +254,20 @@ def test_orbit_search_is_exact_when_every_hash_collides(monkeypatch):
     assert _first_repeat(term(0), advance, recompute, budget=1000) == OrbitShape(7, 5)
     assert len(recomputed) == sum(range(12)) + 8  # every earlier index, then 0..7
 
-    monkeypatch.setattr(RingMatrix, "__hash__", lambda self: 0)
+    # Both packed walks hash their states with the builtin; shadow it in the
+    # module so that every state key collides.
+    keys = []
+
+    def colliding_hash(value):
+        keys.append(value)
+        return 0
+
+    monkeypatch.setattr(power_semigroup, "hash", colliding_hash, raising=False)
     a = nilpotent_diagonal_mod_8()
     assert detect_orbit(a) == brent_orbit(a)
+    assert divisibility_witness(a) == _idempotent_exponent(brent_residue_orbit(a))
+    assert all(type(low) is int and all(type(v) is int for v in values) for low, values in keys)
+    assert {len(values) for _, values in keys} == {4, 2}  # matrix states and residue states
 
 
 def test_orbit_search_spends_one_product_per_power():
@@ -279,3 +294,99 @@ def test_budget_one_is_indeterminate():
         assert divisibility_witness(a, budget=1) is None
         with pytest.raises(BudgetExhausted):
             idempotent_power(a, budget=1)
+
+
+def test_slot_reducer_matches_slotwise_remainder():
+    rng = random.Random(8080)
+    for m in (2, 3, 9, 25, 1 << 41, 3 ** 26):
+        for bits in (1, 7, 20, 64, 97):
+            reduce = SlotReducer(m, bits)
+            top = (1 << bits) - 1
+            for count in (1, 5, 40):
+                rows = [[top] * count, [rng.randrange(top + 1) for _ in range(count)]]
+                packed = reduce([pack_slots(row, reduce.width) for row in rows])
+                for row, value in zip(rows, packed):
+                    assert list(unpack_slots(value, count, reduce.width)) == [v % m for v in row]
+
+
+def _integral_corpus(rng: random.Random) -> list[RingMatrix]:
+    """Finite-power-set matrices for the packed walks.
+
+    C + r L(x), with C constant, r the product of the primes of m and L
+    Laurent, is integral (it is C mod every p | m); non-invertible C over
+    Z/4 and Z/8 gives preperiods.  Over m = 2^41 and 3^26 the block matrix
+    [[P, X], [0, N]], P a signed permutation, N = p^k L(x) with N^2 = 0 and
+    X full-size, has period ord(P) and slots far above 64 bits.  The zero
+    matrix, a wide-span matrix and [[2x^4 + 6]] over Z/8, whose square
+    4x^8 + 4 turns sparse, take the RingMatrix walks.
+    """
+    corpus = []
+    for m in (4, 8, 9, 12):
+        radical = 6 if m == 12 else (3 if m == 9 else 2)
+        for n in (1, 2, 3, 4):
+            for _ in range(2):
+                ring = laurent_ring(m)
+                rows = [[LaurentPoly(ring.modulus, {0: rng.randrange(m), **{
+                    e: radical * rng.randrange(m) for e in rng.sample((-2, -1, 1, 2), 2)}})
+                    for _ in range(n)] for _ in range(n)]
+                corpus.append(RingMatrix(ring, rows))
+    for m, p, k in ((1 << 41, 2, 21), (3 ** 26, 3, 13)):
+        ring = laurent_ring(m)
+        for size in (1, 2):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            rows = []
+            for i in range(size + 2):
+                row = []
+                for j in range(size + 2):
+                    if i < size and j < size:
+                        coeffs = {0: rng.choice((1, m - 1))} if perm[i] == j else {}
+                    elif i < size:
+                        coeffs = {e: rng.randrange(m) for e in (-1, 0, 1)}
+                    elif j >= size:
+                        coeffs = {e: p ** k * rng.randrange(p ** k) for e in (-1, 0, 1)}
+                    else:
+                        coeffs = {}
+                    row.append(LaurentPoly(ring.modulus, coeffs))
+                rows.append(row)
+            corpus.append(RingMatrix(ring, rows))
+    ring = laurent_ring(4)
+    for n in (1, 2, 3):
+        corpus.append(RingMatrix(ring, [[ring.zero()] * n for _ in range(n)]))
+    corpus.append(RingMatrix(ring, [[ring.one(), ring.monomial(100)], [ring.zero(), ring.one()]]))
+    ring = laurent_ring(8)
+    corpus.append(RingMatrix(ring, [[ring.monomial(4, 2) + ring.from_int(6)]]))
+    return corpus
+
+
+def test_packed_walks_match_brent_oracles():
+    rng = random.Random(2718)
+    corpus = _integral_corpus(rng)
+    packed = turned_sparse = preperiodic = wide_slots = 0
+    for a in corpus:
+        assert decide_finite_powers(a).finite, a
+        expected, residues = brent_orbit(a), brent_residue_orbit(a)
+        assert detect_orbit(a) == expected, a
+        assert divisibility_witness(a) == _idempotent_exponent(residues), a
+        preperiodic += expected.preperiod > 0
+        wide_slots += a.ring.modulus.m > 1 << 40
+        # The packed walks themselves, where they run: the public functions
+        # would hide a packed walk that wrongly gives up.
+        walks = []
+        shape = _dense_span(a.rows)
+        if shape:
+            walks.append((_packed_power_walk(a, *shape), expected))
+        chi = list(char_poly(a).coeffs)
+        shape = _dense_span([chi[:-1]])
+        if shape:
+            walks.append((_packed_residue_walk(chi, shape[0]), residues))
+        for walk, oracle in walks:
+            try:
+                assert _first_repeat(*walk, DEFAULT_BUDGET) == oracle, a
+                packed += 1
+            except _SparseWalk:
+                turned_sparse += 1
+    # Of 41 matrices, 4 are zero or wide (the zero ones also have chi = t^n)
+    # and one turns sparse in both walks.
+    assert (packed, turned_sparse) == (36 + 37, 2)
+    assert preperiodic >= 10 and wide_slots == 4
