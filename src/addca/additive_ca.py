@@ -20,7 +20,6 @@ construction through the commutation identity rather than fixed literals.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .lca import FiniteConfiguration, LcaRule, PropertyReport, _step_kernel, analyze_rule
@@ -104,11 +103,6 @@ class GroupEndomorphism(NamedTuple("GroupEndomorphism", [("group", AbelianGroup)
                         f"entry ({i},{j}) = {entry} must be divisible by "
                         f"{p_i}^{k_i - k_j} to define a homomorphism")
         return super().__new__(cls, group, reduced)
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        vec = self.group.reduce(vector)
-        return tuple(sum(map(mul, row, vec)) % q
-                     for row, q in zip(self.matrix, self.group.factors))
 
 
 class AdditiveCaRule(NamedTuple("AdditiveCaRule", [("group", AbelianGroup), ("radius", int),

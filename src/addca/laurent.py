@@ -39,8 +39,8 @@ multiply yields every convolution sum in its own slot.  Slots are rounded up
 to 1, 2, 4 or 8 bytes and unpacked with ``memoryview.cast``; wider slots
 (large moduli) are unpacked by slicing the product's bytes.  Each slot is
 then reduced mod m.  The packing helpers also serve ``polymat.char_poly``,
-which evaluates a whole matrix at x = 2^s, and the packed power walks of
-``power_semigroup``, which reduce every slot mod m with ``SlotReducer``
+which evaluates a whole matrix at x = 2^s, and the packed power walk of
+``power_semigroup``, which reduces every slot mod m with ``SlotReducer``
 instead of unpacking.  A one-term operand is a scaled shift.  The test
 oracle ``tests/oracles.py::dict_product`` convolves term by term without
 either shortcut.
@@ -280,15 +280,6 @@ class LaurentPoly:
         if self.exps is None:
             return LaurentPoly._from_slots(target, self.low, values)
         return LaurentPoly._from_terms(target, dict(zip(self.exps, values)))
-
-    def pos_degree(self, p: int) -> int:
-        """Largest exponent > 0 whose coefficient survives mod p (0 if none)."""
-        reduced = self.reduce_mod_prime(p)
-        return max(reduced.low + reduced._span() - 1, 0)
-
-    def neg_degree(self, p: int) -> int:
-        """Smallest exponent < 0 whose coefficient survives mod p (0 if none)."""
-        return min(self.reduce_mod_prime(p).low, 0)
 
     def integrality_obstruction(self) -> int | None:
         """Smallest prime p | m with f mod p non-constant, or None when f is

@@ -113,10 +113,6 @@ class FiniteConfiguration:
     def is_zero(self) -> bool:
         return not self.cells
 
-    def shift(self, offset: int) -> "FiniteConfiguration":
-        return FiniteConfiguration(self.orders,
-                                   {p + offset: v for p, v in self.cells.items()})
-
     def scale(self, value: int) -> "FiniteConfiguration":
         return FiniteConfiguration(self.orders,
                                    {p: tuple(value * x for x in v) for p, v in self.cells.items()})

@@ -10,30 +10,40 @@ square matrix A:
 
 The decision procedure used here is the third bullet: compute the
 characteristic polynomial once and test each coefficient with the per-prime
-constancy criterion.  The other two characterizations are kept around as
-executable cross-checks.  `detect_orbit` enumerates A^0, A^1, ... and
-`divisibility_witness` the residues t^j mod det(tI - A), each with a
-first-repeat search: one product per distinct element, a map from hashes to
-indices instead of the elements themselves, and a recomputed x_j to confirm
-every hash hit, so the shape found is exact.  `divisibility_witness` then
-verifies the exponent k of the last bullet by squaring t^k mod det(tI - A).
+constancy criterion.  The other two characterizations are executable
+cross-checks, both by one walk over the first rows of matrix powers:
+`detect_orbit` walks A^0, A^1, ..., and `divisibility_witness` walks row 0
+of the powers of the companion matrix C of chi = det(tI - A), since row 0 of
+C^j is t^j mod chi.  The witness is then checked by squaring t^k mod chi
+with `tpoly`, arithmetic the walk does not use.  The walk is a first-repeat
+search: one product per distinct element, a map from hashes to indices
+instead of the elements themselves, and a recomputed x_j to confirm every
+hash hit, so the shape found is exact.
 
-Both walks run on packed integers when the Laurent entries are dense (the
-rule of `polymat._dense_span`).  A = x^lo A' is evaluated once at
-x = 2^W, as in `polymat`, and a walk state is (low, the n^2 entries of
-x^-low A^j at x = 2^W), with low the lowest exponent of A^j, so equal
-matrices have equal states.  One advance is n^2 integer dot products
-against the cached packed columns of A', then a slot-wise reduction mod m
-on the packed integers themselves (`laurent.SlotReducer`: v - m ((v M >> s)
-& mask) with M = ceil(2^s / m), exact for slots below 2^b when 2^s > m 2^b),
-then a shift that drops the zero slots below every entry.  The residues
-t^j mod chi walk the same way: -a_0 ... -a_(n-1) are packed once, and one
-advance is r_(i-1) + top * (-a_i), reduced.  Every hash hit is confirmed
-against A^j or ``pow_t_mod(chi, j)`` computed independently and packed the
-same way.  A matrix or chi that is not dense, or a state that turns sparse
-(x^k and x^-k in one state would be a 2k-slot integer), walks Laurent
-objects from the start instead, so the shape is the one that walk finds
-with the same budget.
+The walk stays inside a window of exponents fixed before it starts.  Let p^k
+exactly divide m.  When A is integral each a_i is c_i + p g_i with c_i
+constant, so chi0 = sum c_i t^i has chi0(A) = -p g(A) by Cayley-Hamilton,
+and chi0^k annihilates A over Z/p^k.  Padded by powers of t to degree n k,
+k now the largest prime exponent of m, and combined by CRT, these give a
+monic f of degree n k with constant coefficients and f(A) = 0.  So every A^j
+is a constant combination of A^0 ... A^(nk-1), and if the exponents of A
+lie in [lo, hi] those of every power lie in
+[min(0, (nk-1) lo), max(0, (nk-1) hi)].  A state outside this window proves
+that A is not integral, and the walk returns None at once.  A window too
+narrow could only turn an answer into None, never into a wrong shape.
+
+The walk runs on packed integers when the Laurent entries are dense (the
+rule of `polymat._dense_span`).  A = x^lo A' is evaluated once at x = 2^W,
+as in `polymat`, and a state is (low, the walked rows of x^-low A^j at
+x = 2^W), with low their lowest exponent, so equal rows have equal states.
+One advance is one integer dot product per entry against the cached packed
+columns of A', then a slot-wise reduction mod m on the packed integers
+(`laurent.SlotReducer`: v - m ((v M >> s) & mask) with M = ceil(2^s / m),
+exact for slots below 2^b when 2^s > m 2^b), then a shift that drops the
+zero slots below every entry.  A hash hit is confirmed against the rows of
+A^j computed by `RingMatrix` products and packed the same way.  A matrix
+that is not dense walks tuples of Laurent rows, one ring dot product per
+entry, in the same window.
 """
 
 from __future__ import annotations
@@ -42,9 +52,9 @@ from operator import mul
 from typing import NamedTuple
 
 from . import tpoly
-from .laurent import _DENSE_SPAN_PER_TERM, LaurentPoly, LaurentRing, SlotReducer
+from .laurent import LaurentPoly, LaurentRing, SlotReducer
 from .modring import power_cost
-from .polymat import CharPoly, RingMatrix, _at_power_of_two, _dense_span, char_poly, identity
+from .polymat import CharPoly, RingMatrix, _at_power_of_two, _dense_span, _dot, char_poly, identity
 
 DEFAULT_BUDGET = 100_000
 
@@ -115,8 +125,9 @@ def _first_repeat(start, advance, power, budget: int) -> OrbitShape | None:
     is the first repeat, so (j, k - j) is the minimal shape.  A hash
     collision only costs a recomputation, never a wrong shape.  Each advance
     is charged one unit of ``budget`` and each power(j) `power_cost(j)`;
-    once the budget is spent the result is None (indeterminate, never
-    "infinite").
+    the result is None once the budget is spent or as soon as ``advance``
+    returns None, which it does for a state that proves the sequence never
+    repeats.
     """
     seen: dict[int, list[int]] = {}
     value, k, spent = start, 0, 0
@@ -133,36 +144,63 @@ def _first_repeat(start, advance, power, budget: int) -> OrbitShape | None:
             return None
         spent += 1
         value = advance(value)
+        if value is None:
+            return None
         k += 1
 
 
 def detect_orbit(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> OrbitShape | None:
     """First-repeat search on A^0, A^1, A^2, ...: one product per distinct power.
 
-    Returns the minimal (preperiod, period), or None when the budget (counted
-    in matrix multiplications, including the A^j recomputed to confirm a
-    hash hit) runs out.  A None is always "indeterminate": it never claims
-    the power set is infinite.  A dense Laurent matrix walks packed states
-    (see the module docstring); any other matrix, or one whose powers turn
-    sparse, walks `RingMatrix` products.
+    Returns the minimal (preperiod, period) of a Laurent matrix.  Returns
+    None when the budget (counted in matrix multiplications, including the
+    A^j recomputed to confirm a hash hit) runs out, which is indeterminate,
+    and as soon as a power leaves the window of the module docstring, which
+    proves that A is not integral.  So None never means "finite";
+    `decide_finite_powers` tells the two cases apart.
     """
-    shape = _dense_span(matrix.rows) if isinstance(matrix.ring, LaurentRing) else None
+    return _orbit(matrix, matrix.n, budget)
+
+
+def _orbit(matrix: RingMatrix, rows: int, budget: int) -> OrbitShape | None:
+    """Shape of the first ``rows`` rows of A^0, A^1, ..., by `_first_repeat`
+    on packed integers when A is dense, on Laurent rows otherwise; None when
+    the budget runs out or a state leaves `_window`."""
+    window = _window(matrix)
+    shape = _dense_span(matrix.rows)
     if shape:
-        try:
-            return _first_repeat(*_packed_power_walk(matrix, *shape), budget)
-        except _SparseWalk:
-            pass
-    return _first_repeat(identity(matrix.ring, matrix.n), lambda value: value * matrix,
-                         lambda j: matrix ** j, budget)
+        return _first_repeat(*_packed_power_walk(matrix, rows, *shape, window), budget)
+    floor, ceiling = window
+    cols = tuple(zip(*matrix.rows))
+
+    def advance(state: tuple) -> tuple | None:
+        state = tuple([tuple([_dot(row, col) for col in cols]) for row in state])
+        if all(floor <= a.low and a.low + a._span() - 1 <= ceiling
+               for row in state for a in row if a.coeffs):
+            return state
+        return None
+
+    return _first_repeat(identity(matrix.ring, matrix.n).rows[:rows], advance,
+                         lambda j: (matrix ** j).rows[:rows], budget)
 
 
-class _SparseWalk(Exception):
-    """A packed walk reached a state that Laurent storage would keep sparse."""
+def _window(matrix: RingMatrix) -> tuple[int, int]:
+    """[floor, ceiling] holding every exponent of every power of A if A is
+    integral: [min(0, (nk-1) lo), max(0, (nk-1) hi)] for the exponents of A
+    in [lo, hi] and k the largest prime exponent of m (see the module
+    docstring)."""
+    entries = [a for row in matrix.rows for a in row if a.coeffs]
+    lo = min([a.low for a in entries], default=0)
+    hi = max([a.low + a._span() - 1 for a in entries], default=0)
+    steps = matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 1
+    return min(0, steps * lo), max(0, steps * hi)
 
 
-def _packed_power_walk(matrix: RingMatrix, lo: int, span: int) -> tuple:
-    """(start, advance, power) of the packed walk on A^0, A^1, ..., for a
-    matrix with exponents in [lo, lo + span)."""
+def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,
+                       window: tuple[int, int]) -> tuple:
+    """(start, advance, power) of the packed walk on the first ``rows`` rows
+    of A^0, A^1, ..., for a matrix with exponents in [lo, lo + span); advance
+    gives None for a state outside ``window``."""
     n = matrix.n
     m = matrix.ring.modulus.m
     # An entry of S A sums n convolutions of at most span products below m^2.
@@ -170,47 +208,16 @@ def _packed_power_walk(matrix: RingMatrix, lo: int, span: int) -> tuple:
     width = reduce.width
     cols = tuple(zip(*_at_power_of_two(matrix.rows, lo, width)))
 
-    def advance(state: tuple) -> tuple:
+    def advance(state: tuple) -> tuple | None:
         low, entries = state
         return _normalized(low + lo, reduce([sum(map(mul, entries[i:i + n], col))
-                                             for i in range(0, n * n, n) for col in cols]),
-                           width)
+                                             for i in range(0, rows * n, n) for col in cols]),
+                           width, window)
 
     def power(j: int) -> tuple:
-        return _packed([a for row in (matrix ** j).rows for a in row], width)
+        return _packed([a for row in (matrix ** j).rows[:rows] for a in row], width)
 
-    return (0, tuple([int(i == j) for i in range(n) for j in range(n)])), advance, power
-
-
-def _packed_residue_walk(chi: list[LaurentPoly], lo: int) -> tuple:
-    """(start, advance, power) of the packed walk on t^0, t^1, ... mod chi,
-    for a chi whose lower coefficients have exponents from lo up."""
-    n = len(chi) - 1
-    m = chi[-1].modulus.m
-    zero = LaurentPoly.zero(chi[-1].modulus)
-    negchi = [-c for c in chi[:-1]]
-    # A slot of r_(i-1) + top (-a_i) is below m + span(a_i) m^2.
-    reduce = SlotReducer(m, (m - 1 + max([c._span() for c in negchi]) * (m - 1) ** 2)
-                         .bit_length())
-    width = reduce.width
-    bits = 8 * width
-    # t r = r_(n-1) t^n + ..., and t^n = -a_(n-1) t^(n-1) - ... - a_0 mod chi;
-    # the packed -a_i sit at x^lo, so the sum is aligned at x^min(lo, 0).
-    negchi = [c << bits * max(lo, 0) for c in _at_power_of_two([negchi], lo, width)[0]]
-    shift = bits * max(-lo, 0)
-
-    def advance(state: tuple) -> tuple:
-        low, residue = state
-        top = residue[-1]
-        return _normalized(low + min(lo, 0),
-                           reduce([(r << shift) + top * c for r, c in zip((0, *residue), negchi)]),
-                           width)
-
-    def power(j: int) -> tuple:
-        residue = tpoly.pow_t_mod(chi, j)
-        return _packed(residue + [zero] * (n - len(residue)), width)
-
-    return (0, (1,) + (0,) * (n - 1)), advance, power
+    return (0, tuple([int(i == j) for i in range(rows) for j in range(n)])), advance, power
 
 
 def _packed(entries: list[LaurentPoly], width: int) -> tuple[int, tuple[int, ...]]:
@@ -220,14 +227,11 @@ def _packed(entries: list[LaurentPoly], width: int) -> tuple[int, tuple[int, ...
     return low, tuple(_at_power_of_two([entries], low, width)[0])
 
 
-def _normalized(low: int, values: list[int], width: int) -> tuple[int, tuple[int, ...]]:
+def _normalized(low: int, values: list[int], width: int,
+                window: tuple[int, int]) -> tuple[int, tuple[int, ...]] | None:
     """The walk state x^low (values at x = 2^(8 width)) with the zero slots
-    shared by the bottom of every value shifted out.
-
-    Raises _SparseWalk when the slots outnumber _DENSE_SPAN_PER_TERM times the
-    set bits (at least the nonzero slots), the storage rule of `LaurentPoly`,
-    so that x^k and x^-k in one state never become a 2k-slot integer.
-    """
+    shared by the bottom of every value shifted out, or None when its
+    exponents leave ``window``."""
     bits = 8 * width
     lowest = min([(v & -v).bit_length() for v in values if v], default=0)
     if not lowest:
@@ -236,9 +240,8 @@ def _normalized(low: int, values: list[int], width: int) -> tuple[int, tuple[int
     if slots:
         low += slots
         values = [v >> bits * slots for v in values]
-    if max(map(int.bit_length, values)) > bits * _DENSE_SPAN_PER_TERM * sum(
-            map(int.bit_count, values)):
-        raise _SparseWalk
+    if low < window[0] or low + (max(map(int.bit_length, values)) - 1) // bits > window[1]:
+        return None
     return low, tuple(values)
 
 
@@ -251,18 +254,17 @@ def _idempotent_exponent(orbit: OrbitShape) -> int:
 def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> int | None:
     """An exponent k >= 1 such that det(tI - A) divides t^(2k) - t^k.
 
-    Runs the first-repeat search on the residues t^j mod chi = det(tI - A) in
-    the quotient ring L[t]/(chi); since chi is monic the reduction needs no
-    division.  When the coefficients a_0 ... a_(n-1) of chi are dense (the
-    rule of `_dense_span`) the residues walk packed (see the module
-    docstring), otherwise, or once they turn sparse, as lists of Laurent
-    polynomials.  A hash hit at j is confirmed against ``pow_t_mod(chi, j)``.
-    The returned exponent is double-checked: squaring t^k mod chi must give
-    t^k back.  None means the budget ran out (residues of a non-integral
-    matrix never cycle).
+    The residues t^j mod chi = det(tI - A) are row 0 of the powers of the
+    companion matrix of chi, so `detect_orbit`'s walk on that one row gives
+    their shape, and k is the least multiple of the period at or above
+    max(preperiod, 1).  k is double-checked with `tpoly`: squaring t^k mod
+    chi must give t^k back.  Returns None when the budget runs out, which is
+    indeterminate, and as soon as a residue leaves the window of the module
+    docstring, which proves that A is not integral (its residues never
+    cycle).
     """
     chi = list(char_poly(matrix).coeffs)
-    orbit = _residue_orbit(chi, budget)
+    orbit = _orbit(_companion(chi), 1, budget)
     if orbit is None:
         return None
     k = _idempotent_exponent(orbit)
@@ -272,18 +274,16 @@ def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> in
     return k
 
 
-def _residue_orbit(chi: list[LaurentPoly], budget: int) -> OrbitShape | None:
-    """Shape of t^0, t^1, ... mod the monic chi, by `_first_repeat`."""
-    shape = _dense_span([chi[:-1]])
-    if shape:
-        try:
-            return _first_repeat(*_packed_residue_walk(chi, shape[0]), budget)
-        except _SparseWalk:
-            pass
-    zero = LaurentPoly.zero(chi[-1].modulus)
-    return _first_repeat(tuple(tpoly.mod_monic([chi[-1]], chi)),
-                         lambda residue: tuple(tpoly.mod_monic([zero, *residue], chi)),
-                         lambda j: tuple(tpoly.pow_t_mod(chi, j)), budget)
+def _companion(chi: list[LaurentPoly]) -> RingMatrix:
+    """Companion matrix of the monic chi: ones on the superdiagonal and last
+    row -a_0 ... -a_(n-1), so that row 0 of its j-th power is t^j mod chi."""
+    n = len(chi) - 1
+    ring = LaurentRing(chi[-1].modulus)
+    one, zero = ring.one(), ring.zero()
+    rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
+    if n:
+        rows.append([-a for a in chi[:-1]])
+    return RingMatrix(ring, rows)
 
 
 def sampled_degree_growth(matrix: RingMatrix, doublings: int = 5) -> list[int]:

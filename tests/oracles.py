@@ -17,7 +17,9 @@ companion, the idempotent power with its budget exception, the element
 embedding of a p-group with its inverse and image test, the basis
 configurations, the spreading semi-decision, the prime powers, largest
 exponent and nilradical generator of a modulus, the Laurent parser, the
-constant term, the matrix trace and a group's order and elements.
+constant term, the matrix trace, a group's order and elements, the mod-p
+degrees of a Laurent polynomial, the shift of a configuration and the
+image of a group element under an endomorphism.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from operator import mul
 from typing import Any, Sequence
 
 from addca import tpoly
-from addca.additive_ca import AbelianGroup, _embedding_scales
+from addca.additive_ca import AbelianGroup, GroupEndomorphism, _embedding_scales
 from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_gcd, _fp_trim, associated_matrix
 from addca.lca import step as lca_step
 from addca.modring import Modulus
 from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity
-from addca.power_semigroup import DEFAULT_BUDGET, OrbitShape, _idempotent_exponent, detect_orbit
+from addca.power_semigroup import (DEFAULT_BUDGET, OrbitShape, _companion, _idempotent_exponent,
+                                   detect_orbit)
 
 MINOR_SUM_MAX_DIMENSION = 12
 
@@ -190,7 +193,7 @@ def additive_local_map(rule, word: tuple) -> tuple:
     group = rule.group
     out = [0] * group.rank
     for k, letter in enumerate(word):
-        image = rule.endomorphisms[k].apply(letter)
+        image = apply_endomorphism(rule.endomorphisms[k], letter)
         for i in range(group.rank):
             out[i] = (out[i] + image[i]) % group.factors[i]
     return tuple(out)
@@ -632,14 +635,9 @@ def frobenius_companion(poly: CharPoly) -> RingMatrix:
     it the canonical witness that every monic polynomial is a characteristic
     polynomial.
     """
-    n = poly.degree
-    if n < 1:
+    if poly.degree < 1:
         raise ValueError("companion matrix needs degree >= 1")
-    ring = LaurentRing(poly.modulus)
-    one, zero = ring.one(), ring.zero()
-    rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
-    rows.append([-poly.coeffs[j] for j in range(n)])
-    return RingMatrix(ring, rows)
+    return _companion(list(poly.coeffs))
 
 
 class BudgetExhausted(RuntimeError):
@@ -786,3 +784,26 @@ def group_order(group: AbelianGroup) -> int:
 
 def group_elements(group: AbelianGroup):
     return product(*(range(q) for q in group.factors))
+
+
+def pos_degree(f: LaurentPoly, p: int) -> int:
+    """Largest exponent > 0 whose coefficient survives mod p (0 if none)."""
+    reduced = f.reduce_mod_prime(p)
+    return max(reduced.low + reduced._span() - 1, 0)
+
+
+def neg_degree(f: LaurentPoly, p: int) -> int:
+    """Smallest exponent < 0 whose coefficient survives mod p (0 if none)."""
+    return min(f.reduce_mod_prime(p).low, 0)
+
+
+def shift_configuration(config: FiniteConfiguration, offset: int) -> FiniteConfiguration:
+    """The configuration moved ``offset`` cells to the right."""
+    return FiniteConfiguration(config.orders, {p + offset: v for p, v in config.cells.items()})
+
+
+def apply_endomorphism(endomorphism: GroupEndomorphism, vector: Sequence[int]) -> tuple[int, ...]:
+    """The image of a group element under an endomorphism."""
+    vec = endomorphism.group.reduce(vector)
+    return tuple(sum(map(mul, row, vec)) % q
+                 for row, q in zip(endomorphism.matrix, endomorphism.group.factors))

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from addca.laurent import LaurentPoly, laurent_ring
 from addca.modring import factorize
 
-from oracles import dict_product, integral_witness_constant, max_exponent, parse_laurent
+from oracles import (dict_product, integral_witness_constant, max_exponent, neg_degree,
+                     parse_laurent, pos_degree)
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
 # 2^31 - 1 and 2^61 - 1 need Kronecker slots wider than 8 bytes.
@@ -72,15 +73,15 @@ def test_reduce_mod_prime_example():
 def test_prime_aware_degrees_example():
     # 2x^3 + x^2 + x^-1 over Z/4: the leading coefficient dies mod 2.
     f = parse_laurent("2x^3 + x^2 + x^-1", factorize(4))
-    assert f.pos_degree(2) == 2
-    assert f.neg_degree(2) == -1
+    assert pos_degree(f, 2) == 2
+    assert neg_degree(f, 2) == -1
     # no qualifying monomials on either side -> 0 by convention
     g = parse_laurent("3", factorize(4))
-    assert g.pos_degree(2) == 0
-    assert g.neg_degree(2) == 0
+    assert pos_degree(g, 2) == 0
+    assert neg_degree(g, 2) == 0
     h = parse_laurent("2x + 2x^-5", factorize(4))
-    assert h.pos_degree(2) == 0
-    assert h.neg_degree(2) == 0
+    assert pos_degree(h, 2) == 0
+    assert neg_degree(h, 2) == 0
 
 
 def _mod_p_draws(rng: random.Random, m: int) -> list[LaurentPoly]:
@@ -109,8 +110,8 @@ def test_mod_p_questions_match_a_term_reference():
             primes = f.modulus.primes
             for p in primes:
                 survivors = [e for e, c in f.items() if c % p]
-                assert f.pos_degree(p) == max([e for e in survivors if e > 0], default=0), (f, p)
-                assert f.neg_degree(p) == min([e for e in survivors if e < 0], default=0), (f, p)
+                assert pos_degree(f, p) == max([e for e in survivors if e > 0], default=0), (f, p)
+                assert neg_degree(f, p) == min([e for e in survivors if e < 0], default=0), (f, p)
             expected = next((p for p in primes
                              if any(c % p for e, c in f.items() if e != 0)), None)
             assert f.integrality_obstruction() == expected, f
@@ -308,4 +309,4 @@ def test_wide_sparse_powers_stay_sparse():
     terms = {radius * (2 * k - 32): comb(32, k) % 3 for k in range(33)}
     assert power == LaurentPoly(modulus, terms)
     assert power.exps is not None and len(power.coeffs) == sum(1 for c in terms.values() if c)
-    assert power.pos_degree(3) == 32 * radius and power.neg_degree(3) == -32 * radius
+    assert pos_degree(power, 3) == 32 * radius and neg_degree(power, 3) == -32 * radius

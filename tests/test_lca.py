@@ -38,6 +38,7 @@ from oracles import (
     parse_laurent,
     periodic_kernel_witness,
     render_trajectory_by_cells,
+    shift_configuration,
     spreads,
     tychonoff_distance,
 )
@@ -188,7 +189,7 @@ def test_space_time_rendering_wide_cells():
 def test_configuration_normalization_and_algebra():
     c = FiniteConfiguration((4,), {0: (5,), 3: (4,)})
     assert c.cells == {0: (1,)}
-    d = c.shift(2) + c
+    d = shift_configuration(c, 2) + c
     assert d.support() == (0, 2)
     assert (d - d).is_zero()
     assert c.scale(4).is_zero()
@@ -377,7 +378,7 @@ def test_spreading_witness_scales_tychonoff_distance():
     # two configurations agreeing on a huge central window end up far apart
     rule = rule90()
     zero = FiniteConfiguration((2,), {})
-    far = basis_config(rule, 0).shift(30)
+    far = shift_configuration(basis_config(rule, 0), 30)
     assert tychonoff_distance(zero, far) == 2.0 ** -30
     after = simulate(rule, far, 30)[-1]
     assert tychonoff_distance(zero, after) >= 2.0 ** -1  # difference reached cell 0

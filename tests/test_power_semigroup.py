@@ -11,13 +11,12 @@ from addca import power_semigroup, tpoly
 from addca.laurent import LaurentPoly, SlotReducer, laurent_ring, pack_slots, unpack_slots
 from addca.polymat import RingMatrix, _dense_span, char_poly, identity, matrix_from_ints
 from addca.power_semigroup import (
-    DEFAULT_BUDGET,
     OrbitShape,
-    _SparseWalk,
+    _companion,
     _first_repeat,
     _idempotent_exponent,
     _packed_power_walk,
-    _packed_residue_walk,
+    _window,
     decide_finite_powers,
     detect_orbit,
     divisibility_witness,
@@ -33,6 +32,13 @@ MODULI = [2, 3, 4, 6, 8, 9, 12]
 # (measured by bisecting the budget); 16 leaves headroom, and a wrong chi
 # fails within 16 steps instead of walking the default 100000.
 SHEAR_WITNESS_BUDGET = 16
+# Both searches on every matrix of _orbit_corpus(Random(5151)) finish within
+# a budget of 16, and on every matrix of _integral_corpus(Random(2718))
+# within 57 (measured by bisecting the budget per matrix); 4x headroom,
+# rounded up to a power of two, keeps a wrong walk from searching for
+# minutes at the default 100000 before it fails.
+ORBIT_CORPUS_BUDGET = 64
+INTEGRAL_CORPUS_BUDGET = 256
 
 
 def brute_force_power_set_size(matrix: RingMatrix, cap: int = 4096) -> int:
@@ -221,9 +227,9 @@ def test_orbit_search_matches_brent_oracle():
     preperiodic = 0
     for a in _orbit_corpus(rng):
         expected = brent_orbit(a)
-        assert detect_orbit(a) == expected, a
+        assert detect_orbit(a, ORBIT_CORPUS_BUDGET) == expected, a
         preperiodic += expected.preperiod > 0
-        witness = divisibility_witness(a)
+        witness = divisibility_witness(a, ORBIT_CORPUS_BUDGET)
         assert witness == _idempotent_exponent(brent_residue_orbit(a)), a
     assert preperiodic >= 10
 
@@ -254,7 +260,7 @@ def test_orbit_search_is_exact_when_every_hash_collides(monkeypatch):
     assert _first_repeat(term(0), advance, recompute, budget=1000) == OrbitShape(7, 5)
     assert len(recomputed) == sum(range(12)) + 8  # every earlier index, then 0..7
 
-    # Both packed walks hash their states with the builtin; shadow it in the
+    # The packed walks hash their states with the builtin; shadow it in the
     # module so that every state key collides.
     keys = []
 
@@ -317,8 +323,8 @@ def _integral_corpus(rng: random.Random) -> list[RingMatrix]:
     Z/4 and Z/8 gives preperiods.  Over m = 2^41 and 3^26 the block matrix
     [[P, X], [0, N]], P a signed permutation, N = p^k L(x) with N^2 = 0 and
     X full-size, has period ord(P) and slots far above 64 bits.  The zero
-    matrix, a wide-span matrix and [[2x^4 + 6]] over Z/8, whose square
-    4x^8 + 4 turns sparse, take the RingMatrix walks.
+    matrices and a wide-span matrix walk Laurent rows.  [[2x^4 + 6]] over
+    Z/8 walks packed although its square 4x^8 + 4 is sparse.
     """
     corpus = []
     for m in (4, 8, 9, 12):
@@ -362,31 +368,68 @@ def _integral_corpus(rng: random.Random) -> list[RingMatrix]:
 def test_packed_walks_match_brent_oracles():
     rng = random.Random(2718)
     corpus = _integral_corpus(rng)
-    packed = turned_sparse = preperiodic = wide_slots = 0
+    packed = preperiodic = wide_slots = 0
     for a in corpus:
         assert decide_finite_powers(a).finite, a
         expected, residues = brent_orbit(a), brent_residue_orbit(a)
-        assert detect_orbit(a) == expected, a
-        assert divisibility_witness(a) == _idempotent_exponent(residues), a
+        assert detect_orbit(a, INTEGRAL_CORPUS_BUDGET) == expected, a
+        assert divisibility_witness(a, INTEGRAL_CORPUS_BUDGET) == _idempotent_exponent(residues), a
         preperiodic += expected.preperiod > 0
         wide_slots += a.ring.modulus.m > 1 << 40
-        # The packed walks themselves, where they run: the public functions
-        # would hide a packed walk that wrongly gives up.
-        walks = []
-        shape = _dense_span(a.rows)
-        if shape:
-            walks.append((_packed_power_walk(a, *shape), expected))
-        chi = list(char_poly(a).coeffs)
-        shape = _dense_span([chi[:-1]])
-        if shape:
-            walks.append((_packed_residue_walk(chi, shape[0]), residues))
-        for walk, oracle in walks:
-            try:
-                assert _first_repeat(*walk, DEFAULT_BUDGET) == oracle, a
+        # The packed walks themselves, where they run: the walk on A and the
+        # walk on row 0 of the companion of chi.
+        companion = _companion(list(char_poly(a).coeffs))
+        for matrix, rows, oracle in ((a, a.n, expected), (companion, 1, residues)):
+            shape = _dense_span(matrix.rows)
+            if shape:
+                walk = _packed_power_walk(matrix, rows, *shape, _window(matrix))
+                assert _first_repeat(*walk, INTEGRAL_CORPUS_BUDGET) == oracle, a
                 packed += 1
-            except _SparseWalk:
-                turned_sparse += 1
-    # Of 41 matrices, 4 are zero or wide (the zero ones also have chi = t^n)
-    # and one turns sparse in both walks.
-    assert (packed, turned_sparse) == (36 + 37, 2)
+    # Of 41 matrices, 4 are zero or wide.  Every companion but one is dense,
+    # since even chi = t^n puts ones on its superdiagonal; the 1x1 zero
+    # matrix has chi = t, whose companion is the zero matrix [[0]].
+    assert packed == 37 + 40
     assert preperiodic >= 10 and wide_slots == 4
+
+
+def _exponents_inside(matrix: RingMatrix, window: tuple[int, int]) -> bool:
+    floor, ceiling = window
+    return all(floor <= a.low and a.low + a._span() - 1 <= ceiling
+               for row in matrix.rows for a in row if a.coeffs)
+
+
+def test_powers_of_integral_matrices_stay_in_the_window():
+    """A^0 ... A^(q+c) of every integral matrix of both corpora, and of the
+    companion of its chi, keep their exponents inside `_window`."""
+    corpus = _integral_corpus(random.Random(2718)) + _orbit_corpus(random.Random(5151))
+    for a in corpus:
+        for matrix in (a, _companion(list(char_poly(a).coeffs))):
+            window = _window(matrix)
+            power = identity(matrix.ring, matrix.n)
+            for j in range(brent_orbit(matrix).size + 1):
+                assert _exponents_inside(power, window), (a.rows, matrix.rows, j)
+                power = power * matrix
+
+
+def test_non_integral_walks_stop_at_the_window(monkeypatch):
+    """A power outside the window ends both searches within a few states,
+    whatever the budget: the walks count their states through the builtin
+    hash, shadowed here to fail after 64."""
+    states = []
+
+    def counting_hash(value):
+        states.append(value)
+        if len(states) > 64:
+            raise AssertionError("walked past 64 states")
+        return hash(value)
+
+    monkeypatch.setattr(power_semigroup, "hash", counting_hash, raising=False)
+    two, four = laurent_ring(2), laurent_ring(4)
+    for a in (RingMatrix(two, [[two.one() + two.monomial(1)]]),
+              RingMatrix(four, [[four.monomial(1), four.zero()],
+                                [four.zero(), four.monomial(-1)]]),
+              RingMatrix(two, [[two.one() + two.monomial(100)]])):  # walks Laurent rows
+        assert not decide_finite_powers(a).finite
+        for search in (detect_orbit, divisibility_witness):
+            states.clear()
+            assert search(a) is None, (search.__name__, a.rows)
