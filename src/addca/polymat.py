@@ -57,9 +57,11 @@ class RingMatrix:
     The ring handle only needs ``zero()`` and ``one()``; entries are expected
     to implement +, -, unary -, * and ==.  Dimension 0 is allowed so that
     empty principal submatrices make sense (their determinant is one).
+    ``_chi`` holds the characteristic polynomial once `char_poly` has
+    computed it, so each matrix runs Berkowitz at most once.
     """
 
-    __slots__ = ("ring", "n", "rows")
+    __slots__ = ("ring", "n", "rows", "_chi")
 
     def __init__(self, ring, rows: Sequence[Sequence[Any]]):
         rows = tuple(tuple(row) for row in rows)
@@ -69,6 +71,7 @@ class RingMatrix:
         self.ring = ring
         self.n = n
         self.rows = rows
+        self._chi = None
 
     def _check(self, other: "RingMatrix") -> None:
         if self.n != other.n or self.ring != other.ring:
@@ -182,14 +185,15 @@ def char_poly(matrix: RingMatrix) -> CharPoly:
 
     A Laurent matrix whose exponents are dense enough is evaluated at
     x = 2^s and runs Berkowitz over Z (see the module docstring); any other
-    matrix runs Berkowitz on its entries.
+    matrix runs Berkowitz on its entries.  The result is kept on the matrix,
+    so a second call returns it without running Berkowitz again.
     """
-    ring = matrix.ring
-    if isinstance(ring, LaurentRing):
-        shape = _dense_span(matrix.rows)
-        if shape:
-            return _char_poly_at_power_of_two(matrix, *shape)
-    return CharPoly(tuple(reversed(_berkowitz(matrix.rows, ring.one()))))
+    if matrix._chi is None:
+        ring = matrix.ring
+        shape = isinstance(ring, LaurentRing) and _dense_span(matrix.rows)
+        matrix._chi = (_char_poly_at_power_of_two(matrix, *shape) if shape
+                       else CharPoly(tuple(reversed(_berkowitz(matrix.rows, ring.one())))))
+    return matrix._chi
 
 
 def _dense_span(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int, int] | None:

@@ -14,11 +14,11 @@ constancy criterion.  The other two characterizations are executable
 cross-checks, both by one walk over the first rows of matrix powers:
 `detect_orbit` walks A^0, A^1, ..., and `divisibility_witness` walks row 0
 of the powers of the companion matrix C of chi = det(tI - A), since row 0 of
-C^j is t^j mod chi.  The witness is then checked by squaring t^k mod chi
-with `tpoly`, arithmetic the walk does not use.  The walk is a first-repeat
-search: one product per distinct element, a map from hashes to indices
-instead of the elements themselves, and a recomputed x_j to confirm every
-hash hit, so the shape found is exact.
+C^j is t^j mod chi.  The witness is then checked by computing t^k mod chi
+by square and multiply and squaring it once, arithmetic the walk does not
+use.  The walk is a first-repeat search: one product per distinct element,
+a map from hashes to indices instead of the elements themselves, and a
+recomputed x_j to confirm every hash hit, so the shape found is exact.
 
 The walk stays inside a window of exponents fixed before it starts.  Let p^k
 exactly divide m.  When A is integral each a_i is c_i + p g_i with c_i
@@ -44,6 +44,20 @@ zero slots below every entry.  A hash hit is confirmed against the rows of
 A^j computed by `RingMatrix` products and packed the same way.  A matrix
 that is not dense walks tuples of Laurent rows, one ring dot product per
 entry, in the same window.
+
+The witness check and the degree ladder stay on packed integers too.  A
+residue sum r_i t^i mod chi, d = deg chi, is a walk state of its d
+coefficients.  A product of two residues makes the d^2 integer products of
+their coefficients, the coefficients of t^0 ... t^(2d-2); those of
+t^d ... t^(2d-2) are reduced mod m and folded into the low d with a table
+of t^d ... t^(2d-2) mod chi, built once from -chi by r -> t r mod chi and
+packed at the window floor (`_packed_residues`).  The ladder of
+`sampled_degree_growth` reduces A mod each prime p of m before squaring:
+reduction mod p is a ring map, so the mod-p degrees of A^(2^i) are those
+of (A mod p)^(2^i).  A dense A squares its packed F_p entries and reads
+the lowest and highest exponent of an entry from its lowest and highest
+set bit.  A companion or a matrix that is not dense falls back to `tpoly`
+and to `RingMatrix` squarings of A mod p.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ from typing import NamedTuple
 
 from . import tpoly
 from .laurent import LaurentPoly, LaurentRing, SlotReducer
-from .modring import power_cost
+from .modring import power, power_cost
 from .polymat import CharPoly, RingMatrix, _at_power_of_two, _dense_span, _dot, char_poly, identity
 
 DEFAULT_BUDGET = 100_000
@@ -257,21 +271,83 @@ def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> in
     The residues t^j mod chi = det(tI - A) are row 0 of the powers of the
     companion matrix of chi, so `detect_orbit`'s walk on that one row gives
     their shape, and k is the least multiple of the period at or above
-    max(preperiod, 1).  k is double-checked with `tpoly`: squaring t^k mod
-    chi must give t^k back.  Returns None when the budget runs out, which is
-    indeterminate, and as soon as a residue leaves the window of the module
-    docstring, which proves that A is not integral (its residues never
-    cycle).
+    max(preperiod, 1).  k is double-checked by square and multiply on
+    arithmetic the walk does not use: squaring t^k mod chi must give t^k
+    back.  The residues are packed (`_packed_residues`) when the companion
+    is dense, `tpoly` lists otherwise.  Returns None when the budget runs
+    out, which is indeterminate, and as soon as a residue leaves the window
+    of the module docstring, which proves that A is not integral (its
+    residues never cycle).
     """
     chi = list(char_poly(matrix).coeffs)
-    orbit = _orbit(_companion(chi), 1, budget)
+    companion = _companion(chi)
+    orbit = _orbit(companion, 1, budget)
     if orbit is None:
         return None
     k = _idempotent_exponent(orbit)
-    low = tpoly.pow_t_mod(chi, k)
-    if tpoly.mod_monic(tpoly.mul(low, low), chi) != low:
+    if _dense_span(companion.rows):
+        one, t, times, _ = _packed_residues(chi, _window(companion))
+        low = power(one, t, k, times)
+    else:
+        low = tpoly.pow_t_mod(chi, k)
+
+        def times(a: list, b: list) -> list:
+            return tpoly.mod_monic(tpoly.mul(a, b), chi)
+    if times(low, low) != low:
         raise AssertionError("cycle detection produced a non-witness exponent")
     return k
+
+
+def _packed_residues(chi: list[LaurentPoly], window: tuple[int, int]) -> tuple:
+    """(one, t, times, width): the walk states of t^0 and t^1 mod the monic
+    chi of degree d >= 1 at x = 2^(8 width), and their product mod chi.
+
+    A product makes the d^2 products of the coefficients of t^0 ... t^(2d-2),
+    reduces those of t^d ... t^(2d-2) mod m and folds each into the low d
+    with the table of t^d ... t^(2d-2) mod chi, packed at the window floor
+    so that every fold term has the exponent offset of the product.  Each
+    residue lies in ``window``, of span S, if chi is the characteristic
+    polynomial of an integral matrix: then an unreduced low coefficient
+    sums at most d S products below m^2 in a slot, and the fold d - 1
+    more, so slots below 2^bits((2d - 1) S (m - 1)^2) take every value.  A
+    product outside the window raises AssertionError; it cannot happen once
+    the walk on the residues has closed.
+    """
+    d = len(chi) - 1
+    m = chi[-1].modulus.m
+    floor, ceiling = window
+    reduce = SlotReducer(m, ((2 * d - 1) * (ceiling - floor + 1) * (m - 1) ** 2).bit_length())
+    width = reduce.width
+    bits = 8 * width
+    lift = -floor * bits  # from the offset of a product to that of its fold terms
+    table = _at_power_of_two([[-a for a in chi[:-1]]], floor, width)  # t^d mod chi
+
+    def times(r: tuple, s: tuple) -> tuple:
+        (low_r, r_values), (low_s, s_values) = r, s
+        c = [0] * (2 * d - 1)
+        for i, a in enumerate(r_values):
+            if a:
+                for j, b in enumerate(s_values):
+                    c[i + j] += a * b
+        out = [v << lift for v in c[:d]]
+        if d > 1:
+            for v, row in zip(reduce(c[d:]), table):
+                if v:
+                    out = [o + v * w for o, w in zip(out, row)]
+        state = _normalized(low_r + low_s + floor, reduce(out), width, window)
+        if state is None:
+            raise AssertionError("a residue t^j mod chi left the exponent window")
+        return state
+
+    one = (0, tuple([int(i == 0) for i in range(d)]))
+    if d == 1:
+        t = _normalized(floor, table[0], width, window)
+    else:
+        t = (0, tuple([int(i == 1) for i in range(d)]))
+        for _ in range(d - 2):  # t^(j+1) mod chi = t (t^j mod chi), from t^d alone
+            low, values = times(t, (floor, table[-1]))
+            table.append([v << bits * (low - floor) for v in values])
+    return one, t, times, width
 
 
 def _companion(chi: list[LaurentPoly]) -> RingMatrix:
@@ -292,17 +368,62 @@ def sampled_degree_growth(matrix: RingMatrix, doublings: int = 5) -> list[int]:
     For matrices with infinite power set the mod-p degrees of the entries are
     unbounded, which shows up as growth along this doubling ladder; for finite
     power sets the profile stays flat.  Entries must be Laurent polynomials.
+    Reduction mod p is a ring map, so (A^(2^i) mod p) = (A mod p)^(2^i): each
+    prime p of m squares A mod p, on packed integers when A is dense, and
+    each step takes the largest degree over the primes.
     """
+    shape = _dense_span(matrix.rows)
+    modulus = matrix.ring.modulus
+    ladders = []
+    for p in modulus.primes:
+        if shape:
+            ladders.append(_packed_degree_ladder(matrix, p, *shape, doublings))
+        else:
+            reduced = RingMatrix(LaurentRing(modulus.prime_moduli[p]),
+                                 [[a.reduce_mod_prime(p) for a in row] for row in matrix.rows])
+            ladders.append(_degree_ladder(reduced, doublings))
+    return [max(step) for step in zip(*ladders)]
+
+
+def _degree_ladder(matrix: RingMatrix, doublings: int) -> list[int]:
+    """Max degree max(highest exponent, -lowest exponent) of the entries of
+    A, A^2, ..., A^(2^doublings), by `RingMatrix` squarings."""
     profile = []
-    power = matrix
+    while True:
+        profile.append(max([max(a.low + a._span() - 1, -a.low)
+                            for row in matrix.rows for a in row if a.coeffs], default=0))
+        if len(profile) > doublings:
+            return profile
+        matrix = matrix * matrix
+
+
+def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
+                          doublings: int) -> list[int]:
+    """`_degree_ladder` of A mod p for a matrix with exponents in
+    [lo, lo + span), squared on its entries at x = 2^s without unpacking.
+
+    The first slot-wise reduction takes the coefficients of A, below m, to
+    A mod p.  The entries of A^(2^i) = x^(lo 2^i) A'^(2^i) span at most
+    (span - 1) 2^i + 1 slots, so a slot of a square sums at most
+    n ((span - 1) 2^doublings + 1) products below p^2.  An entry's lowest
+    and highest nonzero slots are those of its lowest and highest set bits.
+    """
+    n = matrix.n
+    bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)
+    reduce = SlotReducer(p, bound.bit_length())
+    bits = 8 * reduce.width
+    values = reduce([v for row in _at_power_of_two(matrix.rows, lo, reduce.width) for v in row])
+    profile = []
     while True:
         best = 0
-        for row in power.rows:
-            for entry in row:
-                for p in entry.modulus.primes:
-                    reduced = entry.reduce_mod_prime(p)
-                    best = max(best, reduced.low + reduced._span() - 1, -reduced.low)
+        for v in values:
+            if v:
+                best = max(best, lo + (v.bit_length() - 1) // bits,
+                           -lo - ((v & -v).bit_length() - 1) // bits)
         profile.append(best)
         if len(profile) > doublings:
             return profile
-        power = power * power
+        cols = [values[j::n] for j in range(n)]
+        values = reduce([sum(map(mul, values[i:i + n], col))
+                         for i in range(0, n * n, n) for col in cols])
+        lo *= 2

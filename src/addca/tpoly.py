@@ -6,6 +6,11 @@ computations elsewhere live here; in particular division is available only by
 monic divisors, which never requires inverting a coefficient.  No ring handle
 is passed around: a zero coefficient is one without terms, and the one of the
 ring is the leading coefficient of the monic divisor.
+
+`power_semigroup.divisibility_witness` computes t^k mod chi on packed
+integers when the companion matrix of chi is dense; these lists serve the
+sparse fallback and the tests, which check the packed residues against
+`pow_t_mod`.
 """
 
 from __future__ import annotations

@@ -10,15 +10,15 @@ Cayley-Hamilton; Laurent integrality against a CRT constant c with (f - c)
 nilpotent.  Former production paths are kept here too, each checking its
 successor on a fixed corpus: the transitivity gcd descent over F_p(x)[t],
 the dict convolution of Laurent polynomials, the entrywise matrix product,
-Brent's cycle detection, the two-case entry formula of the
-additive-to-linear embedding and the F_p[t] rendering of G_p.  So is the
-former public API that only the tests call: the zero matrix, the Frobenius
-companion, the idempotent power with its budget exception, the element
-embedding of a p-group with its inverse and image test, the basis
-configurations, the spreading semi-decision, the prime powers, largest
-exponent and nilradical generator of a modulus, the Laurent parser, the
-constant term, the matrix trace, a group's order and elements, the mod-p
-degrees of a Laurent polynomial, the shift of a configuration and the
+Brent's cycle detection, the degree ladder over Z/m, the two-case entry
+formula of the additive-to-linear embedding and the F_p[t] rendering of
+G_p.  So is the former public API that only the tests call: the zero matrix,
+the Frobenius companion, the idempotent power with its budget exception,
+the element embedding of a p-group with its inverse and image test, the
+basis configurations, the spreading semi-decision, the prime powers,
+largest exponent and nilradical generator of a modulus, the Laurent parser,
+the constant term, the matrix trace, a group's order and elements, the
+mod-p degrees of a Laurent polynomial, the shift of a configuration and the
 image of a group element under an endomorphism.
 """
 
@@ -617,6 +617,24 @@ def brent_residue_orbit(matrix: RingMatrix) -> OrbitShape:
     chi = list(char_poly(matrix).coeffs)
     return brent_cycle(tuple(tpoly.mod_monic([ring.one()], chi)),
                        lambda residue: tuple(tpoly.mod_monic([ring.zero(), *residue], chi)))
+
+
+def degree_ladder_mod_m(matrix: RingMatrix, doublings: int) -> list[int]:
+    """Max prime-aware degree of the entries of A, A^2, ..., A^(2^doublings),
+    squaring A over Z/m and reducing every entry of every square mod each p."""
+    profile = []
+    power = matrix
+    while True:
+        best = 0
+        for row in power.rows:
+            for entry in row:
+                for p in entry.modulus.primes:
+                    reduced = entry.reduce_mod_prime(p)
+                    best = max(best, reduced.low + reduced._span() - 1, -reduced.low)
+        profile.append(best)
+        if len(profile) > doublings:
+            return profile
+        power = power * power
 
 
 # ---------------------------------------------------------------------------

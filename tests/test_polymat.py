@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from addca import polymat, tpoly
+from addca import polymat, power_semigroup, tpoly
 from addca.laurent import LaurentPoly, laurent_ring, slot_width
 from addca.polymat import (
     CharPoly,
@@ -415,8 +415,10 @@ def test_dense_products_make_no_entry_multiplies(monkeypatch):
 
 
 def test_power_searches_make_the_same_matrix_products(monkeypatch):
-    """detect_orbit and sampled_degree_growth make as many matrix products
-    whether the products are packed or entrywise."""
+    """detect_orbit makes as many matrix products whether its walk runs on
+    packed integers or on Laurent rows.  sampled_degree_growth squares A mod
+    p on packed integers when it is dense, with no matrix product, and by
+    one product per doubling otherwise."""
     rng = random.Random(2026)
     ring = laurent_ring(4)
     shear = RingMatrix(ring, [[ring.one(), ring.monomial(1)], [ring.zero(), ring.one()]])
@@ -432,9 +434,20 @@ def test_power_searches_make_the_same_matrix_products(monkeypatch):
         profile = sampled_degree_growth(matrix, 4)
         return orbit, orbit_products, profile, len(calls)
 
+    def unreachable(*args):
+        raise AssertionError("a packed path ran with _dense_span patched out")
+
+    ladder_products = []
     for matrix in matrices:
         packed = run(matrix)
         with monkeypatch.context() as entrywise:
-            entrywise.setattr(polymat, "_dense_span", lambda rows: None)
-            assert run(matrix) == packed
-        assert packed[3] == 4
+            # power_semigroup binds _dense_span at import, so both names are patched.
+            for module in (polymat, power_semigroup):
+                entrywise.setattr(module, "_dense_span", lambda rows: None)
+            for name in ("_packed_power_walk", "_packed_degree_ladder"):
+                entrywise.setattr(power_semigroup, name, unreachable)
+            unpacked = run(matrix)
+        assert unpacked[:3] == packed[:3]
+        assert unpacked[3] == 4
+        ladder_products.append(packed[3])
+    assert ladder_products == [0, 0, 0, 4]

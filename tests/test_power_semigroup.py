@@ -7,15 +7,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from addca import power_semigroup, tpoly
+from addca import polymat, power_semigroup, tpoly
 from addca.laurent import LaurentPoly, SlotReducer, laurent_ring, pack_slots, unpack_slots
+from addca.modring import power
 from addca.polymat import RingMatrix, _dense_span, char_poly, identity, matrix_from_ints
 from addca.power_semigroup import (
     OrbitShape,
     _companion,
     _first_repeat,
     _idempotent_exponent,
+    _packed,
     _packed_power_walk,
+    _packed_residues,
     _window,
     decide_finite_powers,
     detect_orbit,
@@ -23,8 +26,8 @@ from addca.power_semigroup import (
     sampled_degree_growth,
 )
 
-from oracles import (BudgetExhausted, brent_orbit, brent_residue_orbit, frobenius_companion,
-                     idempotent_power, tpoly_sub)
+from oracles import (BudgetExhausted, brent_orbit, brent_residue_orbit, degree_ladder_mod_m,
+                     frobenius_companion, idempotent_power, tpoly_sub)
 from test_polymat import random_laurent_matrix, random_zmod_matrix
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
@@ -39,6 +42,13 @@ SHEAR_WITNESS_BUDGET = 16
 # minutes at the default 100000 before it fails.
 ORBIT_CORPUS_BUDGET = 64
 INTEGRAL_CORPUS_BUDGET = 256
+# Every witness walk of _packed_corpus(Random(3141)) that closes at all
+# closes within a budget of 69 (bisected per matrix); 4x, rounded up to a
+# power of two.
+PACKED_CORPUS_BUDGET = 512
+# Moduli of the differential tests of the packed check and ladder: primes,
+# prime powers, two primes, and a prime whose squared coefficients fill 61 bits.
+PACKED_MODULI = (2, 3, 4, 6, 8, 9, 12, 25, 2**31 - 1)
 
 
 def brute_force_power_set_size(matrix: RingMatrix, cap: int = 4096) -> int:
@@ -433,3 +443,153 @@ def test_non_integral_walks_stop_at_the_window(monkeypatch):
         for search in (detect_orbit, divisibility_witness):
             states.clear()
             assert search(a) is None, (search.__name__, a.rows)
+
+
+def _conjugated_signed_cycle(rng: random.Random, m: int, n: int) -> list[list[int]]:
+    """S P S^-1 over Z/m for P an n-cycle with signs and S a product of
+    elementary matrices: dense, with chi(P) = t^n -+ 1, so that t has order
+    at most 2n mod chi when n is prime to m."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[perm[i]][perm[(i + 1) % n]] = rng.choice((1, m - 1))
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(1, m)
+        # E A E^-1 for E = I + c e_ij: add c row j to row i, then take c
+        # column i from column j.
+        rows[i] = [(a + c * b) % m for a, b in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] = (row[j] - c * row[i]) % m
+    return rows
+
+
+def _packed_corpus(rng: random.Random) -> list[RingMatrix]:
+    """For every m in PACKED_MODULI and n = 0..5: an integral matrix S P S^-1
+    + r L(x), r the product of the primes of m and L Laurent on x^-2 ... x^2;
+    a random non-integral one; the all-(m - 1) matrices of span 1 and 3;
+    and p L(x) for each prime p of m, which is 0 mod p.  Then [[x^(10^9)]]
+    and a matrix with entries on x^-R and x^R only, R = 1000."""
+    corpus = []
+    for m in PACKED_MODULI:
+        ring = laurent_ring(m)
+        primes = ring.modulus.primes
+        radical = 1
+        for p in primes:
+            radical *= p
+        for n in range(6):
+            constant = _conjugated_signed_cycle(rng, m, n)
+            corpus.append(RingMatrix(ring, [[LaurentPoly(ring.modulus, {0: c, **{
+                e: radical * rng.randrange(m) for e in rng.sample((-2, -1, 1, 2), 2)}})
+                for c in row] for row in constant]))
+            corpus.append(random_laurent_matrix(rng, m, n))
+            for span in (1, 3):
+                full = LaurentPoly(ring.modulus, {e: m - 1 for e in range(span)})
+                corpus.append(RingMatrix(ring, [[full] * n for _ in range(n)]))
+            for p in primes:
+                corpus.append(RingMatrix(ring, [[LaurentPoly(ring.modulus, {
+                    e: p * rng.randrange(m) for e in (-1, 0, 1)}) for _ in range(n)]
+                    for _ in range(n)]))
+    for m in (2, 12):
+        ring = laurent_ring(m)
+        corpus.append(RingMatrix(ring, [[ring.monomial(10**9)]]))
+        corpus.append(RingMatrix(ring, [
+            [LaurentPoly(ring.modulus, {-1000: rng.randrange(1, m), 1000: rng.randrange(1, m)})
+             for _ in range(2)] for _ in range(2)]))
+    return corpus
+
+
+def _residue_state(residue: list[LaurentPoly], chi: list[LaurentPoly], width: int) -> tuple:
+    """The packed state of a tpoly residue mod chi."""
+    zero = LaurentPoly.zero(chi[-1].modulus)
+    return _packed(residue + [zero] * (len(chi) - 1 - len(residue)), width)
+
+
+def test_packed_check_matches_tpoly_powers():
+    """t^e mod chi by the packed square and multiply equals tpoly.pow_t_mod
+    at e = k, k + 1 and 3k + 5, for every integral matrix of the corpus."""
+    checked, degrees, unclosed = 0, set(), []
+    for a in _packed_corpus(random.Random(3141)):
+        if not decide_finite_powers(a).finite:
+            continue
+        k = divisibility_witness(a, PACKED_CORPUS_BUDGET)
+        if k is None:
+            unclosed.append((a.ring.modulus.m, a.n))
+            continue
+        chi = list(char_poly(a).coeffs)
+        companion = _companion(chi)
+        if not _dense_span(companion.rows):
+            continue
+        one, t, times, width = _packed_residues(chi, _window(companion))
+        for e in (k, k + 1, 3 * k + 5):
+            assert power(one, t, e, times) == _residue_state(tpoly.pow_t_mod(chi, e), chi, width), \
+                (a.rows, e)
+        checked += 1
+        degrees.add(len(chi) - 1)
+    assert checked >= 60 and degrees == {1, 2, 3, 4, 5}
+    # The all-(m - 1) constant -J over Z/(2^31 - 1): (-J)^k = -+n^(k-1) J, and
+    # 3 and 5 have huge orders mod 2^31 - 1 (2 and 4 have order 31).
+    assert unclosed == [(2**31 - 1, 3), (2**31 - 1, 5)]
+
+
+def test_packed_ladder_matches_the_ladder_over_z_mod_m():
+    for a in _packed_corpus(random.Random(3141)):
+        for doublings in (0, 1, 3):
+            assert sampled_degree_growth(a, doublings) == degree_ladder_mod_m(a, doublings), \
+                (a.rows, doublings)
+
+
+def test_packed_slots_stay_below_their_bounds(monkeypatch):
+    """Every slot that reaches a SlotReducer of the packed check or ladder is
+    below 2^bits, and the extreme inputs reach 2^(bits - 1): the residue -1
+    of chi = t + 1 squared over Z/(2^31 - 1), and the all-(p - 1) constant
+    matrices squared once."""
+    tightest = []
+
+    class CheckedReducer(SlotReducer):
+        def __init__(self, m: int, bits: int):
+            super().__init__(m, bits)
+            self.bits = bits
+
+        def __call__(self, values):
+            slot_bits = 8 * self.width
+            slots = max(map(int.bit_length, values)) // slot_bits + 1
+            ones = ((1 << slot_bits * slots) - 1) // ((1 << slot_bits) - 1)
+            for v in values:
+                assert not v & ~(ones * ((1 << self.bits) - 1)), "a slot reaches 2^bits"
+                tightest.append(bool(v & ones << self.bits - 1))
+            return super().__call__(values)
+
+    monkeypatch.setattr(power_semigroup, "SlotReducer", CheckedReducer)
+    for a in _packed_corpus(random.Random(3141)):
+        sampled_degree_growth(a, 3)
+        if decide_finite_powers(a).finite:
+            divisibility_witness(a, PACKED_CORPUS_BUDGET)
+    m = 2**31 - 1
+    ring = laurent_ring(m)
+    tightest.clear()
+    assert divisibility_witness(matrix_from_ints(ring, [[m - 1]])) == 2
+    assert any(tightest)
+    for m in (2, 3, 25, 2**31 - 1):
+        tightest.clear()
+        sampled_degree_growth(matrix_from_ints(laurent_ring(m), [[m - 1] * 3] * 3), 1)
+        assert any(tightest), m
+
+
+def test_berkowitz_runs_once_per_matrix(monkeypatch):
+    """The finiteness verdict and the witness share one chi, kept on the matrix."""
+    runs = []
+    berkowitz = polymat._berkowitz
+
+    def counted(*args):
+        runs.append(None)
+        return berkowitz(*args)
+
+    monkeypatch.setattr(polymat, "_berkowitz", counted)
+    for a in (upper_shear(4), nilpotent_diagonal_mod_8(),
+              RingMatrix(laurent_ring(4), [[laurent_ring(4).monomial(1)]])):
+        runs.clear()
+        decide_finite_powers(a)
+        divisibility_witness(a, SHEAR_WITNESS_BUDGET)
+        assert len(runs) == 1, a
