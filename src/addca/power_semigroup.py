@@ -14,11 +14,11 @@ constancy criterion.  The other two characterizations are executable
 cross-checks, both by one walk over the first rows of matrix powers:
 `detect_orbit` walks A^0, A^1, ..., and `divisibility_witness` walks row 0
 of the powers of the companion matrix C of chi = det(tI - A), since row 0 of
-C^j is t^j mod chi.  The witness is then checked by computing t^k mod chi
-by square and multiply and squaring it once, arithmetic the walk does not
-use.  The walk is a first-repeat search: one product per distinct element,
-a map from hashes to indices instead of the elements themselves, and a
-recomputed x_j to confirm every hash hit, so the shape found is exact.
+C^j is t^j mod chi.  The witness k is then checked by computing C^k by
+square and multiply and squaring it once.  The walk is a first-repeat
+search: one product per distinct element, a map from hashes to indices
+instead of the elements themselves, and a recomputed x_j to confirm every
+hash hit, so the shape found is exact.
 
 The walk stays inside a window of exponents fixed before it starts.  Let p^k
 exactly divide m.  When A is integral each a_i is c_i + p g_i with c_i
@@ -32,32 +32,26 @@ lie in [lo, hi] those of every power lie in
 that A is not integral, and the walk returns None at once.  A window too
 narrow could only turn an answer into None, never into a wrong shape.
 
-The walk runs on packed integers when the Laurent entries are dense (the
-rule of `polymat._dense_span`).  A = x^lo A' is evaluated once at x = 2^W,
-as in `polymat`, and a state is (low, the walked rows of x^-low A^j at
-x = 2^W), with low their lowest exponent, so equal rows have equal states.
-One advance is one integer dot product per entry against the cached packed
-columns of A', then a slot-wise reduction mod m on the packed integers
-(`laurent.SlotReducer`: v - m ((v M >> s) & mask) with M = ceil(2^s / m),
-exact for slots below 2^b when 2^s > m 2^b), then a shift that drops the
-zero slots below every entry.  A hash hit is confirmed against the rows of
-A^j computed by `RingMatrix` products and packed the same way.  A matrix
-that is not dense walks tuples of Laurent rows, one ring dot product per
-entry, in the same window.
-
-The witness check and the degree ladder stay on packed integers too.  A
-residue sum r_i t^i mod chi, d = deg chi, is a walk state of its d
-coefficients.  A product of two residues makes the d^2 integer products of
-their coefficients, the coefficients of t^0 ... t^(2d-2); those of
-t^d ... t^(2d-2) are reduced mod m and folded into the low d with a table
-of t^d ... t^(2d-2) mod chi, built once from -chi by r -> t r mod chi and
-packed at the window floor (`_packed_residues`).  The ladder of
-`sampled_degree_growth` reduces A mod each prime p of m before squaring:
-reduction mod p is a ring map, so the mod-p degrees of A^(2^i) are those
-of (A mod p)^(2^i).  A dense A squares its packed F_p entries and reads
-the lowest and highest exponent of an entry from its lowest and highest
-set bit.  A companion or a matrix that is not dense falls back to `tpoly`
-and to `RingMatrix` squarings of A mod p.
+The walk, the witness check and the degree ladder run on packed integers
+when the Laurent entries are dense (the rule of `polymat._dense_span`), with
+one product, `_product`.  A = x^lo A' is evaluated once at x = 2^W, as in
+`polymat`, and a state is (low, whole rows of x^-low A^j at x = 2^W), with
+low their lowest exponent, so equal rows have equal states.  A state times
+x^lo B is one integer dot product per entry against the packed columns of
+B, a slot-wise reduction mod m on the packed integers (`laurent.SlotReducer`:
+v - m ((v M >> s) & mask) with M = ceil(2^s / m), exact for slots below 2^b
+when 2^s > m 2^b), and a shift that drops the zero slots below every entry.
+Each caller bounds b for its own factors.  The walk steps by A: a slot sums
+n convolutions of at most span products below m^2, b = bits(n span (m-1)^2).
+The check squares and multiplies powers of C, which lie in C's window of
+span S: b = bits(n S (m-1)^2).  The ladder squares A mod p for each prime p
+of m, since reduction mod p is a ring map; A^(2^i) spans at most
+(span - 1) 2^i + 1 slots, so b = bits(n ((span - 1) 2^d + 1) (p - 1)^2) for
+d doublings, and at least bits(m - 1) for the first reduction of A's
+coefficients to A mod p.  A hash hit is confirmed against the rows of A^j
+computed by `RingMatrix` products and packed the same way.  A matrix that
+is not dense walks tuples of Laurent rows, one ring dot product per entry,
+in the same window, and is checked and squared by `RingMatrix` products.
 """
 
 from __future__ import annotations
@@ -65,7 +59,6 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from . import tpoly
 from .laurent import LaurentPoly, LaurentRing, SlotReducer
 from .modring import power, power_cost
 from .polymat import CharPoly, RingMatrix, _at_power_of_two, _dense_span, _dot, char_poly, identity
@@ -217,21 +210,40 @@ def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,
     gives None for a state outside ``window``."""
     n = matrix.n
     m = matrix.ring.modulus.m
-    # An entry of S A sums n convolutions of at most span products below m^2.
     reduce = SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())
     width = reduce.width
-    cols = tuple(zip(*_at_power_of_two(matrix.rows, lo, width)))
-
-    def advance(state: tuple) -> tuple | None:
-        low, entries = state
-        return _normalized(low + lo, reduce([sum(map(mul, entries[i:i + n], col))
-                                             for i in range(0, rows * n, n) for col in cols]),
-                           width, window)
+    factor = lo, tuple(zip(*_at_power_of_two(matrix.rows, lo, width)))
 
     def power(j: int) -> tuple:
         return _packed([a for row in (matrix ** j).rows[:rows] for a in row], width)
 
-    return (0, tuple([int(i == j) for i in range(rows) for j in range(n)])), advance, power
+    return ((0, tuple([int(i == j) for i in range(rows) for j in range(n)])),
+            lambda state: _product(state, factor, reduce, window), power)
+
+
+def _product(state: tuple, factor: tuple, reduce: SlotReducer,
+             window: tuple[int, int]) -> tuple[int, tuple[int, ...]] | None:
+    """The walk state of ``state`` times x^lo B, for ``factor`` = (lo, the
+    packed columns of B): one integer dot product per entry, each slot
+    reduced by ``reduce``, then `_normalized`; None outside ``window``."""
+    (low, entries), (lo, cols) = state, factor
+    n = len(cols)
+    return _normalized(low + lo, reduce([sum(map(mul, entries[i:i + n], col))
+                                         for i in range(0, len(entries), n) for col in cols]),
+                       reduce.width, window)
+
+
+def _square_product(n: int, reduce: SlotReducer, window: tuple[int, int]):
+    """`_product` of two n x n states, raising AssertionError for a product
+    outside ``window``."""
+    def times(a: tuple, b: tuple) -> tuple:
+        low, entries = b
+        state = _product(a, (low, [entries[j::n] for j in range(n)]), reduce, window)
+        if state is None:
+            raise AssertionError("a matrix power left the exponent window")
+        return state
+
+    return times
 
 
 def _packed(entries: list[LaurentPoly], width: int) -> tuple[int, tuple[int, ...]]:
@@ -269,85 +281,43 @@ def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> in
     """An exponent k >= 1 such that det(tI - A) divides t^(2k) - t^k.
 
     The residues t^j mod chi = det(tI - A) are row 0 of the powers of the
-    companion matrix of chi, so `detect_orbit`'s walk on that one row gives
-    their shape, and k is the least multiple of the period at or above
-    max(preperiod, 1).  k is double-checked by square and multiply on
-    arithmetic the walk does not use: squaring t^k mod chi must give t^k
-    back.  The residues are packed (`_packed_residues`) when the companion
-    is dense, `tpoly` lists otherwise.  Returns None when the budget runs
-    out, which is indeterminate, and as soon as a residue leaves the window
-    of the module docstring, which proves that A is not integral (its
-    residues never cycle).
+    companion matrix C of chi, so `detect_orbit`'s walk on that one row
+    gives their shape, and k is the least multiple of the period at or above
+    max(preperiod, 1).  The check C^k C^k = C^k shares `_product`,
+    `SlotReducer` and `_normalized` with the walk, and three parts are
+    independent: the check builds C^k by squaring with its own slot bound
+    n S (m-1)^2, the walk steps by C with n span (m-1)^2, and every hash hit
+    is confirmed on `RingMatrix` products, on which a companion that is not
+    dense is also checked.  Returns None when the budget runs out, which is
+    indeterminate, and as soon as a residue leaves the window of the module
+    docstring, which proves that A is not integral (it never cycles).
     """
-    chi = list(char_poly(matrix).coeffs)
-    companion = _companion(chi)
+    companion = _companion(list(char_poly(matrix).coeffs))
     orbit = _orbit(companion, 1, budget)
     if orbit is None:
         return None
     k = _idempotent_exponent(orbit)
     if _dense_span(companion.rows):
-        one, t, times, _ = _packed_residues(chi, _window(companion))
-        low = power(one, t, k, times)
+        power_k, times, _ = _packed_power(companion, k)
     else:
-        low = tpoly.pow_t_mod(chi, k)
-
-        def times(a: list, b: list) -> list:
-            return tpoly.mod_monic(tpoly.mul(a, b), chi)
-    if times(low, low) != low:
+        power_k, times = companion ** k, mul
+    if times(power_k, power_k) != power_k:
         raise AssertionError("cycle detection produced a non-witness exponent")
     return k
 
 
-def _packed_residues(chi: list[LaurentPoly], window: tuple[int, int]) -> tuple:
-    """(one, t, times, width): the walk states of t^0 and t^1 mod the monic
-    chi of degree d >= 1 at x = 2^(8 width), and their product mod chi.
-
-    A product makes the d^2 products of the coefficients of t^0 ... t^(2d-2),
-    reduces those of t^d ... t^(2d-2) mod m and folds each into the low d
-    with the table of t^d ... t^(2d-2) mod chi, packed at the window floor
-    so that every fold term has the exponent offset of the product.  Each
-    residue lies in ``window``, of span S, if chi is the characteristic
-    polynomial of an integral matrix: then an unreduced low coefficient
-    sums at most d S products below m^2 in a slot, and the fold d - 1
-    more, so slots below 2^bits((2d - 1) S (m - 1)^2) take every value.  A
-    product outside the window raises AssertionError; it cannot happen once
-    the walk on the residues has closed.
-    """
-    d = len(chi) - 1
-    m = chi[-1].modulus.m
-    floor, ceiling = window
-    reduce = SlotReducer(m, ((2 * d - 1) * (ceiling - floor + 1) * (m - 1) ** 2).bit_length())
-    width = reduce.width
-    bits = 8 * width
-    lift = -floor * bits  # from the offset of a product to that of its fold terms
-    table = _at_power_of_two([[-a for a in chi[:-1]]], floor, width)  # t^d mod chi
-
-    def times(r: tuple, s: tuple) -> tuple:
-        (low_r, r_values), (low_s, s_values) = r, s
-        c = [0] * (2 * d - 1)
-        for i, a in enumerate(r_values):
-            if a:
-                for j, b in enumerate(s_values):
-                    c[i + j] += a * b
-        out = [v << lift for v in c[:d]]
-        if d > 1:
-            for v, row in zip(reduce(c[d:]), table):
-                if v:
-                    out = [o + v * w for o, w in zip(out, row)]
-        state = _normalized(low_r + low_s + floor, reduce(out), width, window)
-        if state is None:
-            raise AssertionError("a residue t^j mod chi left the exponent window")
-        return state
-
-    one = (0, tuple([int(i == 0) for i in range(d)]))
-    if d == 1:
-        t = _normalized(floor, table[0], width, window)
-    else:
-        t = (0, tuple([int(i == 1) for i in range(d)]))
-        for _ in range(d - 2):  # t^(j+1) mod chi = t (t^j mod chi), from t^d alone
-            low, values = times(t, (floor, table[-1]))
-            table.append([v << bits * (low - floor) for v in values])
-    return one, t, times, width
+def _packed_power(matrix: RingMatrix, exponent: int) -> tuple:
+    """(A^exponent, times, width) for a dense A and exponent >= 1: the packed
+    state of the power at x = 2^(8 width) by square and multiply, with slots
+    of n S (m-1)^2 (module docstring), and the product of two states, which
+    raises AssertionError for a power outside ``_window(A)``."""
+    n = matrix.n
+    m = matrix.ring.modulus.m
+    floor, ceiling = window = _window(matrix)
+    reduce = SlotReducer(m, (n * (ceiling - floor + 1) * (m - 1) ** 2).bit_length())
+    times = _square_product(n, reduce, window)
+    base = _packed([a for row in matrix.rows for a in row], reduce.width)
+    return power(base, base, exponent - 1, times), times, reduce.width
 
 
 def _companion(chi: list[LaurentPoly]) -> RingMatrix:
@@ -372,6 +342,8 @@ def sampled_degree_growth(matrix: RingMatrix, doublings: int = 5) -> list[int]:
     prime p of m squares A mod p, on packed integers when A is dense, and
     each step takes the largest degree over the primes.
     """
+    if doublings < 0:
+        raise ValueError(f"doublings must be non-negative, got {doublings}")
     shape = _dense_span(matrix.rows)
     modulus = matrix.ring.modulus
     ladders = []
@@ -400,30 +372,22 @@ def _degree_ladder(matrix: RingMatrix, doublings: int) -> list[int]:
 def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
                           doublings: int) -> list[int]:
     """`_degree_ladder` of A mod p for a matrix with exponents in
-    [lo, lo + span), squared on its entries at x = 2^s without unpacking.
-
-    The first slot-wise reduction takes the coefficients of A, below m, to
-    A mod p.  The entries of A^(2^i) = x^(lo 2^i) A'^(2^i) span at most
-    (span - 1) 2^i + 1 slots, so a slot of a square sums at most
-    n ((span - 1) 2^doublings + 1) products below p^2.  An entry's lowest
-    and highest nonzero slots are those of its lowest and highest set bits.
-    """
+    [lo, lo + span), squared on packed entries inside the window
+    [min(0, lo 2^d), max(0, hi 2^d)] of A^(2^d), hi = lo + span - 1, with the
+    slots of the module docstring.  A state's degree is read off its low and
+    its longest value."""
     n = matrix.n
     bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)
     reduce = SlotReducer(p, bound.bit_length())
-    bits = 8 * reduce.width
-    values = reduce([v for row in _at_power_of_two(matrix.rows, lo, reduce.width) for v in row])
+    window = min(0, lo << doublings), max(0, lo + span - 1 << doublings)
+    state = _normalized(lo, reduce([v for row in _at_power_of_two(matrix.rows, lo, reduce.width)
+                                    for v in row]), reduce.width, window)
+    times = _square_product(n, reduce, window)
     profile = []
     while True:
-        best = 0
-        for v in values:
-            if v:
-                best = max(best, lo + (v.bit_length() - 1) // bits,
-                           -lo - ((v & -v).bit_length() - 1) // bits)
-        profile.append(best)
+        low, values = state
+        top = (max(map(int.bit_length, values)) - 1) // (8 * reduce.width)
+        profile.append(max(0, -low, low + top))
         if len(profile) > doublings:
             return profile
-        cols = [values[j::n] for j in range(n)]
-        values = reduce([sum(map(mul, values[i:i + n], col))
-                         for i in range(0, n * n, n) for col in cols])
-        lo *= 2
+        state = times(state, state)

@@ -7,10 +7,11 @@ monic divisors, which never requires inverting a coefficient.  No ring handle
 is passed around: a zero coefficient is one without terms, and the one of the
 ring is the leading coefficient of the monic divisor.
 
-`power_semigroup.divisibility_witness` computes t^k mod chi on packed
-integers when the companion matrix of chi is dense; these lists serve the
-sparse fallback and the tests, which check the packed residues against
-`pow_t_mod`.
+Nothing in the package imports this module: `power_semigroup` checks a
+divisibility witness on powers of the companion matrix of chi.  Only the
+tests, which compare row 0 of those powers with `pow_t_mod`, and the
+benchmark tracer, which wraps `pow_t_mod` and `mod_monic`, use it.  It stays
+here until the tracer stops counting those two calls.
 """
 
 from __future__ import annotations

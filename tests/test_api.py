@@ -112,12 +112,13 @@ def test_benchmark_and_script_references_resolve(path):
 
 
 def test_import_loads_no_introspection_modules():
-    """A fresh ``import addca, addca.cli`` pays for none of HEAVY_MODULES."""
+    """A fresh ``import addca, addca.cli`` pays for none of HEAVY_MODULES, nor
+    for ``addca.tpoly``, which only the tests and the benchmark tracer use."""
     code = ("import addca, addca.cli, sys; "
             "print(' '.join(name for name in sys.argv[1:] if name in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code, *HEAVY_MODULES],
+    result = subprocess.run([sys.executable, "-c", code, *HEAVY_MODULES, "addca.tpoly"],
                             capture_output=True, text=True, env=env, check=True)
     assert result.stdout.split() == []
 

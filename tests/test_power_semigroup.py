@@ -9,16 +9,14 @@ import pytest
 
 from addca import polymat, power_semigroup, tpoly
 from addca.laurent import LaurentPoly, SlotReducer, laurent_ring, pack_slots, unpack_slots
-from addca.modring import power
 from addca.polymat import RingMatrix, _dense_span, char_poly, identity, matrix_from_ints
 from addca.power_semigroup import (
     OrbitShape,
     _companion,
     _first_repeat,
     _idempotent_exponent,
-    _packed,
+    _packed_power,
     _packed_power_walk,
-    _packed_residues,
     _window,
     decide_finite_powers,
     detect_orbit,
@@ -445,6 +443,36 @@ def test_non_integral_walks_stop_at_the_window(monkeypatch):
             assert search(a) is None, (search.__name__, a.rows)
 
 
+def test_sparse_companions_are_checked_on_ring_matrices():
+    """Integral matrices whose companion is too wide to pack: the walk runs
+    on Laurent rows and the check on `RingMatrix` products."""
+    ring = laurent_ring(4)
+    for a, witness in ((RingMatrix(ring, [[ring.one() + ring.monomial(1000, 2)]]), 2),
+                       (RingMatrix(ring, [[ring.one() + ring.monomial(500, 2), ring.zero()],
+                                          [ring.zero(), ring.from_int(3)]]), 4)):
+        assert not _dense_span(_companion(list(char_poly(a).coeffs)).rows), a
+        assert detect_orbit(a, INTEGRAL_CORPUS_BUDGET) == brent_orbit(a) == OrbitShape(0, 2), a
+        assert divisibility_witness(a, INTEGRAL_CORPUS_BUDGET) \
+            == _idempotent_exponent(brent_residue_orbit(a)) == witness, a
+
+
+def test_a_non_witness_exponent_fails_the_check(monkeypatch):
+    """The check rejects k + 1, on packed powers and on RingMatrix powers."""
+    exponent = power_semigroup._idempotent_exponent
+    monkeypatch.setattr(power_semigroup, "_idempotent_exponent", lambda orbit: exponent(orbit) + 1)
+    ring = laurent_ring(4)
+    for a in (upper_shear(4), RingMatrix(ring, [[ring.one() + ring.monomial(1000, 2)]])):
+        with pytest.raises(AssertionError, match="non-witness"):
+            divisibility_witness(a, INTEGRAL_CORPUS_BUDGET)
+
+
+def test_negative_doublings_are_rejected():
+    ring = laurent_ring(4)
+    for entry in (ring.one() + ring.monomial(1), ring.one() + ring.monomial(1000)):
+        with pytest.raises(ValueError, match="doublings"):
+            sampled_degree_growth(RingMatrix(ring, [[entry]]), -1)
+
+
 def _conjugated_signed_cycle(rng: random.Random, m: int, n: int) -> list[list[int]]:
     """S P S^-1 over Z/m for P an n-cycle with signs and S a product of
     elementary matrices: dense, with chi(P) = t^n -+ 1, so that t has order
@@ -500,15 +528,10 @@ def _packed_corpus(rng: random.Random) -> list[RingMatrix]:
     return corpus
 
 
-def _residue_state(residue: list[LaurentPoly], chi: list[LaurentPoly], width: int) -> tuple:
-    """The packed state of a tpoly residue mod chi."""
-    zero = LaurentPoly.zero(chi[-1].modulus)
-    return _packed(residue + [zero] * (len(chi) - 1 - len(residue)), width)
-
-
 def test_packed_check_matches_tpoly_powers():
-    """t^e mod chi by the packed square and multiply equals tpoly.pow_t_mod
-    at e = k, k + 1 and 3k + 5, for every integral matrix of the corpus."""
+    """Row 0 of the packed C^e, C the companion of chi, equals
+    tpoly.pow_t_mod(chi, e) packed the same way, at e = k, k + 1 and
+    3k + 5, for every integral matrix of the corpus."""
     checked, degrees, unclosed = 0, set(), []
     for a in _packed_corpus(random.Random(3141)):
         if not decide_finite_powers(a).finite:
@@ -521,12 +544,16 @@ def test_packed_check_matches_tpoly_powers():
         companion = _companion(chi)
         if not _dense_span(companion.rows):
             continue
-        one, t, times, width = _packed_residues(chi, _window(companion))
+        d = len(chi) - 1
+        zero = LaurentPoly.zero(a.ring.modulus)
         for e in (k, k + 1, 3 * k + 5):
-            assert power(one, t, e, times) == _residue_state(tpoly.pow_t_mod(chi, e), chi, width), \
+            (low, entries), _, width = _packed_power(companion, e)
+            residue = tpoly.pow_t_mod(chi, e)
+            residue += [zero] * (d - len(residue))
+            assert entries[:d] == tuple(polymat._at_power_of_two([residue], low, width)[0]), \
                 (a.rows, e)
         checked += 1
-        degrees.add(len(chi) - 1)
+        degrees.add(d)
     assert checked >= 60 and degrees == {1, 2, 3, 4, 5}
     # The all-(m - 1) constant -J over Z/(2^31 - 1): (-J)^k = -+n^(k-1) J, and
     # 3 and 5 have huge orders mod 2^31 - 1 (2 and 4 have order 31).
@@ -541,10 +568,10 @@ def test_packed_ladder_matches_the_ladder_over_z_mod_m():
 
 
 def test_packed_slots_stay_below_their_bounds(monkeypatch):
-    """Every slot that reaches a SlotReducer of the packed check or ladder is
-    below 2^bits, and the extreme inputs reach 2^(bits - 1): the residue -1
-    of chi = t + 1 squared over Z/(2^31 - 1), and the all-(p - 1) constant
-    matrices squared once."""
+    """Every slot that reaches a SlotReducer of the packed walk, check or
+    ladder is below 2^bits, and the extreme inputs reach 2^(bits - 1): the
+    companion [[-1]] of chi = t + 1 squared by the check over Z/(2^31 - 1),
+    and the all-(p - 1) constant matrices squared once by the ladder."""
     tightest = []
 
     class CheckedReducer(SlotReducer):
@@ -567,9 +594,10 @@ def test_packed_slots_stay_below_their_bounds(monkeypatch):
         if decide_finite_powers(a).finite:
             divisibility_witness(a, PACKED_CORPUS_BUDGET)
     m = 2**31 - 1
-    ring = laurent_ring(m)
+    a = matrix_from_ints(laurent_ring(m), [[m - 1]])
+    assert divisibility_witness(a) == 2
     tightest.clear()
-    assert divisibility_witness(matrix_from_ints(ring, [[m - 1]])) == 2
+    _packed_power(_companion(list(char_poly(a).coeffs)), 2)  # the check's reducer alone
     assert any(tightest)
     for m in (2, 3, 25, 2**31 - 1):
         tightest.clear()
