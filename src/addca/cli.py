@@ -16,7 +16,9 @@ cell vectors and is only needed by ``simulate``.
 Verbs: ``analyze`` (property report), ``simulate`` (space-time grid),
 ``charpoly`` (characteristic polynomial with per-prime integrality verdicts)
 and ``orbit`` (power-set shape under a step budget).  Exit codes: 0 success,
-2 malformed specification, 3 budget exhausted where an exact answer exists.
+2 malformed specification, 3 budget exhausted where an exact answer exists
+(``orbit``) or where the grid would cost more than ``MAX_STEP_WORK``
+(``simulate``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import NamedTuple
 
 from .additive_ca import (
@@ -32,7 +35,7 @@ from .additive_ca import (
     GroupEndomorphism,
     MalformedEndomorphismError,
     decide_properties,
-    simulate_additive,
+    step_additive,
 )
 from .lca import (
     FiniteConfiguration,
@@ -40,7 +43,7 @@ from .lca import (
     analyze_rule,
     associated_matrix,
     render_trajectory,
-    simulate,
+    step,
 )
 from .modring import InvalidModulusError, factorize, short_repr
 from .polymat import char_poly
@@ -51,6 +54,10 @@ from .power_semigroup import (char_poly_finiteness, decide_finite_powers, detect
 # simulate builds its (steps + 1) x (2 * window + 1) grid in memory, about 70
 # bytes a cell, so a larger grid is refused before anything is simulated.
 MAX_GRID_CELLS = 10**6
+
+# simulate charges each cell it steps once per offset of the rule, the updates
+# the step makes for it, and exits 3 once the charge passes this limit.
+MAX_STEP_WORK = 5 * 10**6
 
 
 class SpecError(ValueError):
@@ -104,11 +111,15 @@ def _initial_config(data: dict, orders: tuple[int, ...]) -> FiniteConfiguration 
     raw = data["initial"]
     _expect(isinstance(raw, dict), "field \"initial\" must map positions to cell vectors")
     cells = {}
+    keys: dict[int, str] = {}
     for key, vector in raw.items():
         try:
             position = int(key)
         except ValueError:
             raise SpecError(f"initial position {short_repr(key)} is not an integer") from None
+        _expect(position not in keys, f"initial positions {short_repr(keys.get(position))} "
+                f"and {short_repr(key)} both name cell {position}")
+        keys[position] = key
         _expect(isinstance(vector, list) and len(vector) == len(orders),
                 f"initial cell at {short_repr(key)} must be a vector of {len(orders)} integers")
         _expect(all(isinstance(v, int) and not isinstance(v, bool) for v in vector),
@@ -167,10 +178,20 @@ def parse_spec(data: dict) -> SpecDocument:
     return SpecDocument(kind=kind, rule=rule, initial=_initial_config(data, orders))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; json would keep only the last value of a key
+    given twice, so that is a spec error."""
+    data = {}
+    for key, value in pairs:
+        _expect(key not in data, f"key {short_repr(key)} appears twice in one object")
+        data[key] = value
+    return data
+
+
 def load_spec(path: str) -> SpecDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise SpecError(f"cannot read {path}: {err}") from None
     except UnicodeDecodeError as err:
@@ -179,6 +200,8 @@ def load_spec(path: str) -> SpecDocument:
         raise SpecError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     except RecursionError:
         raise SpecError(f"{path}: JSON nested too deeply") from None
+    except SpecError as err:
+        raise SpecError(f"{path}: {err}") from None
     except ValueError:  # an integer literal past the int-to-str digit limit
         raise SpecError(f"{path}: a number has more than "
                         f"{sys.get_int_max_str_digits()} digits") from None
@@ -234,10 +257,13 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
     _expect(cells <= MAX_GRID_CELLS,
             f"--steps {args.steps} and --window {args.window} ask for a grid of {cells} cells; "
             f"the limit is {MAX_GRID_CELLS}")
-    if document.kind == "linear":
-        trajectory = simulate(document.rule, document.initial, args.steps)
-    else:
-        trajectory = simulate_additive(document.rule, document.initial, args.steps)
+    stepper = step if document.kind == "linear" else step_additive
+    trajectory = _windowed_trajectory(stepper, document.rule, document.initial,
+                                      args.steps, args.window)
+    if trajectory is None:
+        print(f"budget exhausted: --steps {args.steps} and --window {args.window} need more "
+              f"than {MAX_STEP_WORK} cell updates; lower --steps", file=sys.stderr)
+        return 3
     grid = render_trajectory(trajectory, args.window)
     if args.format == "json":
         _emit_json({"kind": document.kind, "rule": _describe(document),
@@ -245,6 +271,27 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
         return 0
     print(grid)
     return 0
+
+
+def _windowed_trajectory(stepper, rule, initial: FiniteConfiguration, steps: int,
+                         window: int) -> list[FiniteConfiguration] | None:
+    """Rows 0 .. steps of the trajectory of ``initial``, each cropped to
+    [-window, window], or None once the stepped cells cost more than
+    ``MAX_STEP_WORK``.  A cell of row t + s depends only on the cells of row t
+    within radius * s of it, so row t is stepped cropped to its light cone
+    |x| <= window + radius * (steps - t), which gives every later row exactly
+    on the window."""
+    radius = rule.radius
+    current = initial.cropped(window + radius * steps)
+    rows = [current.cropped(window)]
+    work = 0
+    for t in range(1, steps + 1):
+        work += (2 * radius + 1) * len(current.cells)
+        if work > MAX_STEP_WORK:
+            return None
+        current = stepper(rule, current).cropped(window + radius * (steps - t))
+        rows.append(current.cropped(window))
+    return rows
 
 
 def cmd_charpoly(document: SpecDocument, args: argparse.Namespace) -> int:
@@ -315,7 +362,10 @@ def cmd_orbit(document: SpecDocument, args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``addca`` argument parser, built on first use and then shared by
+    every `main` call in the process; nothing modifies it after it is built."""
     parser = argparse.ArgumentParser(
         prog="addca",
         description="Analyze and simulate linear and additive one-dimensional CA.")

@@ -50,8 +50,9 @@ from __future__ import annotations
 
 import struct
 import sys
+from functools import reduce
 from itertools import compress
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .modring import Modulus, RingMismatchError, factorize, power
@@ -356,7 +357,8 @@ class SlotReducer:
     Montgomery, PLDI 1994).  The slots are ``width`` bytes, at least
     bits + bits(M) and s bits, so each v M stays inside its own slot and
     v - m ((v M >> s) & mask), with 2^(8 width - s) - 1 in every slot of
-    mask, is v with each slot reduced mod m.
+    mask, is v with each slot reduced mod m.  The values are non-negative, so
+    the bit length of their OR is the longest of them, which sizes the mask.
     """
 
     __slots__ = ("m", "width", "_shift", "_magic", "_digit", "_mask", "_mask_bits")
@@ -373,7 +375,7 @@ class SlotReducer:
 
     def __call__(self, values: Sequence[int]) -> list[int]:
         """``values`` with every slot, each below 2^bits, reduced mod m."""
-        need = max(map(int.bit_length, values))
+        need = reduce(or_, values, 0).bit_length()
         if need > self._mask_bits:
             # Grow the mask to twice the slots needed, so that a walk whose
             # values lengthen step by step rebuilds it only O(log) times.

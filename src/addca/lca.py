@@ -113,6 +113,15 @@ class FiniteConfiguration:
     def is_zero(self) -> bool:
         return not self.cells
 
+    def cropped(self, reach: int) -> "FiniteConfiguration":
+        """This configuration with every cell outside -reach .. reach zeroed."""
+        cells = self.cells
+        if not cells or -reach <= min(cells) and max(cells) <= reach:
+            return self
+        cropped = FiniteConfiguration(self.orders)
+        cropped.cells = {pos: vec for pos, vec in cells.items() if -reach <= pos <= reach}
+        return cropped
+
     def scale(self, value: int) -> "FiniteConfiguration":
         return FiniteConfiguration(self.orders,
                                    {p: tuple(value * x for x in v) for p, v in self.cells.items()})

@@ -41,6 +41,9 @@ x^lo B is one integer dot product per entry against the packed columns of
 B, a slot-wise reduction mod m on the packed integers (`laurent.SlotReducer`:
 v - m ((v M >> s) & mask) with M = ceil(2^s / m), exact for slots below 2^b
 when 2^s > m 2^b), and a shift that drops the zero slots below every entry.
+Both the reduction and the shift read what they need of a state from one OR
+of its values, which are non-negative: the lowest set bit of the OR is the
+lowest set bit over the values, and its bit length the largest bit length.
 Each caller bounds b for its own factors.  The walk steps by A: a slot sums
 n convolutions of at most span products below m^2, b = bits(n span (m-1)^2).
 The check squares and multiplies powers of C, which lie in C's window of
@@ -56,7 +59,8 @@ in the same window, and is checked and squared by `RingMatrix` products.
 
 from __future__ import annotations
 
-from operator import mul
+import functools
+from operator import mul, or_
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, LaurentRing, SlotReducer
@@ -257,16 +261,17 @@ def _normalized(low: int, values: list[int], width: int,
                 window: tuple[int, int]) -> tuple[int, tuple[int, ...]] | None:
     """The walk state x^low (values at x = 2^(8 width)) with the zero slots
     shared by the bottom of every value shifted out, or None when its
-    exponents leave ``window``."""
+    exponents leave ``window``.  Both ends come from the OR of the values."""
     bits = 8 * width
-    lowest = min([(v & -v).bit_length() for v in values if v], default=0)
-    if not lowest:
+    union = functools.reduce(or_, values, 0)
+    if not union:
         return 0, tuple(values)
-    slots = (lowest - 1) // bits
+    slots = ((union & -union).bit_length() - 1) // bits
     if slots:
         low += slots
         values = [v >> bits * slots for v in values]
-    if low < window[0] or low + (max(map(int.bit_length, values)) - 1) // bits > window[1]:
+        union >>= bits * slots
+    if low < window[0] or low + (union.bit_length() - 1) // bits > window[1]:
         return None
     return low, tuple(values)
 
@@ -386,7 +391,7 @@ def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
     profile = []
     while True:
         low, values = state
-        top = (max(map(int.bit_length, values)) - 1) // (8 * reduce.width)
+        top = (functools.reduce(or_, values).bit_length() - 1) // (8 * reduce.width)
         profile.append(max(0, -low, low + top))
         if len(profile) > doublings:
             return profile

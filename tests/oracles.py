@@ -19,7 +19,10 @@ basis configurations, the spreading semi-decision, the prime powers,
 largest exponent and nilradical generator of a modulus, the Laurent parser,
 the constant term, the matrix trace, a group's order and elements, the
 mod-p degrees of a Laurent polynomial, the shift of a configuration and the
-image of a group element under an endomorphism.
+image of a group element under an endomorphism.  The packed walk's
+normalization and the slot reducer's mask sizing are kept as they read before
+both came from one OR per state: a filtered min of the lowest set bits and a
+max of the bit lengths.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Any, Sequence
 
 from addca import tpoly
 from addca.additive_ca import AbelianGroup, GroupEndomorphism, _embedding_scales
-from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
+from addca.laurent import LaurentPoly, LaurentRing, SlotReducer, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_gcd, _fp_trim, associated_matrix
 from addca.lca import step as lca_step
 from addca.modring import Modulus
@@ -825,3 +828,37 @@ def apply_endomorphism(endomorphism: GroupEndomorphism, vector: Sequence[int]) -
     vec = endomorphism.group.reduce(vector)
     return tuple(sum(map(mul, row, vec)) % q
                  for row, q in zip(endomorphism.matrix, endomorphism.group.factors))
+
+
+def normalized_by_passes(low: int, values: list[int], width: int,
+                         window: tuple[int, int]) -> tuple[int, tuple[int, ...]] | None:
+    """`power_semigroup._normalized` with its lowest slot taken as the min over
+    the nonzero values of their lowest set bit, and its highest from the
+    largest bit length."""
+    bits = 8 * width
+    lowest = min([(v & -v).bit_length() for v in values if v], default=0)
+    if not lowest:
+        return 0, tuple(values)
+    slots = (lowest - 1) // bits
+    if slots:
+        low += slots
+        values = [v >> bits * slots for v in values]
+    if low < window[0] or low + (max(map(int.bit_length, values)) - 1) // bits > window[1]:
+        return None
+    return low, tuple(values)
+
+
+class SlotReducerByPasses(SlotReducer):
+    """`SlotReducer` that sizes its mask by the largest bit length of the values."""
+
+    __slots__ = ()
+
+    def __call__(self, values):
+        need = max(map(int.bit_length, values))
+        if need > self._mask_bits:
+            bits = 8 * self.width
+            slots = 2 * (need // bits + 1)
+            self._mask = self._digit * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
+            self._mask_bits = bits * slots
+        m, shift, magic, mask = self.m, self._shift, self._magic, self._mask
+        return [v - m * ((v * magic >> shift) & mask) for v in values]

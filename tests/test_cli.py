@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addca.cli import MAX_GRID_CELLS, SpecError, main, parse_spec
-from addca.lca import PropertyReport
+from addca import cli
+from addca.additive_ca import simulate_additive
+from addca.cli import MAX_GRID_CELLS, SpecError, build_parser, main, parse_spec
+from addca.lca import PropertyReport, render_trajectory, simulate
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -127,6 +130,109 @@ def test_simulate_rejects_an_oversized_grid(capsys):
     code, _, err = run_cli(capsys, "simulate", str(SPECS / "rule90.json"),
                            "--steps", "0", "--window", str(MAX_GRID_CELLS // 2))
     assert code == 2 and f"grid of {MAX_GRID_CELLS + 1} cells" in err
+
+
+def _random_simulate_spec(rng: random.Random) -> dict:
+    """A random linear rule, or the additive rule of specs/, with a random
+    initial configuration that may reach far outside a small window."""
+    if rng.random() < 0.25:
+        spec = json.loads((SPECS / "additive42.json").read_text())
+        rank = len(spec["group"])
+    else:
+        m, rank, radius = rng.choice((2, 3, 4, 6, 9)), rng.randint(1, 3), rng.randint(0, 2)
+        spec = {"kind": "linear", "m": m, "n": rank, "radius": radius,
+                "matrices": [[[rng.randrange(m) for _ in range(rank)] for _ in range(rank)]
+                             for _ in range(2 * radius + 1)]}
+    spec["initial"] = {str(pos): [rng.randrange(5) for _ in range(rank)]
+                       for pos in rng.sample(range(-40, 41), rng.randint(0, 6))}
+    return spec
+
+
+def test_simulate_matches_the_full_trajectory(tmp_path):
+    """The light-cone crop prints the grid of the whole trajectory, byte for
+    byte, on random rules, initial cells and windows."""
+    rng = random.Random(2024)
+    for _ in range(60):
+        spec = _random_simulate_spec(rng)
+        steps, window = rng.randint(0, 25), rng.randint(0, 12)
+        document = parse_spec(spec)
+        run = simulate if document.kind == "linear" else simulate_additive
+        expected = render_trajectory(run(document.rule, document.initial, steps), window) + "\n"
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["simulate", write_spec(tmp_path, spec),
+                         "--steps", str(steps), "--window", str(window)])
+        assert (code, out.getvalue()) == (0, expected), (spec, steps, window)
+
+
+def test_simulate_exits_3_past_the_step_work_limit(capsys, monkeypatch):
+    """Rule 90 from one cell steps 1, 2 and 2 cells, at three offsets each,
+    for its first three rows: a charge of 15."""
+    rule90 = str(SPECS / "rule90.json")
+    monkeypatch.setattr(cli, "MAX_STEP_WORK", 15)
+    code, out, err = run_cli(capsys, "simulate", rule90, "--steps", "3")
+    assert code == 0 and len(out.splitlines()) == 4
+    monkeypatch.setattr(cli, "MAX_STEP_WORK", 14)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "simulate", rule90, "--steps", "3", "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.startswith("budget exhausted: ") and "--steps 3" in err
+        assert "Traceback" not in err
+
+
+def test_simulate_rejects_duplicate_initial_positions(capsys, tmp_path):
+    spec = json.loads((SPECS / "rule90.json").read_text())
+    spec["initial"] = {"1": [1], "01": [0], " 2": [1], "+2": [0]}
+    code, out, err = run_cli(capsys, "simulate", write_spec(tmp_path, spec))
+    assert code == 2 and out == ""
+    assert err.endswith("initial positions '1' and '01' both name cell 1\n"), err
+    # json.load alone would keep the last of two equal keys
+    text = json.dumps(spec).replace('"01"', '"1"')
+    code, out, err = run_cli(capsys, "simulate", write_spec(tmp_path, text))
+    assert code == 2 and out == ""
+    assert err.endswith("key '1' appears twice in one object\n"), err
+
+
+def _call(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of one in-process call; argparse errors
+    exit through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_leaks_no_state(monkeypatch):
+    """Each call on the shared parser prints what a call on a freshly built
+    parser prints, whatever the call before it parsed."""
+    monkeypatch.chdir(SPECS.parent)
+    pairs = [
+        (["simulate", "specs/rule90.json", "--steps", "3"], ["simulate", "specs/rule90.json"]),
+        (["orbit", "specs/shear.json", "--budget", "5", "--format", "json"],
+         ["orbit", "specs/shear.json", "--format", "json"]),
+        (["orbit", "specs/shear.json", "--budget"], ["analyze", "specs/rule90.json"]),
+    ]
+    for first, second in pairs:
+        fresh = []
+        for argv in (first, second):
+            build_parser.cache_clear()
+            fresh.append(_call(argv))
+        build_parser.cache_clear()
+        assert [_call(first), _call(second)] == fresh
+        assert build_parser.cache_info().misses == 1
+    assert fresh[0][0] == 2 and "expected one argument" in fresh[0][2]
+
+
+def test_parser_is_built_on_first_use():
+    code = ("import addca.cli as cli; assert cli.build_parser.cache_info().currsize == 0; "
+            "cli.main(['analyze', 'specs/rule90.json']); "
+            "assert cli.build_parser.cache_info().currsize == 1")
+    result = subprocess.run([sys.executable, "-c", code], cwd=SPECS.parent,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_charpoly_shear(capsys):

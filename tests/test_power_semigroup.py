@@ -16,6 +16,7 @@ from addca.power_semigroup import (
     _first_repeat,
     _idempotent_exponent,
     _packed_power,
+    _normalized,
     _packed_power_walk,
     _window,
     decide_finite_powers,
@@ -24,8 +25,9 @@ from addca.power_semigroup import (
     sampled_degree_growth,
 )
 
-from oracles import (BudgetExhausted, brent_orbit, brent_residue_orbit, degree_ladder_mod_m,
-                     frobenius_companion, idempotent_power, tpoly_sub)
+from oracles import (BudgetExhausted, SlotReducerByPasses, brent_orbit, brent_residue_orbit,
+                     degree_ladder_mod_m, frobenius_companion, idempotent_power,
+                     normalized_by_passes, tpoly_sub)
 from test_polymat import random_laurent_matrix, random_zmod_matrix
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
@@ -321,6 +323,57 @@ def test_slot_reducer_matches_slotwise_remainder():
                 packed = reduce([pack_slots(row, reduce.width) for row in rows])
                 for row, value in zip(rows, packed):
                     assert list(unpack_slots(value, count, reduce.width)) == [v % m for v in row]
+
+
+def _packed_values(rng: random.Random, width: int) -> list[int]:
+    """Packed values whose slots start at mixed heights: each value has a
+    random number of zero slots below its first nonzero one, and some values
+    are zero."""
+    count = rng.randrange(1, 6)
+    values = []
+    for _ in range(count):
+        if rng.random() < 0.2:
+            values.append(0)
+            continue
+        slots = [0] * rng.randrange(4) + [rng.randrange(1, 1 << 8 * width)]
+        slots += [rng.randrange(1 << 8 * width) for _ in range(rng.randrange(4))]
+        values.append(pack_slots(slots, width))
+    return values
+
+
+def test_normalized_matches_the_per_value_passes():
+    """One OR per state gives the state and window verdict of a min and a max
+    pass over the values: all zero, a single nonzero value, mixed lowest
+    slots, and windows that end exactly at the state's lowest and highest
+    slot or one slot inside them."""
+    rng = random.Random(1616)
+    cases = [([0], 1), ([0, 0, 0], 2), ([1 << 40], 1), ([0, 5 << 24, 0], 4)]
+    cases += [(_packed_values(rng, width), width) for width in (1, 2, 4) for _ in range(150)]
+    for values, width in cases:
+        low = rng.randrange(-5, 6)
+        free = normalized_by_passes(low, values, width, (-10**9, 10**9))
+        assert _normalized(low, values, width, (-10**9, 10**9)) == free
+        bottom, packed = free
+        top = bottom + (max(map(int.bit_length, packed), default=0) - 1) // (8 * width)
+        for window in ((bottom, top), (bottom + 1, top), (bottom, top - 1),
+                       (bottom - 1, top + 1), (top + 1, top + 2)):
+            assert (_normalized(low, values, width, window)
+                    == normalized_by_passes(low, values, width, window)), (values, window)
+
+
+def test_slot_reducer_mask_grows_as_with_per_value_passes():
+    """The OR sizes the mask as the longest value did: equal outputs and an
+    equal mask after every call of a walk whose values lengthen and shrink."""
+    rng = random.Random(1717)
+    for m in (2, 9, 25, 2**31 - 1):
+        for bits in (3, 20, 64):
+            reducer, oracle = SlotReducer(m, bits), SlotReducerByPasses(m, bits)
+            for _ in range(40):
+                slots = rng.randrange(1, 30)
+                values = [rng.randrange(1 << min(bits, 8 * reducer.width * slots))
+                          for _ in range(rng.randrange(1, 6))]
+                assert reducer(values) == oracle(values)
+                assert (reducer._mask, reducer._mask_bits) == (oracle._mask, oracle._mask_bits)
 
 
 def _integral_corpus(rng: random.Random) -> list[RingMatrix]:

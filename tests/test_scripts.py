@@ -59,6 +59,11 @@ no contradictions between the decision and the simulations
 """
 
 
+REPLAY_OUTPUT = """\
+40 of 40 golden cases match, 1 parser built (<time>)
+"""
+
+
 def strip_timings(text: str) -> str:
     """Replace every elapsed time such as ``0.3s`` by ``<time>``."""
     return re.sub(r"\b\d+\.\d+s\b", "<time>", text)
@@ -67,7 +72,8 @@ def strip_timings(text: str) -> str:
 @pytest.mark.parametrize("script, args, expected", [
     ("ca_property_survey.py", ["--moduli", "2,3,4"], SURVEY_OUTPUT),
     ("corpus_crosscheck.py", ["--count", "60"], CROSSCHECK_OUTPUT),
-], ids=["survey", "crosscheck"])
+    ("replay_goldens.py", [], REPLAY_OUTPUT),
+], ids=["survey", "crosscheck", "replay"])
 def test_script_output_is_pinned(script, args, expected):
     result = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                             capture_output=True, text=True, timeout=120)
