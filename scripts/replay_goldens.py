@@ -2,8 +2,8 @@
 """Replay the golden CLI outputs in one process, with the standard library only.
 
 Each case of tests/cli_golden.json records the exit code, stdout and stderr
-of ``addca <verb> specs/<name>.json --format <fmt>`` run from the repository
-root.  This script runs every case through ``addca.cli.main`` in this one
+of ``addca <verb> <dir>/<name>.json --format <fmt>`` for a spec in ``specs/``
+or ``tests/specs/``, run from the repository root.  This script runs every case through ``addca.cli.main`` in this one
 process, so all of them parse with one shared argument parser, and compares
 the three outputs byte for byte.  It needs no pytest, so it runs on any
 supported Python as installed.  Prints each mismatching case and a summary,

@@ -47,8 +47,8 @@ from .lca import (
 )
 from .modring import InvalidModulusError, factorize, short_repr
 from .polymat import char_poly
-from .power_semigroup import (char_poly_finiteness, decide_finite_powers, detect_orbit,
-                              sampled_degree_growth)
+from .power_semigroup import (DEFAULT_BUDGET, char_poly_finiteness, decide_finite_powers,
+                              detect_orbit, sampled_degree_growth)
 
 
 # simulate builds its (steps + 1) x (2 * window + 1) grid in memory, about 70
@@ -392,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orb = sub.add_parser("orbit", parents=[common],
                            help="preperiod/period/size of the matrix power set")
-    p_orb.add_argument("--budget", type=int, default=100_000,
-                       help="max matrix multiplications before giving up (default: 100000)")
+    p_orb.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="max matrix multiplications before giving up "
+                            f"(default: {DEFAULT_BUDGET})")
     return parser
 
 

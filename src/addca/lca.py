@@ -26,7 +26,7 @@ and every dynamical question handled here reduces to algebra on A(X):
 
 from __future__ import annotations
 
-from operator import mul
+from operator import mod, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, LaurentRing
@@ -104,6 +104,16 @@ class FiniteConfiguration:
         self.orders = orders
         self.cells = data
 
+    @classmethod
+    def _canonical(cls, orders: tuple[int, ...],
+                   cells: dict[int, tuple[int, ...]]) -> "FiniteConfiguration":
+        """A configuration of cells that are already reduced and nonzero, as
+        the constructor stores them, taken without a check or a copy."""
+        config = cls.__new__(cls)
+        config.orders = orders
+        config.cells = cells
+        return config
+
     def get(self, position: int) -> tuple[int, ...]:
         return self.cells.get(position, (0,) * len(self.orders))
 
@@ -118,9 +128,8 @@ class FiniteConfiguration:
         cells = self.cells
         if not cells or -reach <= min(cells) and max(cells) <= reach:
             return self
-        cropped = FiniteConfiguration(self.orders)
-        cropped.cells = {pos: vec for pos, vec in cells.items() if -reach <= pos <= reach}
-        return cropped
+        return FiniteConfiguration._canonical(
+            self.orders, {pos: vec for pos, vec in cells.items() if -reach <= pos <= reach})
 
     def scale(self, value: int) -> "FiniteConfiguration":
         return FiniteConfiguration(self.orders,
@@ -190,7 +199,7 @@ def _step_kernel(matrices: Sequence, radius: int,
 
     Component i of the result is reduced mod config.orders[i]; the linear and
     additive steps differ only in those orders.  The sums stay unreduced until
-    the FiniteConfiguration constructor reduces each cell once.
+    the end, where each cell is reduced once and dropped if it is zero.
     """
     rank = len(config.orders)
     acc: dict[int, list[int]] = {}
@@ -203,7 +212,9 @@ def _step_kernel(matrices: Sequence, radius: int,
             for i, row in enumerate(mat):
                 out[i] += sum(map(mul, row, vec))
             target -= 1
-    return FiniteConfiguration(config.orders, acc)
+    orders = config.orders
+    reduced = ((pos, tuple(map(mod, out, orders))) for pos, out in acc.items())
+    return FiniteConfiguration._canonical(orders, {pos: vec for pos, vec in reduced if any(vec)})
 
 
 def simulate(rule: LcaRule, config: FiniteConfiguration, steps: int) -> list[FiniteConfiguration]:

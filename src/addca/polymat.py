@@ -21,17 +21,10 @@ span exceeds _DENSE_SPAN_PER_TERM slots per nonzero term (the rule
 LaurentPoly uses for its own storage) runs the same recurrence on its
 Laurent entries instead, so x^(10^9) never becomes a 10^9-slot integer.
 
-The product of two such matrices A = x^lo_A A' and B = x^lo_B B' is packed
-the same way: entry (i, j) of A'B' at x = 2^s is the integer dot product
-of row i of A'(2^s) and column j of B'(2^s), one int multiply per term and
-one unpack per entry.  Every coefficient is non-negative, and each
-x-coefficient of an entry of A'B' over Z sums n convolutions of at most
-min(span_A, span_B) products below (m-1)^2, so an s of 2 bits(m-1) +
-bits(n min(span_A, span_B)) holds it exactly; reduced mod m and shifted by
-x^(lo_A + lo_B) the slots give AB.  Any other pair of matrices is multiplied
-entry by entry.  `power_semigroup` walks the powers of one dense matrix on
-these packed entries without unpacking between steps: its slots are wide
-enough for the reduction mod m to run on the packed integers too
+A product of two matrices is one ring dot product per entry.  The packed
+product lives in `power_semigroup`, which walks the powers of one dense
+matrix on packed entries without unpacking between steps: its slots are
+wide enough for the reduction mod m to run on the packed integers too
 (`laurent.SlotReducer`).
 
 The independent cross-checks of Berkowitz (minor sums by a Laplace DP,
@@ -93,15 +86,8 @@ class RingMatrix:
         return RingMatrix(self.ring, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
-        """Matrix product; two dense Laurent matrices take one packed integer
-        dot product per entry (see the module docstring), any other pair
-        one ring dot product per entry."""
+        """Matrix product, one ring dot product per entry."""
         self._check(other)
-        if isinstance(self.ring, LaurentRing):
-            shape_a = _dense_span(self.rows)
-            shape_b = shape_a and _dense_span(other.rows)
-            if shape_b:
-                return _product_at_power_of_two(self, other, *shape_a, *shape_b)
         cols = tuple(zip(*other.rows))
         return RingMatrix(self.ring, [[_dot(row, col) for col in cols] for row in self.rows])
 
@@ -218,22 +204,6 @@ def _at_power_of_two(rows: Sequence[Sequence[LaurentPoly]], lo: int, width: int)
     bits = 8 * width
     return [[pack_slots(a._slots(), width) << bits * (a.low - lo) if a.coeffs else 0
              for a in row] for row in rows]
-
-
-def _product_at_power_of_two(a: RingMatrix, b: RingMatrix, lo_a: int, span_a: int, lo_b: int,
-                             span_b: int) -> RingMatrix:
-    """a * b for Laurent matrices with exponents in [lo_a, lo_a + span_a) and
-    [lo_b, lo_b + span_b), by one integer dot product per entry at x = 2^s."""
-    modulus = a.ring.modulus
-    m = modulus.m
-    width = slot_width(2 * (m - 1).bit_length() + (a.n * min(span_a, span_b)).bit_length())
-    cols = tuple(zip(*_at_power_of_two(b.rows, lo_b, width)))
-    slots = span_a + span_b - 1
-    return RingMatrix(a.ring, [
-        [LaurentPoly._from_slots(modulus, lo_a + lo_b,
-                                 [c % m for c in unpack_slots(sum(map(mul, row, col)), slots, width)])
-         for col in cols]
-        for row in _at_power_of_two(a.rows, lo_a, width)])
 
 
 def _char_poly_at_power_of_two(matrix: RingMatrix, lo: int, span: int) -> CharPoly:

@@ -51,10 +51,13 @@ span S: b = bits(n S (m-1)^2).  The ladder squares A mod p for each prime p
 of m, since reduction mod p is a ring map; A^(2^i) spans at most
 (span - 1) 2^i + 1 slots, so b = bits(n ((span - 1) 2^d + 1) (p - 1)^2) for
 d doublings, and at least bits(m - 1) for the first reduction of A's
-coefficients to A mod p.  A hash hit is confirmed against the rows of A^j
-computed by `RingMatrix` products and packed the same way.  A matrix that
-is not dense walks tuples of Laurent rows, one ring dot product per entry,
-in the same window, and is checked and squared by `RingMatrix` products.
+coefficients to A mod p.  `_product` is the package's only packed matrix
+product.  A hash hit is confirmed against the rows of A^j, computed by
+`RingMatrix` products and packed the same way; those products multiply
+entry by entry, so they share no packed kernel with the walk.  A matrix
+that is not dense walks tuples of Laurent rows, one ring dot product per
+entry, in the same window, and is checked and squared by `RingMatrix`
+products.
 """
 
 from __future__ import annotations
@@ -292,10 +295,11 @@ def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> in
     `SlotReducer` and `_normalized` with the walk, and three parts are
     independent: the check builds C^k by squaring with its own slot bound
     n S (m-1)^2, the walk steps by C with n span (m-1)^2, and every hash hit
-    is confirmed on `RingMatrix` products, on which a companion that is not
-    dense is also checked.  Returns None when the budget runs out, which is
-    indeterminate, and as soon as a residue leaves the window of the module
-    docstring, which proves that A is not integral (it never cycles).
+    is confirmed on entrywise `RingMatrix` products, on which a companion
+    that is not dense is also checked.  Returns None when the budget runs
+    out, which is indeterminate, and as soon as a residue leaves the window
+    of the module docstring, which proves that A is not integral (it never
+    cycles).
     """
     companion = _companion(list(char_poly(matrix).coeffs))
     orbit = _orbit(companion, 1, budget)

@@ -11,8 +11,9 @@ nilpotent.  Former production paths are kept here too, each checking its
 successor on a fixed corpus: the transitivity gcd descent over F_p(x)[t],
 the dict convolution of Laurent polynomials, the entrywise matrix product,
 Brent's cycle detection, the degree ladder over Z/m, the two-case entry
-formula of the additive-to-linear embedding and the F_p[t] rendering of
-G_p.  So is the former public API that only the tests call: the zero matrix,
+formula of the additive-to-linear embedding, the F_p[t] rendering of
+G_p and the step kernel that left each cell's reduction to the
+configuration constructor.  So is the former public API that only the tests call: the zero matrix,
 the Frobenius companion, the idempotent power with its budget exception,
 the element embedding of a p-group with its inverse and image test, the
 basis configurations, the spreading semi-decision, the prime powers,
@@ -828,6 +829,22 @@ def apply_endomorphism(endomorphism: GroupEndomorphism, vector: Sequence[int]) -
     vec = endomorphism.group.reduce(vector)
     return tuple(sum(map(mul, row, vec)) % q
                  for row, q in zip(endomorphism.matrix, endomorphism.group.factors))
+
+
+def step_through_constructor(matrices: Sequence, radius: int,
+                             config: FiniteConfiguration) -> FiniteConfiguration:
+    """`lca._step_kernel` with its unreduced sums handed to the public
+    FiniteConfiguration constructor, which reduces and filters the cells."""
+    rank = len(config.orders)
+    acc: dict[int, list[int]] = {}
+    for pos, vec in config.cells.items():
+        target = pos + radius
+        for mat in matrices:
+            out = acc.setdefault(target, [0] * rank)
+            for i, row in enumerate(mat):
+                out[i] += sum(map(mul, row, vec))
+            target -= 1
+    return FiniteConfiguration(config.orders, acc)
 
 
 def normalized_by_passes(low: int, values: list[int], width: int,

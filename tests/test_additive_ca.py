@@ -27,8 +27,9 @@ from addca.additive_ca import (
     simulate_additive,
     step_additive,
 )
-from addca.lca import FiniteConfiguration, analyze_rule, decide_injective
+from addca.lca import FiniteConfiguration, LcaRule, analyze_rule, decide_injective, scalar_rule
 from addca.lca import step as lca_step
+from addca.modring import factorize
 
 from oracles import (
     additive_balance_surjectivity_oracle,
@@ -44,6 +45,7 @@ from oracles import (
     is_periodic_additive_kernel_word,
     max_abs_position,
     periodic_kernel_witness,
+    step_through_constructor,
     unembed,
 )
 
@@ -233,6 +235,53 @@ def test_step_rejects_foreign_configurations():
     rule = diag_rule(G42, (1, 1))
     with pytest.raises(ValueError, match="alphabet"):
         step_additive(rule, FiniteConfiguration((4, 4), {0: (1, 1)}))
+
+
+def test_steps_match_the_constructor_kernel_differentially():
+    """lca.step and step_additive, which reduce each cell once and drop the
+    zero ones themselves, against the kernel that hands its unreduced sums
+    to the public constructor: random rules over Z/m and over mixed-order
+    groups, and configurations whose cells cancel to zero."""
+    rng = random.Random(20261019)
+    cases = []
+    for m in (2, 3, 4, 6, 9):
+        for n in (1, 2, 3):
+            radius = rng.randrange(3)
+            mats = tuple(tuple(tuple(rng.randrange(m) for _ in range(n)) for _ in range(n))
+                         for _ in range(2 * radius + 1))
+            cases.append((lca_step, LcaRule(factorize(m), n, radius, mats)))
+    for factors in ((4, 2, 3, 9), (2, 3), (8, 3, 3), (9,)):
+        cases.append((step_additive, random_rule(rng, AbelianGroup(factors), rng.randrange(3))))
+    # F(c)_1 = M c_0 - M c_2 = 0 when c_0 = c_2.
+    endo = random_endomorphism(rng, AbelianGroup((4, 2, 3, 9))).matrix
+    negated = tuple(tuple(-v for v in row) for row in endo)
+    cancelling = [(lca_step, scalar_rule(2, (1, 0, 1))),
+                  (step_additive, AdditiveCaRule(AbelianGroup((4, 2, 3, 9)), 1,
+                                                 (endo, ((0,) * 4,) * 4, negated)))]
+    cancelled = 0
+    for stepper, rule in cases + cancelling:
+        if stepper is lca_step:
+            matrices, orders = rule.matrices, (rule.modulus.m,) * rule.n
+        else:
+            matrices = tuple(e.matrix for e in rule.endomorphisms)
+            orders = rule.group.factors
+        configs = [FiniteConfiguration(orders, {pos: tuple(rng.randrange(q) for q in orders)
+                                                for pos in range(-5, 6) if rng.random() < 0.6})
+                   for _ in range(4)]
+        if (stepper, rule) in cancelling:
+            cell = tuple(rng.randrange(1, q) for q in orders)
+            configs.append(FiniteConfiguration(orders, {0: cell, 2: cell}))
+        for config in configs:
+            stepped = stepper(rule, config)
+            expected = step_through_constructor(matrices, rule.radius, config)
+            assert stepped == expected and hash(stepped) == hash(expected), (rule, config)
+            assert all(type(v) is int for vec in stepped.cells.values() for v in vec)
+            if config.cells:
+                hull = range(min(config.cells) - rule.radius, max(config.cells) + rule.radius + 1)
+                cancelled += sum(pos not in stepped.cells for pos in hull)
+        if (stepper, rule) in cancelling:
+            assert 1 not in stepped.cells
+    assert cancelled
 
 
 def test_simulate_additive_trajectory():

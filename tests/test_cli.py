@@ -19,6 +19,7 @@ from addca import cli
 from addca.additive_ca import simulate_additive
 from addca.cli import MAX_GRID_CELLS, SpecError, build_parser, main, parse_spec
 from addca.lca import PropertyReport, render_trajectory, simulate
+from addca.power_semigroup import DEFAULT_BUDGET
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -233,6 +234,14 @@ def test_parser_is_built_on_first_use():
     result = subprocess.run([sys.executable, "-c", code], cwd=SPECS.parent,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_orbit_budget_default_is_the_api_default():
+    """--budget defaults to power_semigroup.DEFAULT_BUDGET, and its help says so."""
+    args = build_parser().parse_args(["orbit", "specs/shear.json"])
+    assert args.budget == DEFAULT_BUDGET
+    code, out, _ = _call(["orbit", "--help"])
+    assert code == 0 and f"(default: {DEFAULT_BUDGET})" in " ".join(out.split())
 
 
 def test_charpoly_shear(capsys):

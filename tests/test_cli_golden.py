@@ -1,10 +1,15 @@
-"""Golden CLI outputs: every spec in specs/ under every verb and format.
+"""Golden CLI outputs: every spec in specs/ and tests/specs/, every verb and format.
 
 ``tests/cli_golden.json`` holds the exit code, stdout and stderr of
-``addca <verb> specs/<name>.json --format <fmt>`` for the four verbs and
-both formats, run from the repository root.  The test replays each case
-in-process and compares all three byte for byte, so a refactoring that
-changes any output fails here.  To re-record after an intended change::
+``addca <verb> <dir>/<name>.json --format <fmt>`` for the four verbs and
+both formats, run from the repository root.  ``specs/`` holds the example
+rules, which the benchmark also reads; ``tests/specs/`` holds rules whose
+A(X) is too sparse to pack, so their goldens pin the Laurent-entry paths
+(Berkowitz on Laurent entries, the Laurent-row orbit walk of an integral
+matrix and the entrywise degree ladder of a non-integral one).  The test
+replays each case in-process and compares all three byte for byte, so a
+refactoring that changes any output fails here.  To re-record after an
+intended change::
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -29,9 +34,13 @@ VERBS = ("analyze", "charpoly", "orbit", "simulate")
 FORMATS = ("text", "json")
 
 
+SPEC_DIRS = ("specs", "tests/specs")
+
+
 def cases() -> list[tuple[str, str, str]]:
-    specs = sorted(path.name for path in (ROOT / "specs").glob("*.json"))
-    return [(verb, f"specs/{spec}", fmt) for spec in specs for verb in VERBS for fmt in FORMATS]
+    specs = [f"{folder}/{path.name}" for folder in SPEC_DIRS
+             for path in sorted((ROOT / folder).glob("*.json"))]
+    return [(verb, spec, fmt) for spec in specs for verb in VERBS for fmt in FORMATS]
 
 
 def run_case(verb: str, spec: str, fmt: str) -> dict:
@@ -50,7 +59,7 @@ def recorded() -> dict:
 
 def test_golden_covers_every_spec_verb_and_format():
     expected = {(verb, spec, "--format", fmt) for verb, spec, fmt in cases()}
-    assert set(recorded()) == expected and len(expected) == 40
+    assert set(recorded()) == expected and len(expected) == 56
 
 
 @pytest.mark.parametrize("verb, spec, fmt", cases())

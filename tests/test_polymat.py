@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from addca import polymat, power_semigroup, tpoly
-from addca.laurent import LaurentPoly, laurent_ring, slot_width
+from addca import power_semigroup, tpoly
+from addca.laurent import LaurentPoly, laurent_ring
 from addca.polymat import (
     CharPoly,
     RingMatrix,
@@ -337,19 +337,6 @@ def full_matrix(m: int, n: int, low: int, span: int) -> RingMatrix:
     return RingMatrix(ring, [[full] * n for _ in range(n)])
 
 
-def narrow_slot_overflow_shape(m: int) -> tuple[int, int] | None:
-    """(n, span) with n <= 5 at which the product of two all-(m - 1)
-    matrices fills its slot: one bit less rounds down to fewer bytes, and
-    the largest coefficient over Z, n span (m - 1)^2, overflows them."""
-    for n in range(1, 6):
-        for span in range(1, 41):
-            bits = 2 * (m - 1).bit_length() + (n * span).bit_length()
-            narrow = slot_width(bits - 1)
-            if narrow < slot_width(bits) and n * span * (m - 1) ** 2 >= 256 ** narrow:
-                return n, span
-    return None
-
-
 def assert_canonical(matrix: RingMatrix) -> None:
     for row in matrix.rows:
         for entry in row:
@@ -358,8 +345,7 @@ def assert_canonical(matrix: RingMatrix) -> None:
 
 
 def test_matrix_product_matches_entrywise_oracle_differentially():
-    """RingMatrix.__mul__ (one packed dot product per entry when both
-    factors are dense) against the entrywise product, on zero, identity,
+    """RingMatrix.__mul__ against the entrywise product, on zero, identity,
     random, sparse and full-coefficient factors."""
     rng = random.Random(20261019)
     for m in DIFFERENTIAL_MODULI:
@@ -376,12 +362,6 @@ def test_matrix_product_matches_entrywise_oracle_differentially():
         wide = RingMatrix(ring, [[ring.monomial(10**9), ring.one()],
                                  [ring.one(), ring.monomial(-10**9)]])
         pairs += [(wide, wide), (wide, random_matrix(rng, m, 2)), (random_matrix(rng, m, 2), wide)]
-        shape = narrow_slot_overflow_shape(m)
-        # For m = 2 and 9, (m - 1)^2 <= 2^(2 bits(m - 1) - 2): two slot bits stay unused.
-        assert (shape is None) == (m in (2, 9)), m
-        if shape:
-            n, span = shape
-            pairs.append((full_matrix(m, n, -1, span), full_matrix(m, n, -1, span)))
         for a, b in pairs:
             product = a * b
             assert product == matmul_by_entries(a, b), (m, a.rows, b.rows)
@@ -399,19 +379,6 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
-
-
-def test_dense_products_make_no_entry_multiplies(monkeypatch):
-    rng = random.Random(99)
-    dense = random_laurent_matrix(rng, 9, 3, span=2)
-    sparse = sparse_matrix(rng, 9, 3)
-    calls = _count_calls(monkeypatch, LaurentPoly, "__mul__")
-    dense * dense
-    assert not calls
-    for a, b in ((sparse, sparse), (dense, sparse), (sparse, dense)):
-        calls.clear()
-        a * b
-        assert len(calls) == 27, (a.rows, b.rows)
 
 
 def test_power_searches_make_the_same_matrix_products(monkeypatch):
@@ -441,9 +408,8 @@ def test_power_searches_make_the_same_matrix_products(monkeypatch):
     for matrix in matrices:
         packed = run(matrix)
         with monkeypatch.context() as entrywise:
-            # power_semigroup binds _dense_span at import, so both names are patched.
-            for module in (polymat, power_semigroup):
-                entrywise.setattr(module, "_dense_span", lambda rows: None)
+            # power_semigroup binds _dense_span at import, so its own name is patched.
+            entrywise.setattr(power_semigroup, "_dense_span", lambda rows: None)
             for name in ("_packed_power_walk", "_packed_degree_ladder"):
                 entrywise.setattr(power_semigroup, name, unreachable)
             unpacked = run(matrix)

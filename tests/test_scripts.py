@@ -60,7 +60,7 @@ no contradictions between the decision and the simulations
 
 
 REPLAY_OUTPUT = """\
-40 of 40 golden cases match, 1 parser built (<time>)
+56 of 56 golden cases match, 1 parser built (<time>)
 """
 
 
