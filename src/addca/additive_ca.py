@@ -141,6 +141,10 @@ def step_additive(rule: AdditiveCaRule, config: FiniteConfiguration) -> FiniteCo
 
 def simulate_additive(rule: AdditiveCaRule, config: FiniteConfiguration,
                       steps: int) -> list[FiniteConfiguration]:
+    """Trajectory [c, F(c), ..., F^steps(c)]; a negative ``steps`` raises
+    ValueError."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     out = [config]
     current = config
     for _ in range(steps):

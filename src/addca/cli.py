@@ -42,6 +42,7 @@ from .lca import (
     LcaRule,
     analyze_rule,
     associated_matrix,
+    nonzero_offsets,
     render_trajectory,
     step,
 )
@@ -55,8 +56,9 @@ from .power_semigroup import (DEFAULT_BUDGET, char_poly_finiteness, decide_finit
 # bytes a cell, so a larger grid is refused before anything is simulated.
 MAX_GRID_CELLS = 10**6
 
-# simulate charges each cell it steps once per offset of the rule, the updates
-# the step makes for it, and exits 3 once the charge passes this limit.
+# simulate charges each cell it steps once per nonzero offset matrix of the
+# rule, the dot products the step makes for it (a zero offset matrix costs
+# none), and exits 3 once the charge passes this limit.
 MAX_STEP_WORK = 5 * 10**6
 
 
@@ -257,9 +259,13 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
     _expect(cells <= MAX_GRID_CELLS,
             f"--steps {args.steps} and --window {args.window} ask for a grid of {cells} cells; "
             f"the limit is {MAX_GRID_CELLS}")
-    stepper = step if document.kind == "linear" else step_additive
-    trajectory = _windowed_trajectory(stepper, document.rule, document.initial,
-                                      args.steps, args.window)
+    rule = document.rule
+    if document.kind == "linear":
+        stepper, matrices = step, rule.matrices
+    else:
+        stepper, matrices = step_additive, tuple(e.matrix for e in rule.endomorphisms)
+    trajectory = _windowed_trajectory(stepper, rule, len(nonzero_offsets(matrices, rule.radius)),
+                                      document.initial, args.steps, args.window)
     if trajectory is None:
         print(f"budget exhausted: --steps {args.steps} and --window {args.window} need more "
               f"than {MAX_STEP_WORK} cell updates; lower --steps", file=sys.stderr)
@@ -273,20 +279,21 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
     return 0
 
 
-def _windowed_trajectory(stepper, rule, initial: FiniteConfiguration, steps: int,
-                         window: int) -> list[FiniteConfiguration] | None:
+def _windowed_trajectory(stepper, rule, offsets: int, initial: FiniteConfiguration,
+                         steps: int, window: int) -> list[FiniteConfiguration] | None:
     """Rows 0 .. steps of the trajectory of ``initial``, each cropped to
-    [-window, window], or None once the stepped cells cost more than
-    ``MAX_STEP_WORK``.  A cell of row t + s depends only on the cells of row t
-    within radius * s of it, so row t is stepped cropped to its light cone
-    |x| <= window + radius * (steps - t), which gives every later row exactly
-    on the window."""
+    [-window, window], or None once the stepped cells, each charged
+    ``offsets``, the number of the rule's nonzero offset matrices, cost more
+    than ``MAX_STEP_WORK``.  A cell of row t + s depends only on the cells of
+    row t within radius * s of it, so row t is stepped cropped to its light
+    cone |x| <= window + radius * (steps - t), which gives every later row
+    exactly on the window."""
     radius = rule.radius
     current = initial.cropped(window + radius * steps)
     rows = [current.cropped(window)]
     work = 0
     for t in range(1, steps + 1):
-        work += (2 * radius + 1) * len(current.cells)
+        work += offsets * len(current.cells)
         if work > MAX_STEP_WORK:
             return None
         current = stepper(rule, current).cropped(window + radius * (steps - t))

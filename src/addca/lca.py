@@ -26,7 +26,7 @@ and every dynamical question handled here reduces to algebra on A(X):
 
 from __future__ import annotations
 
-from operator import mod, mul
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, LaurentRing
@@ -186,11 +186,19 @@ def associated_matrix(rule: LcaRule) -> RingMatrix:
 
 
 def step(rule: LcaRule, config: FiniteConfiguration) -> FiniteConfiguration:
-    """One synchronous update F(c)_i = sum_z A_z c_{i+z}."""
+    """One synchronous update F(c)_i = sum_z A_z c_{i+z}, that is
+    P_F(c) = A(X) * P_c, at one integer dot product per cell and nonzero A_z
+    (see `_step_kernel`)."""
     expected = (rule.modulus.m,) * rule.n
     if config.orders != expected:
         raise ValueError(f"configuration alphabet {config.orders} does not match rule {expected}")
     return _step_kernel(rule.matrices, rule.radius, config)
+
+
+def nonzero_offsets(matrices: Sequence, radius: int) -> list[tuple[int, tuple]]:
+    """(z, M_z) for each offset whose matrix has a nonzero entry, where
+    ``matrices[k]`` = M_(k - radius)."""
+    return [(k - radius, mat) for k, mat in enumerate(matrices) if any(map(any, mat))]
 
 
 def _step_kernel(matrices: Sequence, radius: int,
@@ -198,27 +206,45 @@ def _step_kernel(matrices: Sequence, radius: int,
     """F(c)_i = sum_z M_z c_{i+z} with ``matrices[k]`` = M_(k - radius).
 
     Component i of the result is reduced mod config.orders[i]; the linear and
-    additive steps differ only in those orders.  The sums stay unreduced until
-    the end, where each cell is reduced once and dropped if it is zero.
+    additive steps differ only in those orders.  Column j of each nonzero M_z
+    is packed into one integer, entry i in bits [i*b, (i+1)*b), so a cell
+    costs one dot product ``sum(map(mul, vec, cols))`` per nonzero offset and
+    none for a zero one: O(cells * k) for k nonzero offsets, whatever the
+    radius.  Entries and components lie below Q = max(orders), and a target
+    takes one product per nonzero offset, so slot i sums at most k*n products
+    below (Q-1)^2 and b = bits(k*n*(Q-1)^2) keeps it from carrying into slot
+    i+1.  Each target is split into its slots once, at the end, reduced and
+    dropped if it is zero.
     """
-    rank = len(config.orders)
-    acc: dict[int, list[int]] = {}
-    for pos, vec in config.cells.items():
-        target = pos + radius  # pos - z for z = -radius, -radius + 1, ...
-        for mat in matrices:
-            out = acc.get(target)
-            if out is None:
-                out = acc[target] = [0] * rank
-            for i, row in enumerate(mat):
-                out[i] += sum(map(mul, row, vec))
-            target -= 1
     orders = config.orders
-    reduced = ((pos, tuple(map(mod, out, orders))) for pos, out in acc.items())
-    return FiniteConfiguration._canonical(orders, {pos: vec for pos, vec in reduced if any(vec)})
+    offsets = nonzero_offsets(matrices, radius)
+    rank = len(orders)
+    top = max(orders) - 1
+    width = (len(offsets) * rank * top * top).bit_length()
+    # F(c)_(pos - z) takes M_z c_pos, so the target of a cell is pos - z.
+    packed = [(-z, [sum(row[j] << i * width for i, row in enumerate(mat)) for j in range(rank)])
+              for z, mat in offsets]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for pos, vec in config.cells.items():
+        for shift, cols in packed:
+            target = pos + shift
+            acc[target] = get(target, 0) + sum(map(mul, vec, cols))
+    mask = (1 << width) - 1
+    slots = [(i * width, order) for i, order in enumerate(orders)]
+    cells = {}
+    for pos, total in acc.items():
+        vec = tuple([(total >> shift & mask) % order for shift, order in slots])
+        if any(vec):
+            cells[pos] = vec
+    return FiniteConfiguration._canonical(orders, cells)
 
 
 def simulate(rule: LcaRule, config: FiniteConfiguration, steps: int) -> list[FiniteConfiguration]:
-    """Trajectory [c, F(c), ..., F^steps(c)]."""
+    """Trajectory [c, F(c), ..., F^steps(c)]; a negative ``steps`` raises
+    ValueError."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     out = [config]
     current = config
     for _ in range(steps):

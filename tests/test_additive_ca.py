@@ -10,6 +10,7 @@ semantics, never through the embedding being tested.
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -237,11 +238,24 @@ def test_step_rejects_foreign_configurations():
         step_additive(rule, FiniteConfiguration((4, 4), {0: (1, 1)}))
 
 
+def _sparse_matrices(rng: random.Random, m: int, n: int, radius: int, count: int) -> list:
+    """2r+1 matrices over Z/m, all zero except at ``count`` random offsets,
+    always including -r and r."""
+    zero = ((0,) * n,) * n
+    mats = [zero] * (2 * radius + 1)
+    for k in {0, 2 * radius, *rng.sample(range(2 * radius + 1), count - 2)}:
+        mats[k] = tuple(tuple(rng.randrange(1, m) for _ in range(n)) for _ in range(n))
+    return mats
+
+
 def test_steps_match_the_constructor_kernel_differentially():
-    """lca.step and step_additive, which reduce each cell once and drop the
-    zero ones themselves, against the kernel that hands its unreduced sums
-    to the public constructor: random rules over Z/m and over mixed-order
-    groups, and configurations whose cells cancel to zero."""
+    """lca.step and step_additive, whose packed kernel reduces each cell once
+    and drops the zero ones itself, against the kernel that hands its
+    unreduced sums to the public constructor: dense random rules over Z/m and
+    over mixed-order groups, sparse rules of radius 30 to 1000, cells at
+    +-10^9, m = 2^61 - 1 with n = 4, all-zero rules, cells whose images
+    cancel, and rules and cells at their largest entries, which fill every
+    packed slot to its bound."""
     rng = random.Random(20261019)
     cases = []
     for m in (2, 3, 4, 6, 9):
@@ -252,36 +266,68 @@ def test_steps_match_the_constructor_kernel_differentially():
             cases.append((lca_step, LcaRule(factorize(m), n, radius, mats)))
     for factors in ((4, 2, 3, 9), (2, 3), (8, 3, 3), (9,)):
         cases.append((step_additive, random_rule(rng, AbelianGroup(factors), rng.randrange(3))))
+    for m, n, radius, count in ((4, 2, 30, 2), (6, 3, 137, 3), (9, 1, 1000, 3),
+                                (2**61 - 1, 4, 45, 3)):
+        cases.append((lca_step, LcaRule(factorize(m), n, radius,
+                                        _sparse_matrices(rng, m, n, radius, count))))
+    mixed = AbelianGroup((4, 2, 3, 9))
+    endos = [((0,) * 4,) * 4] * 121
+    for k in (0, 37, 120):
+        endos[k] = random_endomorphism(rng, mixed)
+    cases.append((step_additive, AdditiveCaRule(mixed, 60, endos)))
+    cases.append((lca_step, LcaRule(factorize(4), 2, 2, [((0, 0), (0, 0))] * 5)))
+    cases.append((step_additive, AdditiveCaRule(mixed, 1, [((0,) * 4,) * 4] * 3)))
+    # Every entry and component at its largest residue: a target slot sums
+    # exactly k*n*(Q-1)^2, the bound the slot width is chosen for.
+    full = []
+    for m, n, radius in ((4, 2, 1), (4, 3, 2), (2**61 - 1, 4, 1), (5, 2, 3)):
+        full.append((lca_step, LcaRule(factorize(m), n, radius,
+                                       [((m - 1,) * n,) * n] * (2 * radius + 1))))
     # F(c)_1 = M c_0 - M c_2 = 0 when c_0 = c_2.
-    endo = random_endomorphism(rng, AbelianGroup((4, 2, 3, 9))).matrix
+    endo = random_endomorphism(rng, mixed).matrix
     negated = tuple(tuple(-v for v in row) for row in endo)
     cancelling = [(lca_step, scalar_rule(2, (1, 0, 1))),
-                  (step_additive, AdditiveCaRule(AbelianGroup((4, 2, 3, 9)), 1,
-                                                 (endo, ((0,) * 4,) * 4, negated)))]
+                  (step_additive, AdditiveCaRule(mixed, 1, (endo, ((0,) * 4,) * 4, negated)))]
     cancelled = 0
-    for stepper, rule in cases + cancelling:
+    for stepper, rule in cases + full + cancelling:
         if stepper is lca_step:
             matrices, orders = rule.matrices, (rule.modulus.m,) * rule.n
         else:
             matrices = tuple(e.matrix for e in rule.endomorphisms)
             orders = rule.group.factors
+        offsets = [k - rule.radius for k, mat in enumerate(matrices) if any(map(any, mat))]
+        # A cell at z_b - z_a meets the cell at 0 on target -z_a.
+        meeting = {b - a for a in offsets for b in offsets}
+        spots = [range(-5, 6), sorted(meeting), [-10**9, -10**9 + 1, 10**9, 10**9 + 1]]
         configs = [FiniteConfiguration(orders, {pos: tuple(rng.randrange(q) for q in orders)
-                                                for pos in range(-5, 6) if rng.random() < 0.6})
-                   for _ in range(4)]
+                                                for pos in where if rng.random() < 0.6})
+                   for where in spots for _ in range(2)]
+        if (stepper, rule) in full:
+            top = tuple(q - 1 for q in orders)
+            configs = [FiniteConfiguration(orders, {pos: top for pos in range(-8, 9)})]
         if (stepper, rule) in cancelling:
             cell = tuple(rng.randrange(1, q) for q in orders)
             configs.append(FiniteConfiguration(orders, {0: cell, 2: cell}))
         for config in configs:
+            start = time.perf_counter()
             stepped = stepper(rule, config)
+            assert time.perf_counter() - start < 0.5, (rule, config)
             expected = step_through_constructor(matrices, rule.radius, config)
             assert stepped == expected and hash(stepped) == hash(expected), (rule, config)
             assert all(type(v) is int for vec in stepped.cells.values() for v in vec)
-            if config.cells:
+            if not offsets:
+                assert stepped.is_zero()
+            if config.cells and len(offsets) == 2 * rule.radius + 1:
                 hull = range(min(config.cells) - rule.radius, max(config.cells) + rule.radius + 1)
-                cancelled += sum(pos not in stepped.cells for pos in hull)
+                cancelled += sum(pos not in stepped.cells for pos in hull[:50])
         if (stepper, rule) in cancelling:
             assert 1 not in stepped.cells
     assert cancelled
+
+
+def test_simulate_additive_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps must be non-negative, got -3"):
+        simulate_additive(diag_rule(G42, (1, 1)), FiniteConfiguration((4, 2), {0: (1, 1)}), -3)
 
 
 def test_simulate_additive_trajectory():

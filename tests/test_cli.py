@@ -167,18 +167,31 @@ def test_simulate_matches_the_full_trajectory(tmp_path):
 
 
 def test_simulate_exits_3_past_the_step_work_limit(capsys, monkeypatch):
-    """Rule 90 from one cell steps 1, 2 and 2 cells, at three offsets each,
-    for its first three rows: a charge of 15."""
+    """Rule 90 from one cell steps 1, 2 and 2 cells, at its two nonzero
+    offsets each (the zero centre matrix costs nothing), for its first three
+    rows: a charge of 10."""
     rule90 = str(SPECS / "rule90.json")
-    monkeypatch.setattr(cli, "MAX_STEP_WORK", 15)
+    monkeypatch.setattr(cli, "MAX_STEP_WORK", 10)
     code, out, err = run_cli(capsys, "simulate", rule90, "--steps", "3")
     assert code == 0 and len(out.splitlines()) == 4
-    monkeypatch.setattr(cli, "MAX_STEP_WORK", 14)
+    monkeypatch.setattr(cli, "MAX_STEP_WORK", 9)
     for fmt in ("text", "json"):
         code, out, err = run_cli(capsys, "simulate", rule90, "--steps", "3", "--format", fmt)
         assert code == 3 and out == ""
         assert err.startswith("budget exhausted: ") and "--steps 3" in err
         assert "Traceback" not in err
+
+
+def test_simulate_charges_only_nonzero_offsets(capsys, monkeypatch):
+    """sparse_spreading has radius 40 but three nonzero offset matrices, so
+    500 steps are charged 376,500 dot products, not 81 per stepped cell, and
+    finish under the default limit."""
+    spec = str(SPECS.parent / "tests" / "specs" / "sparse_spreading.json")
+    code, out, err = run_cli(capsys, "simulate", spec, "--steps", "500")
+    assert code == 0 and err == "" and len(out.splitlines()) == 501
+    monkeypatch.setattr(cli, "MAX_STEP_WORK", 376_499)
+    code, out, err = run_cli(capsys, "simulate", spec, "--steps", "500")
+    assert code == 3 and out == "" and err.startswith("budget exhausted: ")
 
 
 def test_simulate_rejects_duplicate_initial_positions(capsys, tmp_path):

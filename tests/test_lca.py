@@ -40,6 +40,7 @@ from oracles import (
     render_trajectory_by_cells,
     shift_configuration,
     spreads,
+    step_through_constructor,
     tychonoff_distance,
 )
 
@@ -148,6 +149,41 @@ def test_rule90_single_cell_evolution():
     assert trajectory[2].support() == (-2, 2)
     assert trajectory[3].support() == (-3, -1, 1, 3)
     assert trajectory[4].support() == (-4, 4)
+
+
+def test_simulate_rejects_negative_steps():
+    rule = rule90()
+    with pytest.raises(ValueError, match="steps must be non-negative, got -1"):
+        simulate(rule, basis_config(rule, 0), -1)
+
+
+def test_step_multiplies_once_per_component_and_nonzero_offset(monkeypatch):
+    """A stepped cell costs n multiplications per nonzero offset matrix,
+    however wide the radius: rules whose only nonzero offsets are -R, 0 and R,
+    for R from 1 to 1000, counted through the kernel's `mul`."""
+    products = 0
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return a * b
+
+    monkeypatch.setattr(lca, "mul", counting_mul)
+    rng = random.Random(1019)
+    for n in (1, 2, 3):
+        zero = ((0,) * n,) * n
+        for radius in (1, 10, 100, 1000):
+            mats = [zero] * (2 * radius + 1)
+            for k in (0, radius, 2 * radius):
+                mats[k] = tuple(tuple(rng.randrange(1, 5) for _ in range(n)) for _ in range(n))
+            rule = LcaRule(factorize(5), n, radius, mats)
+            config = FiniteConfiguration((5,) * n, {
+                pos: tuple(rng.randrange(1, 5) for _ in range(n))
+                for pos in rng.sample(range(-50, 50), 20)})
+            products = 0
+            stepped = step(rule, config)
+            assert products == 20 * 3 * n, (n, radius)
+            assert stepped == step_through_constructor(rule.matrices, radius, config)
 
 
 def test_space_time_rendering_golden():
