@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .lca import FiniteConfiguration, LcaRule, PropertyReport, _step_kernel, analyze_rule
+from .lca import FiniteConfiguration, LcaRule, PropertyReport, analyze_rule, simulate, stepper
 from .modring import canonical_matrix, factorize, short_repr
 
 
@@ -127,30 +127,29 @@ class AdditiveCaRule(NamedTuple("AdditiveCaRule", [("group", AbelianGroup), ("ra
             normalized.append(endo)
         return super().__new__(cls, group, radius, tuple(normalized))
 
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """The order of each cell component, the group's factors."""
+        return self.group.factors
+
+    @property
+    def matrices(self) -> tuple:
+        """The endomorphisms' matrices; ``matrices[k]`` acts at offset k - radius."""
+        return tuple(endo.matrix for endo in self.endomorphisms)
+
     def offsets(self) -> range:
         return range(-self.radius, self.radius + 1)
 
 
 def step_additive(rule: AdditiveCaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     """One synchronous update of the additive CA on a finite configuration."""
-    factors = rule.group.factors
-    if config.orders != factors:
-        raise ValueError(f"configuration alphabet {config.orders} does not match {factors}")
-    return _step_kernel(tuple(endo.matrix for endo in rule.endomorphisms), rule.radius, config)
+    advance, _ = stepper(rule, config)
+    return advance(config)
 
 
-def simulate_additive(rule: AdditiveCaRule, config: FiniteConfiguration,
-                      steps: int) -> list[FiniteConfiguration]:
-    """Trajectory [c, F(c), ..., F^steps(c)]; a negative ``steps`` raises
-    ValueError."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    out = [config]
-    current = config
-    for _ in range(steps):
-        current = step_additive(rule, current)
-        out.append(current)
-    return out
+# `lca.simulate` steps both rule kinds: `stepper` reads only a rule's radius,
+# orders and matrices.
+simulate_additive = simulate
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +183,8 @@ def prime_components(rule: AdditiveCaRule) -> list[PrimeComponent]:
         # sort by decreasing exponent, stable on the original order
         indices.sort(key=lambda i: -group.prime_exponent(i)[1])
         sub_group = AbelianGroup(tuple(group.factors[i] for i in indices))
-        endos = []
-        for endo in rule.endomorphisms:
-            endos.append(tuple(tuple(endo.matrix[a][b] for b in indices) for a in indices))
+        endos = [tuple(tuple(mat[a][b] for b in indices) for a in indices)
+                 for mat in rule.matrices]
         components.append(PrimeComponent(
             prime=p,
             rule=AdditiveCaRule(sub_group, rule.radius, tuple(endos)),
@@ -239,8 +237,8 @@ def associated_lca(rule: AdditiveCaRule) -> LcaRule:
     modulus, scales = _embedding_scales(rule.group)
     matrices = tuple(
         tuple(tuple(entry * s_i // s_j % modulus for entry, s_j in zip(row, scales))
-              for row, s_i in zip(endo.matrix, scales))
-        for endo in rule.endomorphisms)
+              for row, s_i in zip(mat, scales))
+        for mat in rule.matrices)
     return LcaRule(factorize(modulus), rule.group.rank, rule.radius, matrices)
 
 

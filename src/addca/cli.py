@@ -35,16 +35,14 @@ from .additive_ca import (
     GroupEndomorphism,
     MalformedEndomorphismError,
     decide_properties,
-    step_additive,
 )
 from .lca import (
     FiniteConfiguration,
     LcaRule,
     analyze_rule,
     associated_matrix,
-    nonzero_offsets,
     render_trajectory,
-    step,
+    stepper,
 )
 from .modring import InvalidModulusError, factorize, short_repr
 from .polymat import char_poly
@@ -259,16 +257,11 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
     _expect(cells <= MAX_GRID_CELLS,
             f"--steps {args.steps} and --window {args.window} ask for a grid of {cells} cells; "
             f"the limit is {MAX_GRID_CELLS}")
-    rule = document.rule
-    if document.kind == "linear":
-        stepper, matrices = step, rule.matrices
-    else:
-        stepper, matrices = step_additive, tuple(e.matrix for e in rule.endomorphisms)
-    trajectory = _windowed_trajectory(stepper, rule, len(nonzero_offsets(matrices, rule.radius)),
-                                      document.initial, args.steps, args.window)
+    trajectory = _windowed_trajectory(document.rule, document.initial, args.steps, args.window)
     if trajectory is None:
         print(f"budget exhausted: --steps {args.steps} and --window {args.window} need more "
-              f"than {MAX_STEP_WORK} cell updates; lower --steps", file=sys.stderr)
+              f"than {MAX_STEP_WORK} dot products (stepped cells times nonzero offset "
+              f"matrices); lower --steps", file=sys.stderr)
         return 3
     grid = render_trajectory(trajectory, args.window)
     if args.format == "json":
@@ -279,15 +272,16 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
     return 0
 
 
-def _windowed_trajectory(stepper, rule, offsets: int, initial: FiniteConfiguration,
+def _windowed_trajectory(rule: LcaRule | AdditiveCaRule, initial: FiniteConfiguration,
                          steps: int, window: int) -> list[FiniteConfiguration] | None:
     """Rows 0 .. steps of the trajectory of ``initial``, each cropped to
-    [-window, window], or None once the stepped cells, each charged
-    ``offsets``, the number of the rule's nonzero offset matrices, cost more
-    than ``MAX_STEP_WORK``.  A cell of row t + s depends only on the cells of
-    row t within radius * s of it, so row t is stepped cropped to its light
-    cone |x| <= window + radius * (steps - t), which gives every later row
-    exactly on the window."""
+    [-window, window], or None once the stepped cells, each charged the
+    number of the rule's nonzero offset matrices, cost more than
+    ``MAX_STEP_WORK``.  One `stepper` serves every row.  A cell of row t + s
+    depends only on the cells of row t within radius * s of it, so row t is
+    stepped cropped to its light cone |x| <= window + radius * (steps - t),
+    which gives every later row exactly on the window."""
+    advance, offsets = stepper(rule, initial)
     radius = rule.radius
     current = initial.cropped(window + radius * steps)
     rows = [current.cropped(window)]
@@ -296,7 +290,7 @@ def _windowed_trajectory(stepper, rule, offsets: int, initial: FiniteConfigurati
         work += offsets * len(current.cells)
         if work > MAX_STEP_WORK:
             return None
-        current = stepper(rule, current).cropped(window + radius * (steps - t))
+        current = advance(current).cropped(window + radius * (steps - t))
         rows.append(current.cropped(window))
     return rows
 

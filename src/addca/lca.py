@@ -27,7 +27,7 @@ and every dynamical question handled here reduces to algebra on A(X):
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, LaurentRing
 from .modring import Modulus, canonical_matrix, factorize
@@ -63,6 +63,11 @@ class LcaRule(NamedTuple("LcaRule", [("modulus", Modulus), ("n", int), ("radius"
         if None in normalized:
             raise ValueError(f"each local matrix must be {n}x{n}")
         return super().__new__(cls, modulus, n, radius, normalized)
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """The order of each cell component, (m,) * n."""
+        return (self.modulus.m,) * self.n
 
     def matrix_at_offset(self, z: int) -> tuple:
         return self.matrices[z + self.radius]
@@ -188,68 +193,70 @@ def associated_matrix(rule: LcaRule) -> RingMatrix:
 def step(rule: LcaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     """One synchronous update F(c)_i = sum_z A_z c_{i+z}, that is
     P_F(c) = A(X) * P_c, at one integer dot product per cell and nonzero A_z
-    (see `_step_kernel`)."""
-    expected = (rule.modulus.m,) * rule.n
-    if config.orders != expected:
-        raise ValueError(f"configuration alphabet {config.orders} does not match rule {expected}")
-    return _step_kernel(rule.matrices, rule.radius, config)
+    (see `stepper`)."""
+    advance, _ = stepper(rule, config)
+    return advance(config)
 
 
-def nonzero_offsets(matrices: Sequence, radius: int) -> list[tuple[int, tuple]]:
-    """(z, M_z) for each offset whose matrix has a nonzero entry, where
-    ``matrices[k]`` = M_(k - radius)."""
-    return [(k - radius, mat) for k, mat in enumerate(matrices) if any(map(any, mat))]
+def stepper(rule: LcaRule, config: FiniteConfiguration) -> tuple[Callable, int]:
+    """(advance, k) for a linear or additive rule and a configuration over
+    its alphabet: ``advance(c)`` is one step F(c)_i = sum_z M_z c_{i+z} of a
+    configuration c over that alphabet, and k is the number of nonzero M_z,
+    the dot products ``advance`` makes per cell.
 
-
-def _step_kernel(matrices: Sequence, radius: int,
-                 config: FiniteConfiguration) -> FiniteConfiguration:
-    """F(c)_i = sum_z M_z c_{i+z} with ``matrices[k]`` = M_(k - radius).
-
-    Component i of the result is reduced mod config.orders[i]; the linear and
-    additive steps differ only in those orders.  Column j of each nonzero M_z
-    is packed into one integer, entry i in bits [i*b, (i+1)*b), so a cell
-    costs one dot product ``sum(map(mul, vec, cols))`` per nonzero offset and
-    none for a zero one: O(cells * k) for k nonzero offsets, whatever the
-    radius.  Entries and components lie below Q = max(orders), and a target
-    takes one product per nonzero offset, so slot i sums at most k*n products
-    below (Q-1)^2 and b = bits(k*n*(Q-1)^2) keeps it from carrying into slot
-    i+1.  Each target is split into its slots once, at the end, reduced and
+    ``rule.matrices[k]`` is M_(k - radius) and component i of a cell is
+    reduced mod ``rule.orders[i]``: (m,) * n for an LcaRule, the group's
+    factors for an AdditiveCaRule, the only difference between the two
+    steps.  The alphabet is checked and the 2r+1 matrices are scanned here,
+    once, so a trajectory that reuses ``advance`` pays O(cells * k) a step,
+    whatever the radius.  Column j of each nonzero M_z is packed into one
+    integer, entry i in bits [i*b, (i+1)*b), so a cell costs one dot product
+    ``sum(map(mul, vec, cols))`` per nonzero offset and none for a zero one.
+    Entries and components lie below Q = max(orders), and a target takes one
+    product per nonzero offset, so slot i sums at most k*n products below
+    (Q-1)^2 and b = bits(k*n*(Q-1)^2) keeps it from carrying into slot i+1.
+    Each target is split into its slots once, at the end, reduced and
     dropped if it is zero.
     """
-    orders = config.orders
-    offsets = nonzero_offsets(matrices, radius)
+    orders = rule.orders
+    if config.orders != orders:
+        raise ValueError(f"configuration alphabet {config.orders} does not match rule {orders}")
+    offsets = [(k - rule.radius, mat) for k, mat in enumerate(rule.matrices) if any(map(any, mat))]
     rank = len(orders)
     top = max(orders) - 1
     width = (len(offsets) * rank * top * top).bit_length()
     # F(c)_(pos - z) takes M_z c_pos, so the target of a cell is pos - z.
     packed = [(-z, [sum(row[j] << i * width for i, row in enumerate(mat)) for j in range(rank)])
               for z, mat in offsets]
-    acc: dict[int, int] = {}
-    get = acc.get
-    for pos, vec in config.cells.items():
-        for shift, cols in packed:
-            target = pos + shift
-            acc[target] = get(target, 0) + sum(map(mul, vec, cols))
     mask = (1 << width) - 1
     slots = [(i * width, order) for i, order in enumerate(orders)]
-    cells = {}
-    for pos, total in acc.items():
-        vec = tuple([(total >> shift & mask) % order for shift, order in slots])
-        if any(vec):
-            cells[pos] = vec
-    return FiniteConfiguration._canonical(orders, cells)
+
+    def advance(config: FiniteConfiguration) -> FiniteConfiguration:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for pos, vec in config.cells.items():
+            for shift, cols in packed:
+                target = pos + shift
+                acc[target] = get(target, 0) + sum(map(mul, vec, cols))
+        cells = {}
+        for pos, total in acc.items():
+            vec = tuple([(total >> shift & mask) % order for shift, order in slots])
+            if any(vec):
+                cells[pos] = vec
+        return FiniteConfiguration._canonical(orders, cells)
+
+    return advance, len(packed)
 
 
 def simulate(rule: LcaRule, config: FiniteConfiguration, steps: int) -> list[FiniteConfiguration]:
-    """Trajectory [c, F(c), ..., F^steps(c)]; a negative ``steps`` raises
-    ValueError."""
+    """Trajectory [c, F(c), ..., F^steps(c)] of a linear or additive rule,
+    stepped by one `stepper`; a negative ``steps`` raises ValueError."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    advance, _ = stepper(rule, config)
     out = [config]
-    current = config
     for _ in range(steps):
-        current = step(rule, current)
-        out.append(current)
+        out.append(advance(out[-1]))
     return out
 
 

@@ -833,7 +833,7 @@ def apply_endomorphism(endomorphism: GroupEndomorphism, vector: Sequence[int]) -
 
 def step_through_constructor(matrices: Sequence, radius: int,
                              config: FiniteConfiguration) -> FiniteConfiguration:
-    """`lca._step_kernel` with its unreduced sums handed to the public
+    """The kernel of `lca.stepper` with its unreduced sums handed to the public
     FiniteConfiguration constructor, which reduces and filters the cells."""
     rank = len(config.orders)
     acc: dict[int, list[int]] = {}

@@ -10,6 +10,7 @@ semantics, never through the embedding being tested.
 from __future__ import annotations
 
 import random
+import re
 import time
 from itertools import product
 
@@ -29,6 +30,7 @@ from addca.additive_ca import (
     step_additive,
 )
 from addca.lca import FiniteConfiguration, LcaRule, analyze_rule, decide_injective, scalar_rule
+from addca.lca import simulate as lca_simulate
 from addca.lca import step as lca_step
 from addca.modring import factorize
 
@@ -248,15 +250,12 @@ def _sparse_matrices(rng: random.Random, m: int, n: int, radius: int, count: int
     return mats
 
 
-def test_steps_match_the_constructor_kernel_differentially():
-    """lca.step and step_additive, whose packed kernel reduces each cell once
-    and drops the zero ones itself, against the kernel that hands its
-    unreduced sums to the public constructor: dense random rules over Z/m and
-    over mixed-order groups, sparse rules of radius 30 to 1000, cells at
-    +-10^9, m = 2^61 - 1 with n = 4, all-zero rules, cells whose images
-    cancel, and rules and cells at their largest entries, which fill every
-    packed slot to its bound."""
-    rng = random.Random(20261019)
+def _kernel_corpus(rng: random.Random) -> tuple[list, list, list]:
+    """(cases, full, cancelling), lists of (one-step function, rule): dense
+    random rules over Z/m and over mixed-order groups, sparse rules of radius
+    30 to 1000, m = 2^61 - 1 with n = 4 and all-zero rules; rules at their
+    largest entries; rules under which two equal cells at 0 and 2 cancel on
+    cell 1."""
     cases = []
     for m in (2, 3, 4, 6, 9):
         for n in (1, 2, 3):
@@ -288,6 +287,19 @@ def test_steps_match_the_constructor_kernel_differentially():
     negated = tuple(tuple(-v for v in row) for row in endo)
     cancelling = [(lca_step, scalar_rule(2, (1, 0, 1))),
                   (step_additive, AdditiveCaRule(mixed, 1, (endo, ((0,) * 4,) * 4, negated)))]
+    return cases, full, cancelling
+
+
+def test_steps_match_the_constructor_kernel_differentially():
+    """lca.step and step_additive, whose packed kernel reduces each cell once
+    and drops the zero ones itself, against the kernel that hands its
+    unreduced sums to the public constructor: dense random rules over Z/m and
+    over mixed-order groups, sparse rules of radius 30 to 1000, cells at
+    +-10^9, m = 2^61 - 1 with n = 4, all-zero rules, cells whose images
+    cancel, and rules and cells at their largest entries, which fill every
+    packed slot to its bound."""
+    rng = random.Random(20261019)
+    cases, full, cancelling = _kernel_corpus(rng)
     cancelled = 0
     for stepper, rule in cases + full + cancelling:
         if stepper is lca_step:
@@ -323,6 +335,48 @@ def test_steps_match_the_constructor_kernel_differentially():
         if (stepper, rule) in cancelling:
             assert 1 not in stepped.cells
     assert cancelled
+
+
+def test_trajectories_match_single_steps_and_the_constructor_kernel():
+    """simulate and simulate_additive, which build one stepper for the whole
+    trajectory, against four calls of step or step_additive and four steps
+    of the constructor kernel, on the corpus of the single-step test: cells
+    near 0 and at +-10^9, cells at the largest entries, and cells that
+    cancel."""
+    rng = random.Random(20261020)
+    cases, full, cancelling = _kernel_corpus(rng)
+    for one_step, rule in cases + full + cancelling:
+        run = lca_simulate if one_step is lca_step else simulate_additive
+        orders = rule.orders
+        configs = [FiniteConfiguration(orders, {pos: tuple(rng.randrange(q) for q in orders)
+                                                for pos in where if rng.random() < 0.6})
+                   for where in (range(-5, 6), (-10**9, 10**9 + 1))]
+        if (one_step, rule) in full:
+            configs.append(FiniteConfiguration(orders, {pos: tuple(q - 1 for q in orders)
+                                                        for pos in range(-8, 9)}))
+        if (one_step, rule) in cancelling:
+            cell = tuple(rng.randrange(1, q) for q in orders)
+            configs.append(FiniteConfiguration(orders, {0: cell, 2: cell}))
+        for config in configs:
+            by_step, by_oracle = [config], [config]
+            for _ in range(4):
+                by_step.append(one_step(rule, by_step[-1]))
+                by_oracle.append(step_through_constructor(rule.matrices, rule.radius,
+                                                          by_oracle[-1]))
+            assert run(rule, config, 4) == by_step == by_oracle, (rule, config)
+
+
+def test_wrong_alphabet_has_one_message_for_both_rule_kinds():
+    linear = LcaRule(factorize(4), 2, 0, [((1, 0), (0, 1))])
+    additive = diag_rule(G42, (1, 1))
+    for rule, one_step, run, orders in ((linear, lca_step, lca_simulate, (4, 2)),
+                                        (additive, step_additive, simulate_additive, (4, 4))):
+        config = FiniteConfiguration(orders, {0: (1, 1)})
+        message = re.escape(f"configuration alphabet {orders} does not match rule {rule.orders}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            one_step(rule, config)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(rule, config, 3)
 
 
 def test_simulate_additive_rejects_negative_steps():

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from addca import cli
 from addca.additive_ca import simulate_additive
 from addca.cli import MAX_GRID_CELLS, SpecError, build_parser, main, parse_spec
-from addca.lca import PropertyReport, render_trajectory, simulate
+from addca.lca import FiniteConfiguration, LcaRule, PropertyReport, render_trajectory, simulate
+from addca.modring import factorize
 from addca.power_semigroup import DEFAULT_BUDGET
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -191,7 +192,32 @@ def test_simulate_charges_only_nonzero_offsets(capsys, monkeypatch):
     assert code == 0 and err == "" and len(out.splitlines()) == 501
     monkeypatch.setattr(cli, "MAX_STEP_WORK", 376_499)
     code, out, err = run_cli(capsys, "simulate", spec, "--steps", "500")
-    assert code == 3 and out == "" and err.startswith("budget exhausted: ")
+    assert code == 3 and out == ""
+    assert err == ("budget exhausted: --steps 500 and --window 10 need more than 376499 "
+                   "dot products (stepped cells times nonzero offset matrices); lower --steps\n")
+
+
+def test_trajectory_time_does_not_grow_with_the_radius(monkeypatch):
+    """Rules of radius 10^5, one whose only nonzero offset matrix is
+    M_0 = [[1]] and one whose matrices are all zero, each from one cell: 200
+    steps of simulate and of the CLI's windowed trajectory take under a
+    second, since the 2r+1 matrices are scanned once per trajectory, not once
+    per step.  The identity rule is charged its one nonzero offset matrix
+    per stepped cell, 200 in all."""
+    radius = 10**5
+    zero = [((0,),)] * (2 * radius + 1)
+    identity = zero[:radius] + [((1,),)] + zero[radius + 1:]
+    start = FiniteConfiguration((2,), {0: (1,)})
+    empty = FiniteConfiguration((2,))
+    for matrices, rows in ((identity, [start] * 201), (zero, [start] + [empty] * 200)):
+        rule = LcaRule(factorize(2), 1, radius, matrices)
+        for run in (simulate, lambda *args: cli._windowed_trajectory(*args, 0)):
+            begin = time.perf_counter()
+            assert run(rule, start, 200) == rows
+            assert time.perf_counter() - begin < 1.0
+    monkeypatch.setattr(cli, "MAX_STEP_WORK", 199)
+    assert cli._windowed_trajectory(LcaRule(factorize(2), 1, radius, identity),
+                                    start, 200, 0) is None
 
 
 def test_simulate_rejects_duplicate_initial_positions(capsys, tmp_path):

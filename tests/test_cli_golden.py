@@ -6,7 +6,9 @@ both formats, run from the repository root.  ``specs/`` holds the example
 rules, which the benchmark also reads; ``tests/specs/`` holds rules whose
 A(X) is too sparse to pack, so their goldens pin the Laurent-entry paths
 (Berkowitz on Laurent entries, the Laurent-row orbit walk of an integral
-matrix and the entrywise degree ladder of a non-integral one).  The test
+matrix and the entrywise degree ladder of a non-integral one), and
+``wide_sparse`` (radius 1000, nonzero offsets -1000, 0 and 1000) pins the
+step of a far-reaching rule.  The test
 replays each case in-process and compares all three byte for byte, so a
 refactoring that changes any output fails here.  To re-record after an
 intended change::
@@ -59,7 +61,7 @@ def recorded() -> dict:
 
 def test_golden_covers_every_spec_verb_and_format():
     expected = {(verb, spec, "--format", fmt) for verb, spec, fmt in cases()}
-    assert set(recorded()) == expected and len(expected) == 56
+    assert set(recorded()) == expected and len(expected) == 64
 
 
 @pytest.mark.parametrize("verb, spec, fmt", cases())

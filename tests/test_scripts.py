@@ -60,7 +60,7 @@ no contradictions between the decision and the simulations
 
 
 REPLAY_OUTPUT = """\
-56 of 56 golden cases match, 1 parser built (<time>)
+64 of 64 golden cases match, 1 parser built (<time>)
 """
 
 
