@@ -4,7 +4,10 @@
 For every sampled matrix the coefficient-integrality verdict is compared with
 what direct simulation can see: finite verdicts must close their power orbit
 and produce a t^(2k)-t^k divisibility exponent; infinite verdicts must keep
-growing in degree along doubled powers.  Prints one summary table.
+growing in degree along doubled powers.  The orbit shape (q, c) and the
+exponent k are then verified on arithmetic that the walks do not use:
+A^(q+c) = A^q by entrywise `RingMatrix` powers, and t^(2k) = t^k mod chi by
+the schoolbook residues of `tpoly`.  Prints one summary table.
 
     python3 scripts/corpus_crosscheck.py --count 200 --seed 7
 """
@@ -21,8 +24,9 @@ from pathlib import Path
 # Import addca from this checkout's src/ (no install or PYTHONPATH needed).
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from addca import tpoly
 from addca.laurent import LaurentPoly, laurent_ring
-from addca.polymat import RingMatrix
+from addca.polymat import RingMatrix, char_poly
 from addca.power_semigroup import (
     decide_finite_powers,
     detect_orbit,
@@ -67,6 +71,11 @@ def main() -> int:
                 continue
             orbit_sizes[orbit.size] += 1
             witness_exponents[exponent] += 1
+            if matrix ** orbit.size != matrix ** orbit.preperiod:
+                problems.append(f"#{index}: A^{orbit.size} != A^{orbit.preperiod}")
+            chi = list(char_poly(matrix).coeffs)
+            if tpoly.pow_t_mod(chi, 2 * exponent) != tpoly.pow_t_mod(chi, exponent):
+                problems.append(f"#{index}: chi does not divide t^{2 * exponent} - t^{exponent}")
         else:
             verdicts["infinite"] += 1
             profile = sampled_degree_growth(matrix)

@@ -39,11 +39,11 @@ multiply yields every convolution sum in its own slot.  Slots are rounded up
 to 1, 2, 4 or 8 bytes and unpacked with ``memoryview.cast``; wider slots
 (large moduli) are unpacked by slicing the product's bytes.  Each slot is
 then reduced mod m.  The packing helpers also serve ``polymat.char_poly``,
-which evaluates a whole matrix at x = 2^s, and the packed power walk of
-``power_semigroup``, which reduces every slot mod m with ``SlotReducer``
-instead of unpacking.  A one-term operand is a scaled shift.  The test
-oracle ``tests/oracles.py::dict_product`` convolves term by term without
-either shortcut.
+which evaluates a whole matrix at x = 2^s, and the packed power walk and
+degree ladder of ``power_semigroup``, which reduce every slot mod m with
+``SlotReducer`` instead of unpacking.  A one-term operand is a scaled
+shift.  The test oracle ``tests/oracles.py::dict_product`` convolves term
+by term without either shortcut.
 """
 
 from __future__ import annotations

@@ -175,8 +175,8 @@ def _pollard_rho(n: int) -> int:
 def power(one, base, exponent: int, mul):
     """base^exponent by square and multiply, with ``one`` the identity of ``mul``.
 
-    Makes at most ``power_cost(exponent)`` calls of ``mul``: one per set bit
-    of the exponent and one squaring per further bit.
+    Calls ``mul`` once per set bit of the exponent and once more, to square,
+    per further bit.
     """
     if exponent < 0:
         raise ValueError(f"negative exponent {exponent}: only nonnegative powers are defined")
@@ -188,11 +188,6 @@ def power(one, base, exponent: int, mul):
         if exponent:
             base = mul(base, base)
     return result
-
-
-def power_cost(exponent: int) -> int:
-    """Products charged for one ``power(one, base, exponent, mul)``."""
-    return exponent.bit_length() + exponent.bit_count()
 
 
 def canonical_matrix(matrix, moduli: Sequence[int]) -> tuple | None:

@@ -14,11 +14,12 @@ constancy criterion.  The other two characterizations are executable
 cross-checks, both by one walk over the first rows of matrix powers:
 `detect_orbit` walks A^0, A^1, ..., and `divisibility_witness` walks row 0
 of the powers of the companion matrix C of chi = det(tI - A), since row 0 of
-C^j is t^j mod chi.  The witness k is then checked by computing C^k by
-square and multiply and squaring it once.  The walk is a first-repeat
-search: one product per distinct element, a map from hashes to indices
-instead of the elements themselves, and a recomputed x_j to confirm every
-hash hit, so the shape found is exact.
+C^j is t^j mod chi.  The walk is a first-repeat search: one product per
+distinct element, and a map from hashes to indices instead of the elements
+themselves.  A hash hit is confirmed by walking again from the start to the
+earlier index and comparing the real states, so the shape (q, c) found is
+exact.  The witness k is read off that shape: a multiple of c with
+k >= max(q, 1), so t^(2k) = t^k mod chi follows from x_(q+c) = x_q.
 
 The walk stays inside a window of exponents fixed before it starts.  Let p^k
 exactly divide m.  When A is integral each a_i is c_i + p g_i with c_i
@@ -32,13 +33,13 @@ lie in [lo, hi] those of every power lie in
 that A is not integral, and the walk returns None at once.  A window too
 narrow could only turn an answer into None, never into a wrong shape.
 
-The walk, the witness check and the degree ladder run on packed integers
-when the Laurent entries are dense (the rule of `polymat._dense_span`), with
-one product, `_product`.  A = x^lo A' is evaluated once at x = 2^W, as in
-`polymat`, and a state is (low, whole rows of x^-low A^j at x = 2^W), with
-low their lowest exponent, so equal rows have equal states.  A state times
-x^lo B is one integer dot product per entry against the packed columns of
-B, a slot-wise reduction mod m on the packed integers (`laurent.SlotReducer`:
+The walk and the degree ladder run on packed integers when the Laurent
+entries are dense (the rule of `polymat._dense_span`), with one product,
+`_product`.  A = x^lo A' is evaluated once at x = 2^W, as in `polymat`, and
+a state is (low, whole rows of x^-low A^j at x = 2^W), with low their
+lowest exponent, so equal rows have equal states.  A state times x^lo B is
+one integer dot product per entry against the packed columns of B, a
+slot-wise reduction mod m on the packed integers (`laurent.SlotReducer`:
 v - m ((v M >> s) & mask) with M = ceil(2^s / m), exact for slots below 2^b
 when 2^s > m 2^b), and a shift that drops the zero slots below every entry.
 Both the reduction and the shift read what they need of a state from one OR
@@ -46,18 +47,13 @@ of its values, which are non-negative: the lowest set bit of the OR is the
 lowest set bit over the values, and its bit length the largest bit length.
 Each caller bounds b for its own factors.  The walk steps by A: a slot sums
 n convolutions of at most span products below m^2, b = bits(n span (m-1)^2).
-The check squares and multiplies powers of C, which lie in C's window of
-span S: b = bits(n S (m-1)^2).  The ladder squares A mod p for each prime p
-of m, since reduction mod p is a ring map; A^(2^i) spans at most
-(span - 1) 2^i + 1 slots, so b = bits(n ((span - 1) 2^d + 1) (p - 1)^2) for
-d doublings, and at least bits(m - 1) for the first reduction of A's
-coefficients to A mod p.  `_product` is the package's only packed matrix
-product.  A hash hit is confirmed against the rows of A^j, computed by
-`RingMatrix` products and packed the same way; those products multiply
-entry by entry, so they share no packed kernel with the walk.  A matrix
-that is not dense walks tuples of Laurent rows, one ring dot product per
-entry, in the same window, and is checked and squared by `RingMatrix`
-products.
+The ladder squares A mod p for each prime p of m, since reduction mod p is a
+ring map; A^(2^i) spans at most (span - 1) 2^i + 1 slots, so
+b = bits(n ((span - 1) 2^d + 1) (p - 1)^2) for d doublings, and at least
+bits(m - 1) for the first reduction of A's coefficients to A mod p.
+`_product` is the package's only packed matrix product.  A matrix that is
+not dense walks tuples of Laurent rows, one ring dot product per entry, in
+the same window, and is squared by `RingMatrix` products.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ from operator import mul, or_
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, LaurentRing, SlotReducer
-from .modring import power, power_cost
 from .polymat import CharPoly, RingMatrix, _at_power_of_two, _dense_span, _dot, char_poly, identity
 
 DEFAULT_BUDGET = 100_000
@@ -130,28 +125,31 @@ def char_poly_finiteness(poly: CharPoly) -> FinitenessVerdict:
     return FinitenessVerdict(True)
 
 
-def _first_repeat(start, advance, power, budget: int) -> OrbitShape | None:
+def _first_repeat(start, advance, budget: int) -> OrbitShape | None:
     """Minimal (preperiod, period) of an eventually periodic sequence.
 
     Walks x_0 = start, x_(k+1) = advance(x_k) once, keeping only the map
     hash(x_j) -> [j].  On a hash hit at step k each earlier j with that hash
-    is recomputed as ``power(j)`` and compared with x_k; the first equal one
-    is the first repeat, so (j, k - j) is the minimal shape.  A hash
-    collision only costs a recomputation, never a wrong shape.  Each advance
-    is charged one unit of ``budget`` and each power(j) `power_cost(j)`;
-    the result is None once the budget is spent or as soon as ``advance``
-    returns None, which it does for a state that proves the sequence never
-    repeats.
+    is recomputed by walking j advances again from ``start`` and compared
+    with x_k; the first equal one is the first repeat, so (j, k - j) is the
+    minimal shape.  A hash collision only costs a re-walk, never a wrong
+    shape.  Every advance, re-walked ones too, is charged one unit of
+    ``budget``; the result is None once the budget is spent or as soon as
+    ``advance`` returns None, which it does for a state that proves the
+    sequence never repeats.
     """
     seen: dict[int, list[int]] = {}
     value, k, spent = start, 0, 0
     while True:
         earlier = seen.setdefault(hash(value), [])
         for j in earlier:
-            spent += power_cost(j)
+            spent += j
             if spent > budget:
                 return None
-            if power(j) == value:
+            state = start
+            for _ in range(j):
+                state = advance(state)
+            if state == value:
                 return OrbitShape(j, k - j)
         earlier.append(k)
         if spent >= budget:
@@ -168,7 +166,7 @@ def detect_orbit(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> OrbitShape
 
     Returns the minimal (preperiod, period) of a Laurent matrix.  Returns
     None when the budget (counted in matrix multiplications, including the
-    A^j recomputed to confirm a hash hit) runs out, which is indeterminate,
+    ones walked again to confirm a hash hit) runs out, which is indeterminate,
     and as soon as a power leaves the window of the module docstring, which
     proves that A is not integral.  So None never means "finite";
     `decide_finite_powers` tells the two cases apart.
@@ -194,8 +192,7 @@ def _orbit(matrix: RingMatrix, rows: int, budget: int) -> OrbitShape | None:
             return state
         return None
 
-    return _first_repeat(identity(matrix.ring, matrix.n).rows[:rows], advance,
-                         lambda j: (matrix ** j).rows[:rows], budget)
+    return _first_repeat(identity(matrix.ring, matrix.n).rows[:rows], advance, budget)
 
 
 def _window(matrix: RingMatrix) -> tuple[int, int]:
@@ -212,20 +209,15 @@ def _window(matrix: RingMatrix) -> tuple[int, int]:
 
 def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,
                        window: tuple[int, int]) -> tuple:
-    """(start, advance, power) of the packed walk on the first ``rows`` rows
-    of A^0, A^1, ..., for a matrix with exponents in [lo, lo + span); advance
-    gives None for a state outside ``window``."""
+    """(start, advance) of the packed walk on the first ``rows`` rows of A^0,
+    A^1, ..., for a matrix with exponents in [lo, lo + span); advance gives
+    None for a state outside ``window``."""
     n = matrix.n
     m = matrix.ring.modulus.m
     reduce = SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())
-    width = reduce.width
-    factor = lo, tuple(zip(*_at_power_of_two(matrix.rows, lo, width)))
-
-    def power(j: int) -> tuple:
-        return _packed([a for row in (matrix ** j).rows[:rows] for a in row], width)
-
+    factor = lo, tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
     return ((0, tuple([int(i == j) for i in range(rows) for j in range(n)])),
-            lambda state: _product(state, factor, reduce, window), power)
+            lambda state: _product(state, factor, reduce, window))
 
 
 def _product(state: tuple, factor: tuple, reduce: SlotReducer,
@@ -238,26 +230,6 @@ def _product(state: tuple, factor: tuple, reduce: SlotReducer,
     return _normalized(low + lo, reduce([sum(map(mul, entries[i:i + n], col))
                                          for i in range(0, len(entries), n) for col in cols]),
                        reduce.width, window)
-
-
-def _square_product(n: int, reduce: SlotReducer, window: tuple[int, int]):
-    """`_product` of two n x n states, raising AssertionError for a product
-    outside ``window``."""
-    def times(a: tuple, b: tuple) -> tuple:
-        low, entries = b
-        state = _product(a, (low, [entries[j::n] for j in range(n)]), reduce, window)
-        if state is None:
-            raise AssertionError("a matrix power left the exponent window")
-        return state
-
-    return times
-
-
-def _packed(entries: list[LaurentPoly], width: int) -> tuple[int, tuple[int, ...]]:
-    """Walk state of Laurent polynomials: their lowest exponent (0 if all are
-    zero) and each one times x^-low at x = 2^(8 width)."""
-    low = min([a.low for a in entries if a.coeffs], default=0)
-    return low, tuple(_at_power_of_two([entries], low, width)[0])
 
 
 def _normalized(low: int, values: list[int], width: int,
@@ -290,43 +262,14 @@ def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> in
 
     The residues t^j mod chi = det(tI - A) are row 0 of the powers of the
     companion matrix C of chi, so `detect_orbit`'s walk on that one row
-    gives their shape, and k is the least multiple of the period at or above
-    max(preperiod, 1).  The check C^k C^k = C^k shares `_product`,
-    `SlotReducer` and `_normalized` with the walk, and three parts are
-    independent: the check builds C^k by squaring with its own slot bound
-    n S (m-1)^2, the walk steps by C with n span (m-1)^2, and every hash hit
-    is confirmed on entrywise `RingMatrix` products, on which a companion
-    that is not dense is also checked.  Returns None when the budget runs
-    out, which is indeterminate, and as soon as a residue leaves the window
-    of the module docstring, which proves that A is not integral (it never
-    cycles).
+    gives their exact shape (q, c), and k is the least multiple of c at or
+    above max(q, 1): t^(k+c) = t^k mod chi once k >= q, hence t^(2k) = t^k.
+    Returns None when the budget runs out, which is indeterminate, and as
+    soon as a residue leaves the window of the module docstring, which
+    proves that A is not integral (it never cycles).
     """
-    companion = _companion(list(char_poly(matrix).coeffs))
-    orbit = _orbit(companion, 1, budget)
-    if orbit is None:
-        return None
-    k = _idempotent_exponent(orbit)
-    if _dense_span(companion.rows):
-        power_k, times, _ = _packed_power(companion, k)
-    else:
-        power_k, times = companion ** k, mul
-    if times(power_k, power_k) != power_k:
-        raise AssertionError("cycle detection produced a non-witness exponent")
-    return k
-
-
-def _packed_power(matrix: RingMatrix, exponent: int) -> tuple:
-    """(A^exponent, times, width) for a dense A and exponent >= 1: the packed
-    state of the power at x = 2^(8 width) by square and multiply, with slots
-    of n S (m-1)^2 (module docstring), and the product of two states, which
-    raises AssertionError for a power outside ``_window(A)``."""
-    n = matrix.n
-    m = matrix.ring.modulus.m
-    floor, ceiling = window = _window(matrix)
-    reduce = SlotReducer(m, (n * (ceiling - floor + 1) * (m - 1) ** 2).bit_length())
-    times = _square_product(n, reduce, window)
-    base = _packed([a for row in matrix.rows for a in row], reduce.width)
-    return power(base, base, exponent - 1, times), times, reduce.width
+    orbit = _orbit(_companion(list(char_poly(matrix).coeffs)), 1, budget)
+    return None if orbit is None else _idempotent_exponent(orbit)
 
 
 def _companion(chi: list[LaurentPoly]) -> RingMatrix:
@@ -384,14 +327,13 @@ def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
     [lo, lo + span), squared on packed entries inside the window
     [min(0, lo 2^d), max(0, hi 2^d)] of A^(2^d), hi = lo + span - 1, with the
     slots of the module docstring.  A state's degree is read off its low and
-    its longest value."""
+    its longest value; a square outside the window raises AssertionError."""
     n = matrix.n
     bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)
     reduce = SlotReducer(p, bound.bit_length())
     window = min(0, lo << doublings), max(0, lo + span - 1 << doublings)
     state = _normalized(lo, reduce([v for row in _at_power_of_two(matrix.rows, lo, reduce.width)
                                     for v in row]), reduce.width, window)
-    times = _square_product(n, reduce, window)
     profile = []
     while True:
         low, values = state
@@ -399,4 +341,6 @@ def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
         profile.append(max(0, -low, low + top))
         if len(profile) > doublings:
             return profile
-        state = times(state, state)
+        state = _product(state, (low, [values[j::n] for j in range(n)]), reduce, window)
+        if state is None:
+            raise AssertionError("a matrix power left the exponent window")

@@ -7,11 +7,12 @@ monic divisors, which never requires inverting a coefficient.  No ring handle
 is passed around: a zero coefficient is one without terms, and the one of the
 ring is the leading coefficient of the monic divisor.
 
-Nothing in the package imports this module: `power_semigroup` checks a
-divisibility witness on powers of the companion matrix of chi.  Only the
-tests, which compare row 0 of those powers with `pow_t_mod`, and the
-benchmark tracer, which wraps `pow_t_mod` and `mod_monic`, use it.  It stays
-here until the tracer stops counting those two calls.
+Nothing in the package imports this module: `power_semigroup` reads its
+divisibility witness off the shape of its walk on the companion matrix of
+chi.  Only the tests and `scripts/corpus_crosscheck.py`, which verify that
+witness as t^(2k) = t^k mod chi with `pow_t_mod`, and the benchmark tracer,
+which wraps `pow_t_mod` and `mod_monic`, use it.  It stays here until the
+tracer stops counting those two calls.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from addca.modring import (
     RingMismatchError,
     factorize,
     power,
-    power_cost,
 )
 
 from oracles import constant_value, max_exponent, nilradical_generator, prime_powers
@@ -138,8 +137,8 @@ def test_ring_axioms_exhaustive_small_moduli():
 
 
 def test_power_squares_and_multiplies_exactly_once_per_bit():
-    """One product per set bit and one squaring per further bit, which is
-    within power_cost; the identity is never squared."""
+    """One product per set bit and one squaring per further bit; the
+    identity is never squared."""
     for exponent in list(range(70)) + [2**20, 2**20 - 1, 10**9 + 7]:
         calls = []
 
@@ -150,7 +149,6 @@ def test_power_squares_and_multiplies_exactly_once_per_bit():
         assert power(1, 3, exponent, counting_mul) == pow(3, exponent, 1009)
         squarings = max(exponent.bit_length() - 1, 0)
         assert len(calls) == exponent.bit_count() + squarings, exponent
-        assert len(calls) <= power_cost(exponent)
     assert power("one", "base", 0, None) == "one"
     with pytest.raises(ValueError, match="negative exponent"):
         power(1, 3, -1, int.__mul__)
