@@ -142,7 +142,9 @@ class AdditiveCaRule(NamedTuple("AdditiveCaRule", [("group", AbelianGroup), ("ra
 
 
 def step_additive(rule: AdditiveCaRule, config: FiniteConfiguration) -> FiniteConfiguration:
-    """One synchronous update of the additive CA on a finite configuration."""
+    """One synchronous update of the additive CA on a finite configuration.
+    Each call builds a `stepper`: a caller that steps repeatedly holds its
+    ``advance`` instead."""
     advance, _ = stepper(rule, config)
     return advance(config)
 

@@ -83,26 +83,15 @@ def _int_field(data: dict, name: str) -> int:
     return value
 
 
-def _matrix_list(data: dict, radius: int) -> list:
-    _expect("matrices" in data, "missing required field \"matrices\"")
-    matrices = data["matrices"]
-    expected = 2 * radius + 1
-    _expect(isinstance(matrices, list) and len(matrices) == expected,
-            f"field \"matrices\" must list {expected} matrices (offsets -r..r)")
-    return matrices
-
-
 def _int_matrix(raw, rank: int, where: str) -> tuple:
     _expect(isinstance(raw, list) and len(raw) == rank, f"{where} must be a {rank}x{rank} matrix")
-    rows = []
     for i, row in enumerate(raw):
         _expect(isinstance(row, list) and len(row) == rank,
                 f"{where} must be a {rank}x{rank} matrix (row {i} is not)")
         for j, entry in enumerate(row):
             _expect(isinstance(entry, int) and not isinstance(entry, bool),
                     f"{where} entry ({i},{j}) must be an integer, got {short_repr(entry)}")
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(map(tuple, raw))
 
 
 def _initial_config(data: dict, orders: tuple[int, ...]) -> FiniteConfiguration | None:
@@ -142,13 +131,6 @@ def parse_spec(data: dict) -> SpecDocument:
             raise SpecError(f"field \"m\": {err}") from None
         n = _int_field(data, "n")
         _expect(n >= 1, f"field \"n\" must be >= 1, got {short_repr(n)}")
-        radius = _int_field(data, "radius")
-        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {short_repr(radius)}")
-        raw_matrices = _matrix_list(data, radius)
-        matrices = tuple(_int_matrix(raw, n, f"matrices[{idx}] (offset {idx - radius})")
-                         for idx, raw in enumerate(raw_matrices))
-        rule: LcaRule | AdditiveCaRule = LcaRule(modulus, n, radius, matrices)
-        orders = (m,) * n
     else:
         raw_group = data.get("group")
         _expect(isinstance(raw_group, list) and raw_group
@@ -161,21 +143,28 @@ def parse_spec(data: dict) -> SpecDocument:
         if "n" in data:
             _expect(_int_field(data, "n") == group.rank,
                     f"field \"n\" disagrees with the group rank {group.rank}")
-        radius = _int_field(data, "radius")
-        _expect(radius >= 0, f"field \"radius\" must be >= 0, got {short_repr(radius)}")
-        raw_matrices = _matrix_list(data, radius)
-        endos = []
-        for idx, raw in enumerate(raw_matrices):
-            where = f"matrices[{idx}] (offset {idx - radius})"
-            entries = _int_matrix(raw, group.rank, where)
+        n = group.rank
+
+    radius = _int_field(data, "radius")
+    _expect(radius >= 0, f"field \"radius\" must be >= 0, got {short_repr(radius)}")
+    _expect("matrices" in data, "missing required field \"matrices\"")
+    raw_matrices = data["matrices"]
+    _expect(isinstance(raw_matrices, list) and len(raw_matrices) == 2 * radius + 1,
+            f"field \"matrices\" must list {2 * radius + 1} matrices (offsets -r..r)")
+    matrices = []
+    for idx, raw in enumerate(raw_matrices):
+        where = f"matrices[{idx}] (offset {idx - radius})"
+        entries = _int_matrix(raw, n, where)
+        if kind == "additive":
             try:
-                endos.append(GroupEndomorphism(group, entries))
+                entries = GroupEndomorphism(group, entries)
             except MalformedEndomorphismError as err:
                 raise SpecError(f"{where}: {err}") from None
-        rule = AdditiveCaRule(group, radius, tuple(endos))
-        orders = group.factors
+        matrices.append(entries)
+    rule: LcaRule | AdditiveCaRule = (LcaRule(modulus, n, radius, matrices) if kind == "linear"
+                                      else AdditiveCaRule(group, radius, matrices))
 
-    return SpecDocument(kind=kind, rule=rule, initial=_initial_config(data, orders))
+    return SpecDocument(kind=kind, rule=rule, initial=_initial_config(data, rule.orders))
 
 
 def _unique_keys(pairs: list) -> dict:

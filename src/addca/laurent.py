@@ -41,9 +41,9 @@ to 1, 2, 4 or 8 bytes and unpacked with ``memoryview.cast``; wider slots
 then reduced mod m.  The packing helpers also serve ``polymat.char_poly``,
 which evaluates a whole matrix at x = 2^s, and the packed power walk and
 degree ladder of ``power_semigroup``, which reduce every slot mod m with
-``SlotReducer`` instead of unpacking.  A one-term operand is a scaled
-shift.  The test oracle ``tests/oracles.py::dict_product`` convolves term
-by term without either shortcut.
+``SlotReducer`` instead of unpacking.  The test oracle
+``tests/oracles.py::dict_product`` convolves term by term without either
+shortcut.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        if len(a.coeffs) <= 1:
-            return b._scaled(a.coeffs[0], a.low) if a.coeffs else LaurentPoly.zero(self.modulus)
+        if not a.coeffs:
+            return LaurentPoly.zero(self.modulus)
         if a.exps is None and b.exps is None:
             a_slots, b_slots = a.coeffs, b.coeffs
         else:
@@ -237,20 +237,11 @@ class LaurentPoly:
                 data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly._from_terms(self.modulus, {e: c % m for e, c in data.items()})
 
-    def _scaled(self, value: int, offset: int) -> "LaurentPoly":
-        """value * x^offset * self."""
-        m = self.modulus.m
-        values = [c * value % m for c in self.coeffs]
-        if self.exps is None:
-            return LaurentPoly._from_slots(self.modulus, self.low + offset, values)
-        return LaurentPoly._from_terms(self.modulus,
-                                       dict(zip(map(offset.__add__, self.exps), values)))
-
     def __pow__(self, exponent: int) -> "LaurentPoly":
         return power(LaurentPoly.constant(self.modulus, 1), self, exponent, mul)
 
     def scale(self, value: int) -> "LaurentPoly":
-        return self._scaled(value, 0)
+        return self * LaurentPoly.constant(self.modulus, value)
 
     def shift(self, offset: int) -> "LaurentPoly":
         """Multiply by x^offset."""

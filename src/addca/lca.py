@@ -69,9 +69,6 @@ class LcaRule(NamedTuple("LcaRule", [("modulus", Modulus), ("n", int), ("radius"
         """The order of each cell component, (m,) * n."""
         return (self.modulus.m,) * self.n
 
-    def matrix_at_offset(self, z: int) -> tuple:
-        return self.matrices[z + self.radius]
-
     def offsets(self) -> range:
         return range(-self.radius, self.radius + 1)
 
@@ -174,26 +171,19 @@ class FiniteConfiguration:
 
 
 def associated_matrix(rule: LcaRule) -> RingMatrix:
-    """The Laurent matrix A(X) = sum_z A_z X^(-z) acting on power series."""
-    ring = LaurentRing(rule.modulus)
-    entries = [[dict() for _ in range(rule.n)] for _ in range(rule.n)]
-    for z in rule.offsets():
-        mat = rule.matrix_at_offset(z)
-        for i in range(rule.n):
-            for j in range(rule.n):
-                if mat[i][j]:
-                    exp = -z
-                    cell = entries[i][j]
-                    cell[exp] = (cell.get(exp, 0) + mat[i][j]) % rule.modulus.m
-    rows = [[LaurentPoly(rule.modulus, entries[i][j]) for j in range(rule.n)]
-            for i in range(rule.n)]
-    return RingMatrix(ring, rows)
+    """The Laurent matrix A(X) = sum_z A_z X^(-z) acting on power series; the
+    offsets are distinct and the entries canonical, so nothing is summed."""
+    radius, mats = rule.radius, rule.matrices
+    return RingMatrix(LaurentRing(rule.modulus), [
+        [LaurentPoly._from_terms(rule.modulus,
+                                 {radius - k: mat[i][j] for k, mat in enumerate(mats)})
+         for j in range(rule.n)] for i in range(rule.n)])
 
 
 def step(rule: LcaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     """One synchronous update F(c)_i = sum_z A_z c_{i+z}, that is
-    P_F(c) = A(X) * P_c, at one integer dot product per cell and nonzero A_z
-    (see `stepper`)."""
+    P_F(c) = A(X) * P_c.  Each call builds a `stepper`: a caller that steps
+    repeatedly holds its ``advance`` instead."""
     advance, _ = stepper(rule, config)
     return advance(config)
 

@@ -77,10 +77,7 @@ class RingMatrix:
         ])
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        self._check(other)
-        return RingMatrix(self.ring, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
+        return self + (-other)
 
     def __neg__(self) -> "RingMatrix":
         return RingMatrix(self.ring, [[-a for a in row] for row in self.rows])

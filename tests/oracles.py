@@ -7,7 +7,8 @@ enumeration of the powers F^k - I.  The Berkowitz characteristic polynomial
 is checked against signed sums of principal minors (expanded by a subset-DP
 Laplace scheme that shares nothing with Berkowitz) and against
 Cayley-Hamilton; Laurent integrality against a CRT constant c with (f - c)
-nilpotent.  Former production paths are kept here too, each checking its
+nilpotent; the verdicts on scalar rules against classical closed forms.
+Former production paths are kept here too, each checking its
 successor on a fixed corpus: the transitivity gcd descent over F_p(x)[t],
 the dict convolution of Laurent polynomials, the entrywise matrix product,
 Brent's cycle detection, the degree ladder over Z/m, the two-case entry
@@ -236,6 +237,23 @@ def additive_periodic_kernel_witness(rule) -> list[tuple] | None:
 def is_periodic_additive_kernel_word(rule, word: list[tuple]) -> bool:
     """Does repeating the word fill the line with a nonzero kernel configuration?"""
     return _is_periodic_kernel_word(word, rule.radius, partial(additive_local_map, rule))
+
+
+def scalar_rule_verdicts(m: int, coefficients: Sequence[int]) -> dict[str, bool]:
+    """The classical closed forms for the scalar rule F(c)_i = sum_z a_z c_(i+z)
+    over Z/m with coefficients a_-r .. a_r: surjective iff gcd(m, a_-r, ...,
+    a_r) = 1; injective iff every prime p | m leaves exactly one a_z nonzero
+    mod p (Ito, Osato & Nasu 1983); equicontinuous iff every p | m divides
+    every a_z with z != 0 (Manzini & Margara 1999), sensitive otherwise;
+    transitive iff gcd(m, a_z : z != 0) = 1."""
+    r = len(coefficients) // 2
+    off_centre = [*coefficients[:r], *coefficients[r + 1:]]
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+    equicontinuous = all(a % p == 0 for p in primes for a in off_centre)
+    return {"sensitive": not equicontinuous, "equicontinuous": equicontinuous,
+            "injective": all(sum(a % p != 0 for a in coefficients) == 1 for p in primes),
+            "surjective": math.gcd(m, *coefficients) == 1,
+            "transitive": math.gcd(m, *off_centre) == 1}
 
 
 def bounded_transitivity_oracle(rule: LcaRule, k_max: int = 64) -> bool:

@@ -409,6 +409,8 @@ def test_embed_example_and_image_membership():
     assert image == FiniteConfiguration((4, 4), {5: (3, 2)})
     assert in_embedding_image(G42, image)
     assert not in_embedding_image(G42, FiniteConfiguration((4, 4), {0: (0, 1)}))
+    with pytest.raises(ValueError, match="does not live over the given group"):
+        embed_config(G42, FiniteConfiguration((2, 4), {5: (1, 3)}))
 
     with pytest.raises(ValueError, match="mixes primes"):
         embed(AbelianGroup((4, 3)), (1, 1))

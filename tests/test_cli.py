@@ -327,6 +327,12 @@ def test_orbit_budget_exhaustion_on_finite_rule(capsys):
     code, out, _ = run_cli(capsys, "orbit", str(SPECS / "shear.json"), "--budget", "2")
     assert code == 3
     assert "indeterminate (budget 2); coefficient verdict: finite" in out
+    code, out, _ = run_cli(capsys, "orbit", str(SPECS / "shear.json"), "--budget", "2",
+                           "--format", "json")
+    assert code == 3
+    report = json.loads(out)
+    assert (report["finite"], report["indeterminate"], report["budget"]) == (True, True, 2)
+    assert "period" not in report
 
 
 def test_orbit_infinite_rule_reports_degree_growth(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -38,6 +39,7 @@ from oracles import (
     parse_laurent,
     periodic_kernel_witness,
     render_trajectory_by_cells,
+    scalar_rule_verdicts,
     shift_configuration,
     spreads,
     step_through_constructor,
@@ -97,6 +99,10 @@ def test_rule_validation():
         LcaRule(factorize(2), 2, 0, (((1, 0),),))  # not n x n
     with pytest.raises(ValueError):
         scalar_rule(2, (1, 0))  # even window
+    with pytest.raises(ValueError, match="rank n must be >= 1"):
+        LcaRule(factorize(2), 0, 0, ((),))
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        LcaRule(factorize(2), 1, -1, ())
 
 
 def test_canonical_matrices_are_shared_not_copied():
@@ -294,6 +300,20 @@ def test_injectivity_matches_kernel_search():
             assert witness is None, (rule, witness)
         else:
             assert witness is not None, rule
+
+
+def test_scalar_rules_match_the_closed_forms():
+    """Every scalar rule with m = 2..12 and radius 0 or 1 against the
+    classical closed forms in its coefficients."""
+    checked = 0
+    for m in range(2, 13):
+        for width in (1, 3):
+            for coefficients in product(range(m), repeat=width):
+                report = analyze_rule(scalar_rule(m, coefficients))._asdict()
+                del report["notes"]
+                assert report == scalar_rule_verdicts(m, coefficients), (m, coefficients)
+                checked += 1
+    assert checked == 6160
 
 
 def test_transitivity_matches_bounded_oracle():

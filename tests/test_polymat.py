@@ -272,19 +272,23 @@ def random_mixed_entry(rng: random.Random, m: int) -> LaurentPoly:
 
 def test_integer_berkowitz_matches_oracles_differentially():
     """char_poly (Berkowitz over Z at x = 2^s) against the minor-sum oracle
-    and against the recurrence on Laurent entries, on zero matrices and on
-    random matrices with zero, constant, dense and gapped entries."""
+    and against the recurrence on Laurent entries, on zero matrices, on
+    random matrices with zero, constant, dense and gapped entries, and on
+    7 B over Z/8 for a 0/1 matrix B with |det B| = 5: its det, 7^5 * 5 in
+    absolute value, needs the n! of the slot bound n! ((m - 1) span)^n."""
     rng = random.Random(20261018)
+    matrices = [matrix_from_ints(laurent_ring(8), [[7 * b for b in row] for row in (
+        (1, 0, 0, 1, 0), (0, 1, 1, 1, 1), (1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (1, 1, 1, 0, 0))])]
     for m in DIFFERENTIAL_MODULI:
         ring = laurent_ring(m)
         for n in range(9):
-            matrices = [zeros(ring, n)]
+            matrices.append(zeros(ring, n))
             matrices += [RingMatrix(ring, [[random_mixed_entry(rng, m) for _ in range(n)]
                                            for _ in range(n)]) for _ in range(2 if n < 7 else 1)]
-            for a in matrices:
-                poly = char_poly(a)
-                assert poly == laurent_berkowitz(a), (m, a.rows)
-                assert poly == char_poly_by_minor_sums(a), (m, a.rows)
+    for a in matrices:
+        poly = char_poly(a)
+        assert poly == laurent_berkowitz(a), a.rows
+        assert poly == char_poly_by_minor_sums(a), a.rows
 
 
 def test_integer_berkowitz_on_triangular_matrices_of_full_coefficients():

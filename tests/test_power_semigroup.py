@@ -340,6 +340,15 @@ def test_slot_reducer_matches_slotwise_remainder():
                 packed = reduce([pack_slots(row, reduce.width) for row in rows])
                 for row, value in zip(rows, packed):
                     assert list(unpack_slots(value, count, reduce.width)) == [v % m for v in row]
+    # Every small modulus at every small width, on the values just below
+    # 2^bits, where a shift one bit short first goes wrong.
+    for m in range(2, 201):
+        for bits in range(1, 13):
+            reduce = SlotReducer(m, bits)
+            row = list(range(max(0, (1 << bits) - 2 * m), 1 << bits))
+            (value,) = reduce([pack_slots(row, reduce.width)])
+            assert list(unpack_slots(value, len(row), reduce.width)) == [v % m for v in row], \
+                (m, bits)
 
 
 def _packed_values(rng: random.Random, width: int) -> list[int]:
@@ -643,6 +652,15 @@ def test_packed_slots_stay_below_their_bounds(monkeypatch):
         sampled_degree_growth(a, 3)
         if decide_finite_powers(a).finite:
             divisibility_witness(a, PACKED_CORPUS_BUDGET)
+    # Integral C + (m - p) x + (m - p) x^-1 over Z/p^k: the power walk sums
+    # n products of span terms near (m - 1)^2 into one slot.
+    rng = random.Random(2718)
+    for m, p in ((4, 2), (8, 2), (9, 3), (25, 5)):
+        ring = laurent_ring(m)
+        for n in (2, 3):
+            detect_orbit(RingMatrix(ring, [[LaurentPoly(ring.modulus, {
+                -1: m - p, 0: rng.randrange(m), 1: m - p}) for _ in range(n)]
+                for _ in range(n)]), PACKED_CORPUS_BUDGET)
     for m in (2, 3, 25, 2**31 - 1):
         tightest.clear()
         sampled_degree_growth(matrix_from_ints(laurent_ring(m), [[m - 1] * 3] * 3), 1)
