@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Check that the tests catch a fixed set of mutants of the slot bounds.
+"""Check that the tests catch a fixed set of mutants of the slot bounds and
+deciders.
 
-Each mutant is one textual edit of a file under ``src/addca`` that makes a
-packed-integer slot one bit or one factor too narrow, paired with the test
-file that must fail on it.  The script copies ``src`` and ``tests`` to a
-temporary directory, checks that each named test file passes there, then
-applies one mutant at a time and runs pytest on its test file only; the
-checkout itself is never modified.  A mutant whose test file still passes
-has survived.  An edit whose ``old`` text is not found exactly once is
-reported as stale, since the bound it guards has moved.  Prints one line per
-mutant and exits 1 if a test file fails unmutated or a mutant survives or is
-stale.
+Each mutant is one textual edit of a file under ``src/addca``.  Most make a
+packed-integer slot one bit or one factor too narrow, or flip a comparison
+in a decider; each is paired with the fastest single test file that fails on
+it.  The script copies ``src`` and ``tests`` to a temporary directory, checks
+that each named test file passes there, then applies one mutant at a time
+and runs pytest on its test file only; the checkout itself is never
+modified.  A mutant whose test file still passes has survived.  An edit
+whose ``old`` text is not found exactly once is reported as stale, since
+the code it mutates has moved.  Equivalent mutants, edits that change no
+output, are checked for staleness and printed with their reason but not
+run.  Prints one line per mutant and exits 1 if a test file fails
+unmutated, a mutant survives or an edit is stale.
 
     python3 scripts/mutants.py
 """
@@ -26,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (file, old, new, test file)
+# (file, old, new, test file that must fail)
 MUTANTS = (
     # The reducer's shift one bit short: floor(v M / 2^s) is no longer v // m
     # for every v below 2^bits (13 reduces to -1 at m = 7, bits = 4).
@@ -34,16 +37,80 @@ MUTANTS = (
      "shift = bits + m.bit_length()",
      "shift = bits + m.bit_length() - 1",
      "tests/test_power_semigroup.py"),
+    # The reducer's magic number rounded down instead of up.
+    ("src/addca/laurent.py",
+     "magic = -(-(1 << shift) // m)",
+     "magic = (1 << shift) // m",
+     "tests/test_power_semigroup.py"),
+    # The Kronecker product's slot without bits(k), the terms meeting in one slot.
+    ("src/addca/laurent.py",
+     "width = slot_width(2 * (m - 1).bit_length() + len(a.coeffs).bit_length())",
+     "width = slot_width(2 * (m - 1).bit_length())",
+     "tests/test_acceptance.py"),
     # The packed power walk's slot bound without its factor n.
     ("src/addca/power_semigroup.py",
      "SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())",
      "SlotReducer(m, (span * (m - 1) ** 2).bit_length())",
+     "tests/test_power_semigroup.py"),
+    # The packed power walk's slot bound with (m - 1) for (m - 1)^2.
+    ("src/addca/power_semigroup.py",
+     "SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())",
+     "SlotReducer(m, (n * span * (m - 1)).bit_length())",
+     "tests/test_power_semigroup.py"),
+    # The degree ladder's slot bound without its factor n.
+    ("src/addca/power_semigroup.py",
+     "bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)",
+     "bound = max(((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)",
+     "tests/test_power_semigroup.py"),
+    # The degree ladder's slot bound without room for the entries of A mod m.
+    ("src/addca/power_semigroup.py",
+     "bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)",
+     "bound = n * ((span - 1 << doublings) + 1) * (p - 1) ** 2",
+     "tests/test_power_semigroup.py"),
+    # The exponent window of an integral matrix one power too narrow.
+    ("src/addca/power_semigroup.py",
+     "steps = matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 1",
+     "steps = matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 2",
      "tests/test_power_semigroup.py"),
     # The Berkowitz slot over Z without its factor n!.
     ("src/addca/polymat.py",
      "slot_width((factorial(n) * ((m - 1) * span) ** n).bit_length() + 1)",
      "slot_width((((m - 1) * span) ** n).bit_length() + 1)",
      "tests/test_polymat.py"),
+    # The Berkowitz slot over Z without the sign bit of its balanced digits.
+    ("src/addca/polymat.py",
+     "slot_width((factorial(n) * ((m - 1) * span) ** n).bit_length() + 1)",
+     "slot_width((factorial(n) * ((m - 1) * span) ** n).bit_length())",
+     "tests/test_polymat.py"),
+    # The step kernel's slot without its factor k, the nonzero offsets.
+    ("src/addca/lca.py",
+     "width = (len(offsets) * rank * top * top).bit_length()",
+     "width = (rank * top * top).bit_length()",
+     "tests/test_additive_ca.py"),
+    # The step kernel's slot without its factor n, the components of a cell.
+    ("src/addca/lca.py",
+     "width = (len(offsets) * rank * top * top).bit_length()",
+     "width = (len(offsets) * top * top).bit_length()",
+     "tests/test_additive_ca.py"),
+    # Injective read as surjective: det A(X) with any monomial mod p.
+    ("src/addca/lca.py",
+     "injective = all(count == 1 for count in monomial_counts.values())",
+     "injective = all(count >= 1 for count in monomial_counts.values())",
+     "tests/test_additive_ca.py"),
+    # A transitivity obstruction G_p of degree 1 ignored.
+    ("src/addca/lca.py",
+     "if len(gcd) > 1:",
+     "if len(gcd) > 2:",
+     "tests/test_lca.py"),
+)
+
+# (file, old, new, why no output changes)
+EQUIVALENT = (
+    ("src/addca/laurent.py",
+     "_DENSE_SPAN_PER_TERM = 4",
+     "_DENSE_SPAN_PER_TERM = 8",
+     "it changes only which exact path runs: a polynomial's storage form, the"
+     " product and the char_poly route"),
 )
 
 
@@ -77,8 +144,13 @@ def run() -> int:
                 outcome = "killed" if _pytest(tree, test_file) else "survived"
                 (tree / path).write_text(text, encoding="utf-8")
             failed += outcome != "killed"
-            print(f"{outcome:8}  {path}: {new!r}  ({test_file})")
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+            print(f"{outcome:10}  {path}: {new!r}  ({test_file})")
+        for path, old, new, reason in EQUIVALENT:
+            stale = (tree / path).read_text(encoding="utf-8").count(old) != 1
+            failed += stale
+            print(f"{'stale' if stale else 'equivalent':10}  {path}: {new!r}  ({reason})")
+    print(f"{len(MUTANTS) + len(EQUIVALENT) - failed} of {len(MUTANTS) + len(EQUIVALENT)} "
+          f"mutants killed or equivalent")
     return 1 if failed else 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .lca import FiniteConfiguration, LcaRule, PropertyReport, analyze_rule, simulate, stepper
+from .lca import FiniteConfiguration, LcaRule, PropertyReport, analyze_rule, simulate, step
 from .modring import canonical_matrix, factorize, short_repr
 
 
@@ -141,16 +141,9 @@ class AdditiveCaRule(NamedTuple("AdditiveCaRule", [("group", AbelianGroup), ("ra
         return range(-self.radius, self.radius + 1)
 
 
-def step_additive(rule: AdditiveCaRule, config: FiniteConfiguration) -> FiniteConfiguration:
-    """One synchronous update of the additive CA on a finite configuration.
-    Each call builds a `stepper`: a caller that steps repeatedly holds its
-    ``advance`` instead."""
-    advance, _ = stepper(rule, config)
-    return advance(config)
-
-
-# `lca.simulate` steps both rule kinds: `stepper` reads only a rule's radius,
-# orders and matrices.
+# `lca.step` and `lca.simulate` step both rule kinds: `lca.stepper` reads
+# only a rule's radius, orders and matrices.
+step_additive = step
 simulate_additive = simulate
 
 

@@ -26,10 +26,11 @@ coefficients.  So memory is proportional to the number of terms, never to
 a wide span of exponents, and the dense tuples feed the Kronecker product
 without unpacking.
 
-Multiplication picks one of two products from the operands' shape.  When
-a sparse operand makes the term pairs fewer than the slots of the result
-(``1 + x^500`` times itself, say) it convolves the terms through a dict.
-Otherwise both operands are packed into one integer each, the
+A sum merges the two maps from exponent to coefficient, whatever the
+storage.  A product follows one rule for every storage form.  When the
+stored coefficients of the operands make fewer pairs than the result has
+slots (``1 + x^500`` times itself, or a one-term factor) it convolves the
+terms through a dict.  Otherwise it packs each operand into one integer, the
 coefficient of x^(low + i) in slot i (Kronecker substitution, see Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
 2009).  A slot holds 2 * bits(m - 1) + bits(k) bits, k the length of the
@@ -50,10 +51,11 @@ from __future__ import annotations
 
 import struct
 import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from itertools import compress
 from operator import mul, or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .modring import Modulus, RingMismatchError, factorize, power
 
@@ -83,9 +85,7 @@ class LaurentPoly:
 
     def __init__(self, modulus: Modulus,
                  coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        # The type test spares plain dicts the slower ABC check.
-        items = (coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping)
-                 else coeffs)
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         m = modulus.m
         data: dict[int, int] = {}
         for e, c in items:
@@ -187,17 +187,6 @@ class LaurentPoly:
         if not self.coeffs:
             return other
         m = self.modulus.m
-        if self.exps is None and other.exps is None:
-            low = min(self.low, other.low)
-            span = max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low
-            if span <= _DENSE_SPAN_PER_TERM * (len(self.coeffs) + len(other.coeffs)):
-                out = [0] * span
-                start = self.low - low
-                out[start:start + len(self.coeffs)] = self.coeffs
-                start = other.low - low
-                stop = start + len(other.coeffs)
-                out[start:stop] = [(x + y) % m for x, y in zip(out[start:stop], other.coeffs)]
-                return LaurentPoly._from_slots(self.modulus, low, out)
         data = dict(self.items())
         for e, c in other.items():
             data[e] = (data.get(e, 0) + c) % m
@@ -216,12 +205,9 @@ class LaurentPoly:
         a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         if not a.coeffs:
             return LaurentPoly.zero(self.modulus)
-        if a.exps is None and b.exps is None:
-            a_slots, b_slots = a.coeffs, b.coeffs
-        else:
-            if len(a.coeffs) * len(b.coeffs) < a._span() + b._span():
-                return a._convolve(b)
-            a_slots, b_slots = a._slots(), b._slots()
+        if len(a.coeffs) * len(b.coeffs) < a._span() + b._span():
+            return a._convolve(b)
+        a_slots, b_slots = a._slots(), b._slots()
         m = self.modulus.m
         width = slot_width(2 * (m - 1).bit_length() + len(a.coeffs).bit_length())
         product = pack_slots(a_slots, width) * pack_slots(b_slots, width)
@@ -239,16 +225,6 @@ class LaurentPoly:
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         return power(LaurentPoly.constant(self.modulus, 1), self, exponent, mul)
-
-    def scale(self, value: int) -> "LaurentPoly":
-        return self * LaurentPoly.constant(self.modulus, value)
-
-    def shift(self, offset: int) -> "LaurentPoly":
-        """Multiply by x^offset."""
-        if not self.coeffs:
-            return self
-        exps = None if self.exps is None else tuple(map(offset.__add__, self.exps))
-        return LaurentPoly._make(self.modulus, self.low + offset, exps, self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):

@@ -182,8 +182,8 @@ def associated_matrix(rule: LcaRule) -> RingMatrix:
 
 def step(rule: LcaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     """One synchronous update F(c)_i = sum_z A_z c_{i+z}, that is
-    P_F(c) = A(X) * P_c.  Each call builds a `stepper`: a caller that steps
-    repeatedly holds its ``advance`` instead."""
+    P_F(c) = A(X) * P_c, of a linear or additive rule.  Each call builds a
+    `stepper`: a caller that steps repeatedly holds its ``advance`` instead."""
     advance, _ = stepper(rule, config)
     return advance(config)
 

@@ -41,7 +41,7 @@ from typing import Any, NamedTuple, Sequence
 
 from .laurent import (_DENSE_SPAN_PER_TERM, LaurentPoly, LaurentRing, pack_slots,
                       slot_width, unpack_slots)
-from .modring import Modulus, power
+from .modring import power
 
 
 class RingMatrix:
@@ -88,9 +88,6 @@ class RingMatrix:
         cols = tuple(zip(*other.rows))
         return RingMatrix(self.ring, [[_dot(row, col) for col in cols] for row in self.rows])
 
-    def scale(self, c: Any) -> "RingMatrix":
-        return RingMatrix(self.ring, [[c * a for a in row] for row in self.rows])
-
     def __pow__(self, exponent: int) -> "RingMatrix":
         return power(identity(self.ring, self.n), self, exponent, mul)
 
@@ -133,10 +130,6 @@ class CharPoly(NamedTuple("CharPoly", [("coeffs", tuple)])):
         if not coeffs or coeffs[-1] != LaurentPoly.constant(coeffs[-1].modulus, 1):
             raise ValueError("characteristic polynomial must be monic")
         return super().__new__(cls, coeffs)
-
-    @property
-    def modulus(self) -> Modulus:
-        return self.coeffs[-1].modulus
 
     @property
     def degree(self) -> int:

@@ -557,9 +557,8 @@ def cayley_hamilton_check(matrix: RingMatrix) -> bool:
 def evaluate_at_matrix(poly: CharPoly, matrix: RingMatrix) -> RingMatrix:
     """Horner evaluation of the polynomial at a square matrix."""
     acc = zeros(matrix.ring, matrix.n)
-    ident = identity(matrix.ring, matrix.n)
     for coeff in reversed(poly.coeffs):
-        acc = acc * matrix + ident.scale(coeff)
+        acc = acc * matrix + scalar_matrix(matrix.ring, matrix.n, coeff)
     return acc
 
 
@@ -666,6 +665,12 @@ def degree_ladder_mod_m(matrix: RingMatrix, doublings: int) -> list[int]:
 def zeros(ring, n: int) -> RingMatrix:
     zero = ring.zero()
     return RingMatrix(ring, [[zero] * n for _ in range(n)])
+
+
+def scalar_matrix(ring, n: int, c: Any) -> RingMatrix:
+    """c times the n x n identity."""
+    zero = ring.zero()
+    return RingMatrix(ring, [[c if i == j else zero for j in range(n)] for i in range(n)])
 
 
 def frobenius_companion(poly: CharPoly) -> RingMatrix:

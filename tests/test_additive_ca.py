@@ -301,12 +301,9 @@ def test_steps_match_the_constructor_kernel_differentially():
     rng = random.Random(20261019)
     cases, full, cancelling = _kernel_corpus(rng)
     cancelled = 0
+    assert step_additive is lca_step
     for stepper, rule in cases + full + cancelling:
-        if stepper is lca_step:
-            matrices, orders = rule.matrices, (rule.modulus.m,) * rule.n
-        else:
-            matrices = tuple(e.matrix for e in rule.endomorphisms)
-            orders = rule.group.factors
+        matrices, orders = rule.matrices, rule.orders
         offsets = [k - rule.radius for k, mat in enumerate(matrices) if any(map(any, mat))]
         # A cell at z_b - z_a meets the cell at 0 on target -z_a.
         meeting = {b - a for a in offsets for b in offsets}
@@ -338,15 +335,14 @@ def test_steps_match_the_constructor_kernel_differentially():
 
 
 def test_trajectories_match_single_steps_and_the_constructor_kernel():
-    """simulate and simulate_additive, which build one stepper for the whole
-    trajectory, against four calls of step or step_additive and four steps
-    of the constructor kernel, on the corpus of the single-step test: cells
-    near 0 and at +-10^9, cells at the largest entries, and cells that
-    cancel."""
+    """simulate (which simulate_additive is), which builds one stepper for the
+    whole trajectory, against four calls of step (which step_additive is) and
+    four steps of the constructor kernel, on the corpus of the single-step
+    test: cells near 0 and at +-10^9, cells at the largest entries, and cells
+    that cancel."""
     rng = random.Random(20261020)
     cases, full, cancelling = _kernel_corpus(rng)
     for one_step, rule in cases + full + cancelling:
-        run = lca_simulate if one_step is lca_step else simulate_additive
         orders = rule.orders
         configs = [FiniteConfiguration(orders, {pos: tuple(rng.randrange(q) for q in orders)
                                                 for pos in where if rng.random() < 0.6})
@@ -363,7 +359,7 @@ def test_trajectories_match_single_steps_and_the_constructor_kernel():
                 by_step.append(one_step(rule, by_step[-1]))
                 by_oracle.append(step_through_constructor(rule.matrices, rule.radius,
                                                           by_oracle[-1]))
-            assert run(rule, config, 4) == by_step == by_oracle, (rule, config)
+            assert lca_simulate(rule, config, 4) == by_step == by_oracle, (rule, config)
 
 
 def test_wrong_alphabet_has_one_message_for_both_rule_kinds():

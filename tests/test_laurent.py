@@ -201,9 +201,9 @@ def test_pow_and_shift():
     ring = laurent_ring(9)
     f = ring.monomial(1) + ring.from_int(1)
     assert f ** 3 == parse_laurent("x^3 + 3x^2 + 3x + 1", ring.modulus)
-    assert f.shift(-2) == parse_laurent("x^-1 + x^-2", ring.modulus)
+    assert f * ring.monomial(-2) == parse_laurent("x^-1 + x^-2", ring.modulus)
     assert f ** 0 == ring.one()
-    assert f.scale(3) == parse_laurent("3x + 3", ring.modulus)
+    assert f * ring.from_int(3) == parse_laurent("3x + 3", ring.modulus)
 
 
 def _product_operands(rng: random.Random, m: int):
@@ -234,6 +234,9 @@ def _product_operands(rng: random.Random, m: int):
 
 
 def test_kronecker_product_matches_dict_convolution():
+    """Products against the term-by-term oracle, and sums and differences
+    against the constructor, which accumulates the terms of both operands
+    without calling ``__add__``."""
     rng = random.Random(20261018)
     for m in PRODUCT_MODULI:
         checked = 0
@@ -244,6 +247,8 @@ def test_kronecker_product_matches_dict_convolution():
             assert g * f == expected
             assert all(0 <= c < m for c in product.coeffs)
             assert product.is_zero() or (product.coeffs[0] and product.coeffs[-1])
+            assert f + g == LaurentPoly(f.modulus, [*f.items(), *g.items()])
+            assert f - g == LaurentPoly(f.modulus, [*f.items(), *((e, -c) for e, c in g.items())])
             checked += 1
         assert checked == 40 + 4 + 2 * len(EXTREME_LENGTHS)
 
@@ -264,26 +269,28 @@ def test_storage_form_is_canonical():
     assert (f.low, f.exps, f.coeffs) == (-1, None, (1,))
     g = parse_laurent("2x^2 + 2", m4)
     assert (g * g).is_zero() and (g * g).low == 0  # 4x^4 + 8x^2 + 4 = 0 mod 4
-    h = parse_laurent("x + 2 + 2x^-1", m4).scale(2)
+    two = LaurentPoly.constant(m4, 2)
+    h = parse_laurent("x + 2 + 2x^-1", m4) * two
     assert (h.low, h.exps, h.coeffs) == (1, None, (2,))
     assert list(parse_laurent("x^3 + 3x^-2", m4).items()) == [(-2, 3), (3, 1)]
     assert (-parse_laurent("x^3 + 3x^-2", m4)).coeffs == (1, 0, 0, 0, 0, 3)
     assert (parse_laurent("x^3 + 3x^-2", m4) + parse_laurent("x^-2", m4)).coeffs == (1,)
-    # More than four slots per term is stored sparsely, and a product, sum,
-    # scaling or reduction that fills the span back in is stored densely.
+    # More than four slots per term is stored sparsely, and a product, sum or
+    # reduction that fills the span back in is stored densely.
     gapped = parse_laurent("2x^100 + 1", m4)
     assert (gapped.low, gapped.exps, gapped.coeffs) == (0, (0, 100), (1, 2))
     assert gapped * gapped == LaurentPoly.constant(m4, 1)  # 4x^200 + 4x^100 + 1
     square = parse_laurent("x^100 + 1", m4) ** 2
     assert (square.exps, square.coeffs) == ((0, 100, 200), (1, 2, 1))
-    assert gapped.scale(2) == LaurentPoly.constant(m4, 2)
-    assert gapped.scale(2).exps is None
+    assert gapped * two == two
+    assert (gapped * two).exps is None
     assert gapped.reduce_mod_prime(2).exps is None
     assert (gapped + LaurentPoly(m4, {100: 2})).exps is None
     filled = gapped + LaurentPoly(m4, {e: 1 for e in range(1, 100)})
     assert filled.exps is None and len(filled.coeffs) == 101
     assert filled - LaurentPoly(m4, {e: 1 for e in range(1, 100)}) == gapped
-    for poly in (gapped, square, filled, -gapped, gapped.shift(-7), square.scale(2)):
+    for poly in (gapped, square, filled, -gapped, gapped * LaurentPoly.monomial(m4, -7),
+                 square * two):
         rebuilt = LaurentPoly(m4, dict(poly.items()))
         assert (rebuilt.low, rebuilt.exps, rebuilt.coeffs) == (poly.low, poly.exps, poly.coeffs)
 

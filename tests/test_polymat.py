@@ -30,6 +30,7 @@ from oracles import (
     matrix_trace,
     parse_laurent,
     principal_submatrix,
+    scalar_matrix,
     zeros,
 )
 
@@ -181,7 +182,7 @@ def test_shifted_determinant_expansion():
         a = random_laurent_matrix(rng, m, n)
         ring = a.ring
         x = ring.monomial(1)
-        shifted = a + identity(ring, n).scale(x)
+        shifted = a + scalar_matrix(ring, n, x)
         total = ring.zero()
         for mask in range(1 << n):
             subset = [i for i in range(n) if mask & (1 << i)]
@@ -273,12 +274,15 @@ def random_mixed_entry(rng: random.Random, m: int) -> LaurentPoly:
 def test_integer_berkowitz_matches_oracles_differentially():
     """char_poly (Berkowitz over Z at x = 2^s) against the minor-sum oracle
     and against the recurrence on Laurent entries, on zero matrices, on
-    random matrices with zero, constant, dense and gapped entries, and on
+    random matrices with zero, constant, dense and gapped entries, on
     7 B over Z/8 for a 0/1 matrix B with |det B| = 5: its det, 7^5 * 5 in
-    absolute value, needs the n! of the slot bound n! ((m - 1) span)^n."""
+    absolute value, needs the n! of the slot bound n! ((m - 1) span)^n, and
+    on [[200]] over Z/256: its constant coefficient -200 needs the sign bit
+    on top of bits(n! ((m - 1) span)^n) = bits(255) = 8."""
     rng = random.Random(20261018)
     matrices = [matrix_from_ints(laurent_ring(8), [[7 * b for b in row] for row in (
         (1, 0, 0, 1, 0), (0, 1, 1, 1, 1), (1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (1, 1, 1, 0, 0))])]
+    matrices.append(matrix_from_ints(laurent_ring(256), [[200]]))
     for m in DIFFERENTIAL_MODULI:
         ring = laurent_ring(m)
         for n in range(9):
@@ -357,8 +361,8 @@ def test_matrix_product_matches_entrywise_oracle_differentially():
         pairs = []
         for n in range(6):
             a, b = random_matrix(rng, m, n), random_matrix(rng, m, n)
-            shifted = RingMatrix(ring, [[entry.shift(rng.randrange(-9, 10)) for entry in row]
-                                        for row in b.rows])
+            shifted = RingMatrix(ring, [[entry * ring.monomial(rng.randrange(-9, 10))
+                                         for entry in row] for row in b.rows])
             pairs += [(a, b), (b, a), (a, shifted), (zeros(ring, n), a), (a, zeros(ring, n)),
                       (identity(ring, n), a), (a, identity(ring, n)),
                       (a, sparse_matrix(rng, m, n)), (sparse_matrix(rng, m, n), a),
