@@ -5,15 +5,16 @@ deciders.
 Each mutant is one textual edit of a file under ``src/addca``.  Most make a
 packed-integer slot one bit or one factor too narrow, or flip a comparison
 in a decider; each is paired with the fastest single test file that fails on
-it.  The script copies ``src`` and ``tests`` to a temporary directory, checks
-that each named test file passes there, then applies one mutant at a time
-and runs pytest on its test file only; the checkout itself is never
-modified.  A mutant whose test file still passes has survived.  An edit
-whose ``old`` text is not found exactly once is reported as stale, since
-the code it mutates has moved.  Equivalent mutants, edits that change no
-output, are checked for staleness and printed with their reason but not
-run.  Prints one line per mutant and exits 1 if a test file fails
-unmutated, a mutant survives or an edit is stale.
+it.  The script copies ``src`` and ``tests`` to a temporary directory, with
+``specs``, ``scripts`` and ``perfbench``, which the CLI and script tests
+read and no mutant edits.  It checks that each named test file passes there,
+then applies one mutant at a time and runs pytest on its test file only; the
+checkout itself is never modified.  A mutant whose test file still passes
+has survived.  An edit whose ``old`` text is not found exactly once is
+reported as stale, since the code it mutates has moved.  Equivalent mutants,
+edits that change no output, are checked for staleness and printed with
+their reason but not run.  Prints one line per mutant and exits 1 if a test
+file fails unmutated, a mutant survives or an edit is stale.
 
     python3 scripts/mutants.py
 """
@@ -92,6 +93,11 @@ MUTANTS = (
      "width = (len(offsets) * rank * top * top).bit_length()",
      "width = (len(offsets) * top * top).bit_length()",
      "tests/test_additive_ca.py"),
+    # Surjective when det A(X) is nonzero mod some p | m, not every one.
+    ("src/addca/lca.py",
+     "surjective = all(count > 0 for count in monomial_counts.values())",
+     "surjective = any(count > 0 for count in monomial_counts.values())",
+     "tests/test_lca.py"),
     # Injective read as surjective: det A(X) with any monomial mod p.
     ("src/addca/lca.py",
      "injective = all(count == 1 for count in monomial_counts.values())",
@@ -102,6 +108,41 @@ MUTANTS = (
      "if len(gcd) > 1:",
      "if len(gcd) > 2:",
      "tests/test_lca.py"),
+    # decide_surjective satisfied by one prime of m.
+    ("src/addca/lca.py",
+     "return all(not det.reduce_mod_prime(p).is_zero() for p in rule.modulus.primes)",
+     "return any(not det.reduce_mod_prime(p).is_zero() for p in rule.modulus.primes)",
+     "tests/test_lca.py"),
+    # decide_injective read as surjective.
+    ("src/addca/lca.py",
+     "return all(len(det.reduce_mod_prime(p).support()) == 1 for p in rule.modulus.primes)",
+     "return all(len(det.reduce_mod_prime(p).support()) >= 1 for p in rule.modulus.primes)",
+     "tests/test_lca.py"),
+    # Integrality tested mod the smallest prime of m only.
+    ("src/addca/laurent.py",
+     "for p in self.modulus.primes:",
+     "for p in self.modulus.primes[:1]:",
+     "tests/test_laurent.py"),
+    # A(X) mirrored, x <-> 1/x: the offset columns zipped first offset first.
+    ("src/addca/lca.py",
+     "for mat in reversed(rule.matrices)]",
+     "for mat in rule.matrices]",
+     "tests/test_lca.py"),
+    # The integrality test skips a_(n-1), the coefficient of t^(n-1).
+    ("src/addca/power_semigroup.py",
+     "for index in range(poly.degree):",
+     "for index in range(poly.degree - 1):",
+     "tests/test_power_semigroup.py"),
+    # The dense span one slot short: the top exponent falls outside the pack.
+    ("src/addca/polymat.py",
+     "span = max([a.low + a._span() for a in entries]) - lo",
+     "span = max([a.low + a._span() for a in entries]) - lo - 1",
+     "tests/test_polymat.py"),
+    # The Berkowitz unpack offset half of what balances a slot's digits.
+    ("src/addca/polymat.py",
+     "half = 1 << bits - 1",
+     "half = 1 << bits - 2",
+     "tests/test_polymat.py"),
 )
 
 # (file, old, new, why no output changes)
@@ -127,7 +168,7 @@ def run() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "specs", "scripts", "perfbench"):
             shutil.copytree(ROOT / name, tree / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
         # A test file that fails unmutated would report every mutant killed.

@@ -171,13 +171,13 @@ class FiniteConfiguration:
 
 
 def associated_matrix(rule: LcaRule) -> RingMatrix:
-    """The Laurent matrix A(X) = sum_z A_z X^(-z) acting on power series; the
-    offsets are distinct and the entries canonical, so nothing is summed."""
-    radius, mats = rule.radius, rule.matrices
-    return RingMatrix(LaurentRing(rule.modulus), [
-        [LaurentPoly._from_terms(rule.modulus,
-                                 {radius - k: mat[i][j] for k, mat in enumerate(mats)})
-         for j in range(rule.n)] for i in range(rule.n)])
+    """A(X) = sum_z A_z X^(-z): A_z = ``matrices[k]`` sits at x^(r - k), so
+    the flattened offset matrices, last first, zip into one column per entry,
+    its canonical coefficients at x^(-r) .. x^r; nothing is summed."""
+    modulus, n = rule.modulus, rule.n
+    entries = [LaurentPoly._from_slots(modulus, -rule.radius, column) for column in
+               zip(*[[c for row in mat for c in row] for mat in reversed(rule.matrices)])]
+    return RingMatrix(LaurentRing(modulus), [entries[i:i + n] for i in range(0, n * n, n)])
 
 
 def step(rule: LcaRule, config: FiniteConfiguration) -> FiniteConfiguration:

@@ -8,23 +8,23 @@ is checked against signed sums of principal minors (expanded by a subset-DP
 Laplace scheme that shares nothing with Berkowitz) and against
 Cayley-Hamilton; Laurent integrality against a CRT constant c with (f - c)
 nilpotent; the verdicts on scalar rules against classical closed forms.
-Former production paths are kept here too, each checking its
-successor on a fixed corpus: the transitivity gcd descent over F_p(x)[t],
-the dict convolution of Laurent polynomials, the entrywise matrix product,
-Brent's cycle detection, the degree ladder over Z/m, the two-case entry
-formula of the additive-to-linear embedding, the F_p[t] rendering of
-G_p and the step kernel that left each cell's reduction to the
-configuration constructor.  So is the former public API that only the tests call: the zero matrix,
-the Frobenius companion, the idempotent power with its budget exception,
-the element embedding of a p-group with its inverse and image test, the
-basis configurations, the spreading semi-decision, the prime powers,
-largest exponent and nilradical generator of a modulus, the Laurent parser,
-the constant term, the matrix trace, a group's order and elements, the
-mod-p degrees of a Laurent polynomial, the shift of a configuration and the
-image of a group element under an endomorphism.  The packed walk's
-normalization and the slot reducer's mask sizing are kept as they read before
-both came from one OR per state: a filtered min of the lowest set bits and a
-max of the bit lengths.
+Former production paths are kept here too, each checking its successor on a
+fixed corpus: the transitivity gcd descent over F_p(x)[t], the dict
+convolution of Laurent polynomials, the entrywise matrix product, Brent's
+cycle detection, the degree ladder over Z/m, the two-case entry formula of
+the additive-to-linear embedding, the F_p[t] rendering of G_p, the step
+kernel that left each cell's reduction to the configuration constructor and
+the build of A(X) from one term map per entry.  So is the former public API
+that only the tests call: the zero matrix, the Frobenius companion, the
+idempotent power with its budget exception, the element embedding of a
+p-group with its inverse and image test, the basis configurations, the
+spreading semi-decision, the prime powers, largest exponent and nilradical
+generator of a modulus, the Laurent parser, the constant term, the matrix
+trace, a group's order and elements, the mod-p degrees of a Laurent
+polynomial, the shift of a configuration and the image of a group element
+under an endomorphism.  The packed walk's normalization and the slot
+reducer's mask sizing are kept as they read before both came from one OR per
+state: a filtered min of the lowest set bits and a max of the bit lengths.
 """
 
 from __future__ import annotations
@@ -852,6 +852,16 @@ def apply_endomorphism(endomorphism: GroupEndomorphism, vector: Sequence[int]) -
     vec = endomorphism.group.reduce(vector)
     return tuple(sum(map(mul, row, vec)) % q
                  for row, q in zip(endomorphism.matrix, endomorphism.group.factors))
+
+
+def term_map_associated_matrix(rule: LcaRule) -> RingMatrix:
+    """A(X) = sum_z A_z X^(-z) with entry (i, j) built from the map
+    {r - k: M_k[i][j]} over the offset matrices M_k."""
+    radius, mats = rule.radius, rule.matrices
+    return RingMatrix(LaurentRing(rule.modulus), [
+        [LaurentPoly._from_terms(rule.modulus,
+                                 {radius - k: mat[i][j] for k, mat in enumerate(mats)})
+         for j in range(rule.n)] for i in range(rule.n)])
 
 
 def step_through_constructor(matrices: Sequence, radius: int,

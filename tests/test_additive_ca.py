@@ -251,7 +251,7 @@ def _sparse_matrices(rng: random.Random, m: int, n: int, radius: int, count: int
 
 
 def _kernel_corpus(rng: random.Random) -> tuple[list, list, list]:
-    """(cases, full, cancelling), lists of (one-step function, rule): dense
+    """(cases, full, cancelling), lists of linear and additive rules: dense
     random rules over Z/m and over mixed-order groups, sparse rules of radius
     30 to 1000, m = 2^61 - 1 with n = 4 and all-zero rules; rules at their
     largest entries; rules under which two equal cells at 0 and 2 cancel on
@@ -262,31 +262,29 @@ def _kernel_corpus(rng: random.Random) -> tuple[list, list, list]:
             radius = rng.randrange(3)
             mats = tuple(tuple(tuple(rng.randrange(m) for _ in range(n)) for _ in range(n))
                          for _ in range(2 * radius + 1))
-            cases.append((lca_step, LcaRule(factorize(m), n, radius, mats)))
+            cases.append(LcaRule(factorize(m), n, radius, mats))
     for factors in ((4, 2, 3, 9), (2, 3), (8, 3, 3), (9,)):
-        cases.append((step_additive, random_rule(rng, AbelianGroup(factors), rng.randrange(3))))
+        cases.append(random_rule(rng, AbelianGroup(factors), rng.randrange(3)))
     for m, n, radius, count in ((4, 2, 30, 2), (6, 3, 137, 3), (9, 1, 1000, 3),
                                 (2**61 - 1, 4, 45, 3)):
-        cases.append((lca_step, LcaRule(factorize(m), n, radius,
-                                        _sparse_matrices(rng, m, n, radius, count))))
+        cases.append(LcaRule(factorize(m), n, radius, _sparse_matrices(rng, m, n, radius, count)))
     mixed = AbelianGroup((4, 2, 3, 9))
     endos = [((0,) * 4,) * 4] * 121
     for k in (0, 37, 120):
         endos[k] = random_endomorphism(rng, mixed)
-    cases.append((step_additive, AdditiveCaRule(mixed, 60, endos)))
-    cases.append((lca_step, LcaRule(factorize(4), 2, 2, [((0, 0), (0, 0))] * 5)))
-    cases.append((step_additive, AdditiveCaRule(mixed, 1, [((0,) * 4,) * 4] * 3)))
+    cases.append(AdditiveCaRule(mixed, 60, endos))
+    cases.append(LcaRule(factorize(4), 2, 2, [((0, 0), (0, 0))] * 5))
+    cases.append(AdditiveCaRule(mixed, 1, [((0,) * 4,) * 4] * 3))
     # Every entry and component at its largest residue: a target slot sums
     # exactly k*n*(Q-1)^2, the bound the slot width is chosen for.
     full = []
     for m, n, radius in ((4, 2, 1), (4, 3, 2), (2**61 - 1, 4, 1), (5, 2, 3)):
-        full.append((lca_step, LcaRule(factorize(m), n, radius,
-                                       [((m - 1,) * n,) * n] * (2 * radius + 1))))
+        full.append(LcaRule(factorize(m), n, radius, [((m - 1,) * n,) * n] * (2 * radius + 1)))
     # F(c)_1 = M c_0 - M c_2 = 0 when c_0 = c_2.
     endo = random_endomorphism(rng, mixed).matrix
     negated = tuple(tuple(-v for v in row) for row in endo)
-    cancelling = [(lca_step, scalar_rule(2, (1, 0, 1))),
-                  (step_additive, AdditiveCaRule(mixed, 1, (endo, ((0,) * 4,) * 4, negated)))]
+    cancelling = [scalar_rule(2, (1, 0, 1)),
+                  AdditiveCaRule(mixed, 1, (endo, ((0,) * 4,) * 4, negated))]
     return cases, full, cancelling
 
 
@@ -302,7 +300,7 @@ def test_steps_match_the_constructor_kernel_differentially():
     cases, full, cancelling = _kernel_corpus(rng)
     cancelled = 0
     assert step_additive is lca_step
-    for stepper, rule in cases + full + cancelling:
+    for rule in cases + full + cancelling:
         matrices, orders = rule.matrices, rule.orders
         offsets = [k - rule.radius for k, mat in enumerate(matrices) if any(map(any, mat))]
         # A cell at z_b - z_a meets the cell at 0 on target -z_a.
@@ -311,15 +309,15 @@ def test_steps_match_the_constructor_kernel_differentially():
         configs = [FiniteConfiguration(orders, {pos: tuple(rng.randrange(q) for q in orders)
                                                 for pos in where if rng.random() < 0.6})
                    for where in spots for _ in range(2)]
-        if (stepper, rule) in full:
+        if rule in full:
             top = tuple(q - 1 for q in orders)
             configs = [FiniteConfiguration(orders, {pos: top for pos in range(-8, 9)})]
-        if (stepper, rule) in cancelling:
+        if rule in cancelling:
             cell = tuple(rng.randrange(1, q) for q in orders)
             configs.append(FiniteConfiguration(orders, {0: cell, 2: cell}))
         for config in configs:
             start = time.perf_counter()
-            stepped = stepper(rule, config)
+            stepped = lca_step(rule, config)
             assert time.perf_counter() - start < 0.5, (rule, config)
             expected = step_through_constructor(matrices, rule.radius, config)
             assert stepped == expected and hash(stepped) == hash(expected), (rule, config)
@@ -329,7 +327,7 @@ def test_steps_match_the_constructor_kernel_differentially():
             if config.cells and len(offsets) == 2 * rule.radius + 1:
                 hull = range(min(config.cells) - rule.radius, max(config.cells) + rule.radius + 1)
                 cancelled += sum(pos not in stepped.cells for pos in hull[:50])
-        if (stepper, rule) in cancelling:
+        if rule in cancelling:
             assert 1 not in stepped.cells
     assert cancelled
 
@@ -342,21 +340,21 @@ def test_trajectories_match_single_steps_and_the_constructor_kernel():
     that cancel."""
     rng = random.Random(20261020)
     cases, full, cancelling = _kernel_corpus(rng)
-    for one_step, rule in cases + full + cancelling:
+    for rule in cases + full + cancelling:
         orders = rule.orders
         configs = [FiniteConfiguration(orders, {pos: tuple(rng.randrange(q) for q in orders)
                                                 for pos in where if rng.random() < 0.6})
                    for where in (range(-5, 6), (-10**9, 10**9 + 1))]
-        if (one_step, rule) in full:
+        if rule in full:
             configs.append(FiniteConfiguration(orders, {pos: tuple(q - 1 for q in orders)
                                                         for pos in range(-8, 9)}))
-        if (one_step, rule) in cancelling:
+        if rule in cancelling:
             cell = tuple(rng.randrange(1, q) for q in orders)
             configs.append(FiniteConfiguration(orders, {0: cell, 2: cell}))
         for config in configs:
             by_step, by_oracle = [config], [config]
             for _ in range(4):
-                by_step.append(one_step(rule, by_step[-1]))
+                by_step.append(lca_step(rule, by_step[-1]))
                 by_oracle.append(step_through_constructor(rule.matrices, rule.radius,
                                                           by_oracle[-1]))
             assert lca_simulate(rule, config, 4) == by_step == by_oracle, (rule, config)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from addca import lca
+from addca.cli import load_spec
 from addca.laurent import laurent_ring
 from addca.lca import (
     FiniteConfiguration,
@@ -43,8 +45,11 @@ from oracles import (
     shift_configuration,
     spreads,
     step_through_constructor,
+    term_map_associated_matrix,
     tychonoff_distance,
 )
+
+SPECS = Path(__file__).resolve().parent / "specs"
 
 
 def rule90() -> LcaRule:
@@ -130,6 +135,45 @@ def test_associated_matrix_examples():
         [ring4.one(), ring4.monomial(1)],
         [ring4.zero(), ring4.one()],
     ])
+
+
+def test_associated_matrix_matches_the_term_map_build_differentially():
+    """associated_matrix, which zips the offset matrices into one slot column
+    per entry, against the former build from one term map per entry: random
+    rules with n = 1..5, m in {2, 4, 6, 9, 12} and radius 0..3; all-zero
+    rules and rules with zero offset matrices, with zero entries or with a
+    single nonzero offset; rules nonzero at offsets -r and r only, whose
+    entries are stored sparse; and the three rules of tests/specs/.  Each
+    entry must keep its storage form and hash.  A mirrored A(X) leaves every
+    verdict unchanged, so the verdict tests and digests cannot catch a
+    reversed column."""
+    rng = random.Random(20261024)
+    rules = []
+    for n in range(1, 6):
+        for m in (2, 4, 6, 9, 12):
+            for radius in range(4):
+                rules.append(random_rule(rng, m, n, radius, density=rng.choice([0.2, 0.6, 1.0])))
+                zero = ((0,) * n,) * n
+                mats = [zero] * (2 * radius + 1)
+                rules.append(LcaRule(factorize(m), n, radius, mats))
+                mats[rng.randrange(2 * radius + 1)] = random_rule(rng, m, n, 0).matrices[0]
+                rules.append(LcaRule(factorize(m), n, radius, mats))
+                mats = list(random_rule(rng, m, n, radius, density=0.8).matrices)
+                mats[rng.randrange(2 * radius + 1)] = zero
+                rules.append(LcaRule(factorize(m), n, radius, mats))
+        ends = [((rng.randrange(1, 12),) * n,) * n] + [((0,) * n,) * n] * 17 + [((5,) * n,) * n]
+        rules.append(LcaRule(factorize(12), n, 9, ends))
+    rules += [load_spec(str(path)).rule for path in sorted(SPECS.glob("*.json"))]
+    assert len(rules) == 408 and {rule.radius for rule in rules[-3:]} == {30, 40, 1000}
+    stored = set()
+    for rule in rules:
+        built, expected = associated_matrix(rule), term_map_associated_matrix(rule)
+        assert built.rows == expected.rows, rule
+        for got, want in zip(sum(built.rows, ()), sum(expected.rows, ())):
+            assert (got.low, got.exps, got.coeffs) == (want.low, want.exps, want.coeffs), rule
+            assert hash(got) == hash(want), rule
+            stored.add(got.exps is None)
+    assert stored == {True, False}
 
 
 def test_step_matches_power_series_multiplication():
@@ -289,8 +333,13 @@ def test_report_round_trip():
 
 
 def test_surjectivity_matches_balance_oracle():
-    for rule in rule_corpus(40, seed=11):
+    """The corpus, over prime powers, and scalar rules over Z/6, Z/10 and
+    Z/12 whose det A(X) vanishes mod one prime of m but not mod another."""
+    composite = [scalar_rule(6, (0, 2, 0)), scalar_rule(6, (2, 0, 3)),
+                 scalar_rule(10, (5, 0, 5)), scalar_rule(12, (3, 4, 0)), scalar_rule(12, (0, 6, 4))]
+    for rule in rule_corpus(40, seed=11) + composite:
         assert decide_surjective(rule) == balance_surjectivity_oracle(rule), rule
+    assert [decide_surjective(rule) for rule in composite] == [False, True, False, True, False]
 
 
 def test_injectivity_matches_kernel_search():

@@ -276,13 +276,16 @@ def test_integer_berkowitz_matches_oracles_differentially():
     and against the recurrence on Laurent entries, on zero matrices, on
     random matrices with zero, constant, dense and gapped entries, on
     7 B over Z/8 for a 0/1 matrix B with |det B| = 5: its det, 7^5 * 5 in
-    absolute value, needs the n! of the slot bound n! ((m - 1) span)^n, and
-    on [[200]] over Z/256: its constant coefficient -200 needs the sign bit
-    on top of bits(n! ((m - 1) span)^n) = bits(255) = 8."""
+    absolute value, needs the n! of the slot bound n! ((m - 1) span)^n, on
+    [[200]] over Z/256: its constant coefficient -200 needs the sign bit on
+    top of bits(n! ((m - 1) span)^n) = bits(255) = 8, and on [[100]] over
+    Z/128: in its one-byte slots the unpack offset must be 2^7, since -100
+    lies below -2^6."""
     rng = random.Random(20261018)
     matrices = [matrix_from_ints(laurent_ring(8), [[7 * b for b in row] for row in (
         (1, 0, 0, 1, 0), (0, 1, 1, 1, 1), (1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (1, 1, 1, 0, 0))])]
     matrices.append(matrix_from_ints(laurent_ring(256), [[200]]))
+    matrices.append(matrix_from_ints(laurent_ring(128), [[100]]))
     for m in DIFFERENTIAL_MODULI:
         ring = laurent_ring(m)
         for n in range(9):
