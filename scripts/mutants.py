@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that the tests catch a fixed set of mutants of the slot bounds and
-deciders.
+"""Check that the tests catch a fixed set of mutants of the slot bounds, the
+step kernel's block layout, the F_p[t] gcd and the deciders.
 
 Each mutant is one textual edit of a file under ``src/addca``.  Most make a
 packed-integer slot one bit or one factor too narrow, or flip a comparison
@@ -93,6 +93,25 @@ MUTANTS = (
      "width = (len(offsets) * rank * top * top).bit_length()",
      "width = (len(offsets) * top * top).bit_length()",
      "tests/test_additive_ca.py"),
+    # The step kernel's groups one offset short: the last offset of each
+    # full group is never applied, which only rules of many offsets show.
+    ("src/addca/lca.py",
+     "run = offsets[start:start + size]",
+     "run = offsets[start:start + size - 1]",
+     "tests/test_additive_ca.py"),
+    # The step kernel's blocks one bit short.  With k >= 2 nonzero offsets
+    # the factor k leaves the top bit of every block zero in a cell's
+    # product, so the overlap shows only on rules with one nonzero offset.
+    ("src/addca/lca.py",
+     "    block = rank * width\n",
+     "    block = rank * width - 1\n",
+     "tests/test_lca.py"),
+    # The step kernel in one group: each cell shifts its whole product once
+    # per offset, quadratic in the offsets, which the time guard catches.
+    ("src/addca/lca.py",
+     "GROUP_BITS = 2048",
+     "GROUP_BITS = 2048 << 20",
+     "tests/test_lca.py"),
     # Surjective when det A(X) is nonzero mod some p | m, not every one.
     ("src/addca/lca.py",
      "surjective = all(count > 0 for count in monomial_counts.values())",
@@ -122,6 +141,36 @@ MUTANTS = (
     ("src/addca/laurent.py",
      "for p in self.modulus.primes:",
      "for p in self.modulus.primes[:1]:",
+     "tests/test_laurent.py"),
+    # Trailing zeros of an F_p[t] remainder trimmed one at a time.
+    ("src/addca/lca.py",
+     "while a and a[-1] == 0:",
+     "if a and a[-1] == 0:",
+     "tests/test_lca.py"),
+    # The x-slice gcd G_p returned without being made monic.
+    ("src/addca/lca.py",
+     "return [(c * inv) % p for c in a]",
+     "return a",
+     "tests/test_lca.py"),
+    # The x-slice gcd after one Euclid step.
+    ("src/addca/lca.py",
+     "    while b:\n        a, b = b, _fp_rem(a, b, p)",
+     "    if b:\n        a, b = b, _fp_rem(a, b, p)",
+     "tests/test_cli_golden.py"),
+    # Reduction mod p that keeps the coefficients mod m.
+    ("src/addca/laurent.py",
+     "values = [c % p for c in self.coeffs]",
+     "values = list(self.coeffs)",
+     "tests/test_laurent.py"),
+    # Reduction mod p that keeps the coefficients of a sparse polynomial.
+    ("src/addca/laurent.py",
+     "dict(zip(self.exps, values))",
+     "dict(zip(self.exps, self.coeffs))",
+     "tests/test_laurent.py"),
+    # Every monomial c x^e read as a constant.
+    ("src/addca/laurent.py",
+     "return not self.coeffs or (self.low == 0 and len(self.coeffs) == 1)",
+     "return not self.coeffs or len(self.coeffs) == 1",
      "tests/test_laurent.py"),
     # A(X) mirrored, x <-> 1/x: the offset columns zipped first offset first.
     ("src/addca/lca.py",

@@ -55,8 +55,8 @@ from .power_semigroup import (DEFAULT_BUDGET, char_poly_finiteness, decide_finit
 MAX_GRID_CELLS = 10**6
 
 # simulate charges each cell it steps once per nonzero offset matrix of the
-# rule, the dot products the step makes for it (a zero offset matrix costs
-# none), and exits 3 once the charge passes this limit.
+# rule, the targets the step adds that cell into (a zero offset matrix costs
+# none), and exits 3 once the charge, in cell-offset pairs, passes this limit.
 MAX_STEP_WORK = 5 * 10**6
 
 
@@ -249,7 +249,7 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
     trajectory = _windowed_trajectory(document.rule, document.initial, args.steps, args.window)
     if trajectory is None:
         print(f"budget exhausted: --steps {args.steps} and --window {args.window} need more "
-              f"than {MAX_STEP_WORK} dot products (stepped cells times nonzero offset "
+              f"than {MAX_STEP_WORK} cell-offset pairs (stepped cells times nonzero offset "
               f"matrices); lower --steps", file=sys.stderr)
         return 3
     grid = render_trajectory(trajectory, args.window)

@@ -26,7 +26,8 @@ and every dynamical question handled here reduces to algebra on A(X):
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import compress, repeat
+from operator import and_, mod, mul, rshift
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, LaurentRing
@@ -188,25 +189,34 @@ def step(rule: LcaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     return advance(config)
 
 
+# Bit budget of a `stepper` group: a cell reads each block of its group's
+# product with one shift, which costs the product's length, so a cell's
+# work stays linear in the nonzero offsets.
+GROUP_BITS = 2048
+
+
 def stepper(rule: LcaRule, config: FiniteConfiguration) -> tuple[Callable, int]:
     """(advance, k) for a linear or additive rule and a configuration over
     its alphabet: ``advance(c)`` is one step F(c)_i = sum_z M_z c_{i+z} of a
-    configuration c over that alphabet, and k is the number of nonzero M_z,
-    the dot products ``advance`` makes per cell.
+    configuration c over that alphabet, and k is the number of nonzero M_z.
 
     ``rule.matrices[k]`` is M_(k - radius) and component i of a cell is
     reduced mod ``rule.orders[i]``: (m,) * n for an LcaRule, the group's
     factors for an AdditiveCaRule, the only difference between the two
     steps.  The alphabet is checked and the 2r+1 matrices are scanned here,
     once, so a trajectory that reuses ``advance`` pays O(cells * k) a step,
-    whatever the radius.  Column j of each nonzero M_z is packed into one
-    integer, entry i in bits [i*b, (i+1)*b), so a cell costs one dot product
-    ``sum(map(mul, vec, cols))`` per nonzero offset and none for a zero one.
-    Entries and components lie below Q = max(orders), and a target takes one
-    product per nonzero offset, so slot i sums at most k*n products below
-    (Q-1)^2 and b = bits(k*n*(Q-1)^2) keeps it from carrying into slot i+1.
-    Each target is split into its slots once, at the end, reduced and
-    dropped if it is zero.
+    whatever the radius.  Entries and components lie below Q = max(orders),
+    and a target takes one product per nonzero offset, so its slot i sums at
+    most k*n products below (Q-1)^2 and b = bits(k*n*(Q-1)^2) keeps it from
+    carrying into slot i+1.  Column j of M_z is entry i in
+    bits [i*b, (i+1)*b) of a block of n*b bits; the nonzero offsets are cut
+    into groups of consecutive offsets whose blocks fit GROUP_BITS, and the
+    blocks of a group sit side by side in one super-column per j.  A cell
+    costs one dot product ``sum(map(mul, vec, supers))`` per group, which
+    holds M_z vec for every offset z of the group, each slot a sum of n
+    products below 2^b, so no block carries into the next; each block is
+    read off and added to its target.  Every target is split into its slots
+    in one pass at the end, reduced and dropped if it is zero.
     """
     orders = rule.orders
     if config.orders != orders:
@@ -215,27 +225,35 @@ def stepper(rule: LcaRule, config: FiniteConfiguration) -> tuple[Callable, int]:
     rank = len(orders)
     top = max(orders) - 1
     width = (len(offsets) * rank * top * top).bit_length()
-    # F(c)_(pos - z) takes M_z c_pos, so the target of a cell is pos - z.
-    packed = [(-z, [sum(row[j] << i * width for i, row in enumerate(mat)) for j in range(rank)])
-              for z, mat in offsets]
-    mask = (1 << width) - 1
+    block = rank * width
+    size = max(1, GROUP_BITS // (block or 1))
+    groups = []
+    for start in range(0, len(offsets), size):
+        run = offsets[start:start + size]
+        supers = [sum(row[j] << at * block + i * width
+                      for at, (_, mat) in enumerate(run) for i, row in enumerate(mat))
+                  for j in range(rank)]
+        # F(c)_(pos - z) takes M_z c_pos, so the target of a cell is pos - z.
+        groups.append((supers, [(at * block, -z) for at, (z, _) in enumerate(run)]))
+    whole, mask = (1 << block) - 1, (1 << width) - 1
     slots = [(i * width, order) for i, order in enumerate(orders)]
 
     def advance(config: FiniteConfiguration) -> FiniteConfiguration:
         acc: dict[int, int] = {}
         get = acc.get
         for pos, vec in config.cells.items():
-            for shift, cols in packed:
-                target = pos + shift
-                acc[target] = get(target, 0) + sum(map(mul, vec, cols))
-        cells = {}
-        for pos, total in acc.items():
-            vec = tuple([(total >> shift & mask) % order for shift, order in slots])
-            if any(vec):
-                cells[pos] = vec
+            for supers, blocks in groups:
+                dots = sum(map(mul, vec, supers))
+                for at, shift in blocks:
+                    target = pos + shift
+                    acc[target] = get(target, 0) + (dots >> at & whole)
+        vecs = list(zip(*[map(mod, map(and_, map(rshift, acc.values(), repeat(shift)),
+                                       repeat(mask)), repeat(order))
+                          for shift, order in slots]))
+        cells = dict(compress(zip(acc, vecs), map(any, vecs)))
         return FiniteConfiguration._canonical(orders, cells)
 
-    return advance, len(packed)
+    return advance, len(offsets)
 
 
 def simulate(rule: LcaRule, config: FiniteConfiguration, steps: int) -> list[FiniteConfiguration]:

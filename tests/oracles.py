@@ -596,16 +596,20 @@ def matmul_by_entries(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return RingMatrix(a.ring, [[sum(map(mul, row, col), zero) for col in cols] for row in a.rows])
 
 
-def brent_cycle(start, advance) -> OrbitShape:
+def brent_cycle(start, advance, cap: int = 1024) -> OrbitShape:
     """Minimal (preperiod, period) of an eventually periodic sequence by
-    Brent's cycle detection; ``advance`` maps a value to its successor."""
+    Brent's cycle detection; ``advance`` maps a value to its successor.
+    Raises AssertionError after ``cap`` calls of ``advance``: the matrix
+    orbits of the tests close within 193, and the powers of a matrix that
+    is not integral, handed over by a wrong finiteness verdict, grow with
+    each step and would never close."""
     steps = 0
 
     def step(value):
         nonlocal steps
         steps += 1
-        if steps > 100_000:
-            raise AssertionError("no cycle within 100000 steps")
+        if steps > cap:
+            raise AssertionError(f"no cycle within {cap} steps")
         return advance(value)
 
     power = period = 1

@@ -59,7 +59,9 @@ G42 = AbelianGroup((4, 2))
 # corpus helpers
 
 
-def random_endomorphism(rng: random.Random, group: AbelianGroup) -> GroupEndomorphism:
+def endomorphism(group: AbelianGroup, pick) -> GroupEndomorphism:
+    """The endomorphism whose entry (i, j) is p^lift * pick(q), one of the
+    q = p^(k_i - lift) values that keep it a homomorphism."""
     rows = []
     for i in range(group.rank):
         p_i, k_i = group.prime_exponent(i)
@@ -70,9 +72,13 @@ def random_endomorphism(rng: random.Random, group: AbelianGroup) -> GroupEndomor
                 row.append(0)
             else:
                 lift = max(0, k_i - k_j)
-                row.append(p_i**lift * rng.randrange(p_i ** (k_i - lift)))
+                row.append(p_i**lift * pick(p_i ** (k_i - lift)))
         rows.append(tuple(row))
     return GroupEndomorphism(group, tuple(rows))
+
+
+def random_endomorphism(rng: random.Random, group: AbelianGroup) -> GroupEndomorphism:
+    return endomorphism(group, rng.randrange)
 
 
 def random_rule(rng: random.Random, group: AbelianGroup, radius: int) -> AdditiveCaRule:
@@ -294,10 +300,17 @@ def test_steps_match_the_constructor_kernel_differentially():
     unreduced sums to the public constructor: dense random rules over Z/m and
     over mixed-order groups, sparse rules of radius 30 to 1000, cells at
     +-10^9, m = 2^61 - 1 with n = 4, all-zero rules, cells whose images
-    cancel, and rules and cells at their largest entries, which fill every
-    packed slot to its bound."""
+    cancel, rules and cells at their largest entries, which fill every
+    packed slot to its bound, and dense rules of radius 300 and 1000 whose
+    offsets span several packed groups."""
     rng = random.Random(20261019)
     cases, full, cancelling = _kernel_corpus(rng)
+    # Dense rules at their largest entries whose nonzero offsets fill several
+    # groups of the stepper, the last one only partly.
+    full += [LcaRule(factorize(6), 2, radius, [((5, 5), (5, 5))] * (2 * radius + 1))
+             for radius in (300, 1000)]
+    mixed = AbelianGroup((4, 2, 3, 9))
+    full.append(AdditiveCaRule(mixed, 300, [endomorphism(mixed, lambda q: q - 1)] * 601))
     cancelled = 0
     assert step_additive is lca_step
     for rule in cases + full + cancelling:

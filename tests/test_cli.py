@@ -185,8 +185,8 @@ def test_simulate_exits_3_past_the_step_work_limit(capsys, monkeypatch):
 
 def test_simulate_charges_only_nonzero_offsets(capsys, monkeypatch):
     """sparse_spreading has radius 40 but three nonzero offset matrices, so
-    500 steps are charged 376,500 dot products, not 81 per stepped cell, and
-    finish under the default limit."""
+    500 steps are charged 376,500 cell-offset pairs, not 81 per stepped
+    cell, and finish under the default limit."""
     spec = str(SPECS.parent / "tests" / "specs" / "sparse_spreading.json")
     code, out, err = run_cli(capsys, "simulate", spec, "--steps", "500")
     assert code == 0 and err == "" and len(out.splitlines()) == 501
@@ -194,7 +194,8 @@ def test_simulate_charges_only_nonzero_offsets(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "simulate", spec, "--steps", "500")
     assert code == 3 and out == ""
     assert err == ("budget exhausted: --steps 500 and --window 10 need more than 376499 "
-                   "dot products (stepped cells times nonzero offset matrices); lower --steps\n")
+                   "cell-offset pairs (stepped cells times nonzero offset matrices); "
+                   "lower --steps\n")
 
 
 def test_trajectory_time_does_not_grow_with_the_radius(monkeypatch):
