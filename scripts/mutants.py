@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests catch a fixed set of mutants of the slot bounds, the
-step kernel's block layout, the F_p[t] gcd and the deciders.
+step kernel's block layout, the power walk's blocks, the F_p[t] gcd and
+the deciders.
 
 Each mutant is one textual edit of a file under ``src/addca``.  Most make a
 packed-integer slot one bit or one factor too narrow, or flip a comparison
@@ -57,6 +58,23 @@ MUTANTS = (
     ("src/addca/power_semigroup.py",
      "SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())",
      "SlotReducer(m, (n * span * (m - 1)).bit_length())",
+     "tests/test_power_semigroup.py"),
+    # The power walk widens its blocks one slot late: an entry's product
+    # spills its top slot into slot 0 of the block above.
+    ("src/addca/power_semigroup.py",
+     "if blocks > 1 and top + span > block:",
+     "if blocks > 1 and top + span > block + 1:",
+     "tests/test_power_semigroup.py"),
+    # The block fold skips the top block of a state with several blocks:
+    # the last row's entries no longer set the state's low and top.
+    ("src/addca/power_semigroup.py",
+     "fold = union >> bits * block * (blocks - 1)",
+     "fold = union if blocks == 1 else 0",
+     "tests/test_power_semigroup.py"),
+    # A restarted walk forgets the products of the walks it abandoned.
+    ("src/addca/power_semigroup.py",
+     "budget -= widen.spent",
+     "pass",
      "tests/test_power_semigroup.py"),
     # The degree ladder's slot bound without its factor n.
     ("src/addca/power_semigroup.py",

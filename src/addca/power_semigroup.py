@@ -36,15 +36,22 @@ narrow could only turn an answer into None, never into a wrong shape.
 The walk and the degree ladder run on packed integers when the Laurent
 entries are dense (the rule of `polymat._dense_span`), with one product,
 `_product`.  A = x^lo A' is evaluated once at x = 2^W, as in `polymat`, and
-a state is (low, whole rows of x^-low A^j at x = 2^W), with low their
-lowest exponent, so equal rows have equal states.  A state times x^lo B is
-one integer dot product per entry against the packed columns of B, a
-slot-wise reduction mod m on the packed integers (`laurent.SlotReducer`:
+a state is (low, values) with low the lowest exponent of its matrix, so
+equal matrices have equal states.  A state times x^lo B is one integer dot
+product per row of n values against the packed columns of B, a slot-wise
+reduction mod m on the packed integers (`laurent.SlotReducer`:
 v - m ((v M >> s) & mask) with M = ceil(2^s / m), exact for slots below 2^b
 when 2^s > m 2^b), and a shift that drops the zero slots below every entry.
+The walk keeps one value per column of its rows, entry (r, l) in block r of
+K slots (Kronecker substitution, Harvey 2009): a step is n dot products, not
+rows n.  A state whose next product would spill into the block above raises
+`_Widen`, and the walk restarts from A^0 with K doubled, from 2 span up to
+the window width plus span, its abandoned products counted in the budget.
+K is fixed within a walk, so shapes stay exact; one row never restarts.  The
+ladder squares by its state, so it keeps one value per entry, not columns.
 Both the reduction and the shift read what they need of a state from one OR
-of its values, which are non-negative: the lowest set bit of the OR is the
-lowest set bit over the values, and its bit length the largest bit length.
+of its non-negative values folded across the blocks: the lowest set bit of
+the fold is the lowest over the entries, and its bit length the largest.
 Each caller bounds b for its own factors.  The walk steps by A: a slot sums
 n convolutions of at most span products below m^2, b = bits(n span (m-1)^2).
 The ladder squares A mod p for each prime p of m, since reduction mod p is a
@@ -155,7 +162,11 @@ def _first_repeat(start, advance, budget: int) -> OrbitShape | None:
         if spent >= budget:
             return None
         spent += 1
-        value = advance(value)
+        try:
+            value = advance(value)
+        except _Widen as widen:
+            widen.spent = spent
+            raise
         if value is None:
             return None
         k += 1
@@ -165,8 +176,8 @@ def detect_orbit(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> OrbitShape
     """First-repeat search on A^0, A^1, A^2, ...: one product per distinct power.
 
     Returns the minimal (preperiod, period) of a Laurent matrix.  Returns
-    None when the budget (counted in matrix multiplications, including the
-    ones walked again to confirm a hash hit) runs out, which is indeterminate,
+    None when the budget (counted in matrix multiplications, re-walks and
+    restarted walks included, see `_first_repeat`) runs out, which is indeterminate,
     and as soon as a power leaves the window of the module docstring, which
     proves that A is not integral.  So None never means "finite";
     `decide_finite_powers` tells the two cases apart.
@@ -181,7 +192,7 @@ def _orbit(matrix: RingMatrix, rows: int, budget: int) -> OrbitShape | None:
     window = _window(matrix)
     shape = _dense_span(matrix.rows)
     if shape:
-        return _first_repeat(*_packed_power_walk(matrix, rows, *shape, window), budget)
+        return _packed_power_walk(matrix, rows, *shape, window, budget, 2 * shape[1])
     floor, ceiling = window
     cols = tuple(zip(*matrix.rows))
 
@@ -207,47 +218,66 @@ def _window(matrix: RingMatrix) -> tuple[int, int]:
     return min(0, steps * lo), max(0, steps * hi)
 
 
+class _Widen(Exception):
+    """A packed state would spill; `_first_repeat` sets ``spent``, its walk's products."""
+
+
 def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,
-                       window: tuple[int, int]) -> tuple:
-    """(start, advance) of the packed walk on the first ``rows`` rows of A^0,
-    A^1, ..., for a matrix with exponents in [lo, lo + span); advance gives
-    None for a state outside ``window``."""
+                       window: tuple[int, int], budget: int, block: int) -> OrbitShape | None:
+    """`_first_repeat` on the first ``rows`` rows of A^0, A^1, ..., for A with
+    exponents in [lo, lo + span), in packed columns with blocks of ``block``
+    slots, widened as the module docstring says."""
     n = matrix.n
     m = matrix.ring.modulus.m
     reduce = SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())
     factor = lo, tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
-    return ((0, tuple([int(i == j) for i in range(rows) for j in range(n)])),
-            lambda state: _product(state, factor, reduce, window))
+    while True:
+        start = 0, tuple([1 << 8 * reduce.width * block * j if j < rows else 0 for j in range(n)])
+        try:
+            return _first_repeat(start, lambda state: _product(state, factor, reduce, window,
+                                                               (rows, block, span)), budget)
+        except _Widen as widen:
+            budget -= widen.spent
+            block = min(2 * block, window[1] - window[0] + span)
 
 
-def _product(state: tuple, factor: tuple, reduce: SlotReducer,
-             window: tuple[int, int]) -> tuple[int, tuple[int, ...]] | None:
+def _product(state: tuple, factor: tuple, reduce: SlotReducer, window: tuple[int, int],
+             layout: tuple[int, int, int] = (1, 0, 0)) -> tuple[int, tuple[int, ...]] | None:
     """The walk state of ``state`` times x^lo B, for ``factor`` = (lo, the
-    packed columns of B): one integer dot product per entry, each slot
-    reduced by ``reduce``, then `_normalized`; None outside ``window``."""
-    (low, entries), (lo, cols) = state, factor
+    packed columns of B): one integer dot product per row of n values and
+    column, each slot reduced by ``reduce``, then `_normalized`."""
+    (low, values), (lo, cols) = state, factor
     n = len(cols)
-    return _normalized(low + lo, reduce([sum(map(mul, entries[i:i + n], col))
-                                         for i in range(0, len(entries), n) for col in cols]),
-                       reduce.width, window)
+    return _normalized(low + lo, reduce([sum(map(mul, values[i:i + n], col))
+                                         for i in range(0, len(values), n) for col in cols]),
+                       reduce.width, window, layout)
 
 
-def _normalized(low: int, values: list[int], width: int,
-                window: tuple[int, int]) -> tuple[int, tuple[int, ...]] | None:
+def _normalized(low: int, values: list[int], width: int, window: tuple[int, int],
+                layout: tuple[int, int, int] = (1, 0, 0)) -> tuple[int, tuple[int, ...]] | None:
     """The walk state x^low (values at x = 2^(8 width)) with the zero slots
-    shared by the bottom of every value shifted out, or None when its
-    exponents leave ``window``.  Both ends come from the OR of the values."""
+    shared by the bottom of every entry shifted out, or None when its
+    exponents leave ``window``.  Entry r of a value is in block r of ``layout``
+    = (blocks, block slots, span); `_Widen` means a product by span would
+    spill one.  Both ends come from the OR of the values folded across blocks."""
     bits = 8 * width
     union = functools.reduce(or_, values, 0)
     if not union:
         return 0, tuple(values)
-    slots = ((union & -union).bit_length() - 1) // bits
+    blocks, block, span = layout
+    fold = union >> bits * block * (blocks - 1)  # the top block needs no mask
+    for r in range(blocks - 1):
+        fold |= union >> bits * block * r & (1 << bits * block) - 1
+    slots = ((fold & -fold).bit_length() - 1) // bits
     if slots:
+        # Each entry's lowest `slots` slots are zero: one shift moves every block.
         low += slots
         values = [v >> bits * slots for v in values]
-        union >>= bits * slots
-    if low < window[0] or low + (union.bit_length() - 1) // bits > window[1]:
+    top = (fold.bit_length() - 1) // bits - slots
+    if low < window[0] or low + top > window[1]:
         return None
+    if blocks > 1 and top + span > block:
+        raise _Widen
     return low, tuple(values)
 
 

@@ -46,7 +46,7 @@ from addca.lca import step as lca_step
 from addca.modring import Modulus
 from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity
 from addca.power_semigroup import (DEFAULT_BUDGET, OrbitShape, _companion, _idempotent_exponent,
-                                   detect_orbit)
+                                   _Widen, detect_orbit)
 
 MINOR_SUM_MAX_DIMENSION = 12
 
@@ -884,21 +884,32 @@ def step_through_constructor(matrices: Sequence, radius: int,
     return FiniteConfiguration(config.orders, acc)
 
 
-def normalized_by_passes(low: int, values: list[int], width: int,
-                         window: tuple[int, int]) -> tuple[int, tuple[int, ...]] | None:
-    """`power_semigroup._normalized` with its lowest slot taken as the min over
-    the nonzero values of their lowest set bit, and its highest from the
-    largest bit length."""
+def normalized_by_passes(low: int, values: list[int], width: int, window: tuple[int, int],
+                         layout: tuple[int, int, int] = (1, 0, 0)
+                         ) -> tuple[int, tuple[int, ...]] | None:
+    """`power_semigroup._normalized` on the entries themselves: each value is
+    cut into its ``blocks`` entries of ``block`` slots, the lowest slot is
+    the min over the nonzero entries of their lowest set bit and the highest
+    their largest bit length, and every entry is shifted on its own before
+    the values are put together again."""
+    blocks, block, span = layout
     bits = 8 * width
-    lowest = min([(v & -v).bit_length() for v in values if v], default=0)
+    stride, whole = bits * block, (1 << bits * block) - 1
+    cut = [[v >> stride * r & whole for r in range(blocks)] if blocks > 1 else [v]
+           for v in values]
+    lowest = min([(e & -e).bit_length() for entries in cut for e in entries if e], default=0)
     if not lowest:
         return 0, tuple(values)
     slots = (lowest - 1) // bits
     if slots:
         low += slots
-        values = [v >> bits * slots for v in values]
-    if low < window[0] or low + (max(map(int.bit_length, values)) - 1) // bits > window[1]:
+        cut = [[e >> bits * slots for e in entries] for entries in cut]
+        values = [sum([e << stride * r for r, e in enumerate(entries)]) for entries in cut]
+    top = (max([e.bit_length() for entries in cut for e in entries]) - 1) // bits
+    if low < window[0] or low + top > window[1]:
         return None
+    if blocks > 1 and top + span > block:
+        raise _Widen
     return low, tuple(values)
 
 

@@ -3,12 +3,14 @@
 ``tests/cli_golden.json`` holds the exit code, stdout and stderr of
 ``addca <verb> <dir>/<name>.json --format <fmt>`` for the four verbs and
 both formats, run from the repository root.  ``specs/`` holds the example
-rules, which the benchmark also reads; ``tests/specs/`` holds rules whose
-A(X) is too sparse to pack, so their goldens pin the Laurent-entry paths
-(Berkowitz on Laurent entries, the Laurent-row orbit walk of an integral
-matrix and the entrywise degree ladder of a non-integral one), and
-``wide_sparse`` (radius 1000, nonzero offsets -1000, 0 and 1000) pins the
-step of a far-reaching rule.  The test
+rules, which the benchmark also reads.  In ``tests/specs/`` the
+``sparse_*`` rules have an A(X) too sparse to pack, so their goldens pin the
+Laurent-entry paths (Berkowitz on Laurent entries, the Laurent-row orbit
+walk of an integral matrix and the entrywise degree ladder of a
+non-integral one); ``wide_sparse`` (radius 1000, nonzero offsets -1000, 0
+and 1000) pins the step of a far-reaching rule; and ``dense_widening``
+(dense, radius 1, n = 6 over Z/8) pins a packed power walk that widens its
+blocks once.  The test
 replays each case in-process and compares all three byte for byte, so a
 refactoring that changes any output fails here.  To re-record after an
 intended change::
@@ -61,7 +63,7 @@ def recorded() -> dict:
 
 def test_golden_covers_every_spec_verb_and_format():
     expected = {(verb, spec, "--format", fmt) for verb, spec, fmt in cases()}
-    assert set(recorded()) == expected and len(expected) == 64
+    assert set(recorded()) == expected and len(expected) == 72
 
 
 @pytest.mark.parametrize("verb, spec, fmt", cases())

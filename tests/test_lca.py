@@ -144,7 +144,7 @@ def test_associated_matrix_matches_the_term_map_build_differentially():
     rules with n = 1..5, m in {2, 4, 6, 9, 12} and radius 0..3; all-zero
     rules and rules with zero offset matrices, with zero entries or with a
     single nonzero offset; rules nonzero at offsets -r and r only, whose
-    entries are stored sparse; and the three rules of tests/specs/.  Each
+    entries are stored sparse; and the four rules of tests/specs/.  Each
     entry must keep its storage form and hash.  A mirrored A(X) leaves every
     verdict unchanged, so the verdict tests and digests cannot catch a
     reversed column."""
@@ -165,7 +165,7 @@ def test_associated_matrix_matches_the_term_map_build_differentially():
         ends = [((rng.randrange(1, 12),) * n,) * n] + [((0,) * n,) * n] * 17 + [((5,) * n,) * n]
         rules.append(LcaRule(factorize(12), n, 9, ends))
     rules += [load_spec(str(path)).rule for path in sorted(SPECS.glob("*.json"))]
-    assert len(rules) == 408 and {rule.radius for rule in rules[-3:]} == {30, 40, 1000}
+    assert len(rules) == 409 and {rule.radius for rule in rules[-3:]} == {30, 40, 1000}
     stored = set()
     for rule in rules:
         built, expected = associated_matrix(rule), term_map_associated_matrix(rule)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from addca import polymat, power_semigroup, tpoly
+from addca.cli import load_spec
 from addca.laurent import LaurentPoly, SlotReducer, laurent_ring, pack_slots, unpack_slots
+from addca.lca import associated_matrix
 from addca.polymat import RingMatrix, _dense_span, char_poly, identity, matrix_from_ints
 from addca.power_semigroup import (
     OrbitShape,
@@ -17,6 +20,7 @@ from addca.power_semigroup import (
     _idempotent_exponent,
     _normalized,
     _packed_power_walk,
+    _Widen,
     _window,
     decide_finite_powers,
     detect_orbit,
@@ -279,9 +283,31 @@ def test_orbit_search_is_exact_when_every_hash_collides(monkeypatch):
     monkeypatch.setattr(power_semigroup, "hash", colliding_hash, raising=False)
     a = nilpotent_diagonal_mod_8()
     assert detect_orbit(a) == brent_orbit(a)
+    matrix_keys = keys[:]
+    keys.clear()
     assert divisibility_witness(a) == _idempotent_exponent(brent_residue_orbit(a))
-    assert all(type(low) is int and all(type(v) is int for v in values) for low, values in keys)
-    assert {len(values) for _, values in keys} == {4, 2}  # matrix states and residue states
+    for states in (matrix_keys, keys):
+        assert all(type(low) is int and all(type(v) is int for v in values)
+                   for low, values in states)
+    # One value per column: both rows of A^j in the two columns of a matrix
+    # state, row 0 of C^j in the two columns of a residue state.
+    assert {len(values) for _, values in matrix_keys} == {2}
+    assert {len(values) for _, values in keys} == {2}
+
+
+def test_restarted_products_are_charged_to_the_budget():
+    """diag(1 + 2x, 1 + 2x^-1) over Z/8 spans 3 slots, so its walk starts
+    with blocks of 6.  A^2 has exponents -2 ... 2, 5 slots, and its next
+    product would need 7: the walk restarts after 2 products with blocks of
+    12, then closes the 4-cycle (1 + 2x)^4 = 1 in 4 more.  A budget of 4
+    covers that last walk but not the 2 products before it."""
+    ring = laurent_ring(8)
+    a = RingMatrix(ring, [[ring.one() + ring.monomial(1, 2), ring.zero()],
+                          [ring.zero(), ring.one() + ring.monomial(-1, 2)]])
+    assert brent_orbit(a) == OrbitShape(0, 4)
+    assert detect_orbit(a, budget=6) == OrbitShape(0, 4)
+    for budget in (4, 5):
+        assert detect_orbit(a, budget=budget) is None, budget
 
 
 def test_orbit_search_spends_one_product_per_power():
@@ -387,6 +413,61 @@ def test_normalized_matches_the_per_value_passes():
                     == normalized_by_passes(low, values, width, window)), (values, window)
 
 
+def _blocked_values(rng: random.Random, width: int, blocks: int, block: int) -> list[int]:
+    """Values of ``blocks`` entries each, entry r in block r of ``block``
+    slots: every entry fits its block and starts at a random height, and
+    some entries and values are zero."""
+    values = []
+    for _ in range(rng.randrange(1, 6)):
+        value = 0
+        for r in range(blocks):
+            if rng.random() < 0.3:
+                continue
+            bottom = rng.randrange(block)
+            slots = [0] * bottom + [rng.randrange(1, 1 << 8 * width)]
+            slots += [rng.randrange(1 << 8 * width) for _ in range(rng.randrange(block - bottom))]
+            value |= pack_slots(slots, width) << 8 * width * block * r
+        values.append(value)
+    return values
+
+
+def _outcome(normalize, *args):
+    try:
+        return normalize(*args)
+    except _Widen:
+        return "widen"
+
+
+def test_normalized_folds_the_blocks_as_the_per_entry_passes():
+    """On values of several blocks, the OR folded across the blocks gives the
+    state, window verdict and widening of per-entry passes: spans that fit
+    the state's top exactly and one slot too many, and windows that end at
+    the state's lowest and highest slot."""
+    rng = random.Random(1818)
+    seen = set()
+    for blocks in (2, 3, 5):
+        for block in (1, 2, 4, 7):
+            for width in (1, 2):
+                for _ in range(40):
+                    values = _blocked_values(rng, width, blocks, block)
+                    low = rng.randrange(-5, 6)
+                    wide = (-10**9, 10**9)
+                    state = normalized_by_passes(low, values, width, wide)
+                    bottom, packed = state
+                    top = max([(v >> 8 * width * block * r & (1 << 8 * width * block) - 1)
+                               .bit_length() for v in packed for r in range(blocks)])
+                    top = (top - 1) // (8 * width) if top else 0
+                    for span in {1, block - top, block - top + 1, block}:
+                        layout = blocks, block, span
+                        for window in (wide, (bottom, bottom + top), (bottom + 1, bottom + top),
+                                       (bottom, bottom + top - 1)):
+                            result = _outcome(_normalized, low, values, width, window, layout)
+                            assert result == _outcome(normalized_by_passes, low, values, width,
+                                                      window, layout), (values, layout, window)
+                            seen.add("widen" if result == "widen" else result is None)
+    assert seen == {"widen", True, False}
+
+
 def test_slot_reducer_mask_grows_as_with_per_value_passes():
     """The OR sizes the mask as the longest value did: equal outputs and an
     equal mask after every call of a walk whose values lengthen and shrink."""
@@ -469,14 +550,64 @@ def test_packed_walks_match_brent_oracles():
         for matrix, rows, oracle in ((a, a.n, expected), (companion, 1, residues)):
             shape = _dense_span(matrix.rows)
             if shape:
-                walk = _packed_power_walk(matrix, rows, *shape, _window(matrix))
-                assert _first_repeat(*walk, INTEGRAL_CORPUS_BUDGET) == oracle, a
+                lo, span = shape
+                assert _packed_power_walk(matrix, rows, lo, span, _window(matrix),
+                                          INTEGRAL_CORPUS_BUDGET, 2 * span) == oracle, a
                 packed += 1
     # Of 41 matrices, 4 are zero or wide.  Every companion but one is dense,
     # since even chi = t^n puts ones on its superdiagonal; the 1x1 zero
     # matrix has chi = t, whose companion is the zero matrix [[0]].
     assert packed == 37 + 40
     assert preperiodic >= 10 and wide_slots == 4
+
+
+def test_packed_walks_widen_from_the_narrowest_block(monkeypatch):
+    """Started with blocks of span slots, the packed walks on both corpora
+    restart with wider blocks as their states grow, and still find Brent's
+    shapes.  The walk on one row has one block and never restarts."""
+    walks = []
+    first_repeat = power_semigroup._first_repeat
+
+    def counted(*args):
+        walks[-1] += 1
+        return first_repeat(*args)
+
+    monkeypatch.setattr(power_semigroup, "_first_repeat", counted)
+    widened = 0
+    for a in _orbit_corpus(random.Random(5151)) + _integral_corpus(random.Random(2718)):
+        companion = _companion(list(char_poly(a).coeffs))
+        for matrix, rows, oracle in ((a, a.n, brent_orbit), (companion, 1, brent_residue_orbit)):
+            shape = _dense_span(matrix.rows)
+            if shape:
+                lo, span = shape
+                walks.append(0)
+                assert _packed_power_walk(matrix, rows, lo, span, _window(matrix),
+                                          INTEGRAL_CORPUS_BUDGET, span) == oracle(a), (a, rows)
+                assert rows > 1 or walks[-1] == 1, a
+                widened += walks[-1] > 1
+    # 36 of the 177 walks widen (11 of them from the default 2 span).
+    assert widened >= 30
+
+
+def test_dense_widening_spec_widens_once_and_matches_brent(monkeypatch):
+    """The golden spec tests/specs/dense_widening.json: A_0 invertible and
+    A_(+-1) even over Z/8 put the powers' exponents in -2 ... 2, 5 slots, so
+    the walk outgrows its first blocks of 6 slots once, after 2 products,
+    and finds Brent's shape with the wider blocks."""
+    a = associated_matrix(load_spec(str(Path(__file__).resolve().parent / "specs"
+                                         / "dense_widening.json")).rule)
+    walks = []
+    first_repeat = power_semigroup._first_repeat
+
+    def counted(*args):
+        walks.append(None)
+        return first_repeat(*args)
+
+    monkeypatch.setattr(power_semigroup, "_first_repeat", counted)
+    assert detect_orbit(a) == brent_orbit(a) == OrbitShape(0, 36)
+    assert len(walks) == 2
+    assert detect_orbit(a, budget=2 + 36) == OrbitShape(0, 36)
+    assert detect_orbit(a, budget=36) is None
 
 
 def _exponents_inside(matrix: RingMatrix, window: tuple[int, int]) -> bool:

@@ -60,7 +60,7 @@ no contradictions between the decision and the simulations
 
 
 REPLAY_OUTPUT = """\
-64 of 64 golden cases match, 1 parser built (<time>)
+72 of 72 golden cases match, 1 parser built (<time>)
 """
 
 
