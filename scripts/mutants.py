@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests catch a fixed set of mutants of the slot bounds, the
-step kernel's block layout, the power walk's blocks, the F_p[t] gcd and
-the deciders.
+step kernel's block layout, the power walk's blocks and masks, the F_p[t]
+gcd and the deciders.
 
 Each mutant is one textual edit of a file under ``src/addca``.  Most make a
 packed-integer slot one bit or one factor too narrow, or flip a comparison
@@ -51,13 +51,13 @@ MUTANTS = (
      "tests/test_acceptance.py"),
     # The packed power walk's slot bound without its factor n.
     ("src/addca/power_semigroup.py",
-     "SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())",
-     "SlotReducer(m, (span * (m - 1) ** 2).bit_length())",
+     "bits = (n * span * (m - 1) ** 2).bit_length()",
+     "bits = (span * (m - 1) ** 2).bit_length()",
      "tests/test_power_semigroup.py"),
     # The packed power walk's slot bound with (m - 1) for (m - 1)^2.
     ("src/addca/power_semigroup.py",
-     "SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())",
-     "SlotReducer(m, (n * span * (m - 1)).bit_length())",
+     "bits = (n * span * (m - 1) ** 2).bit_length()",
+     "bits = (n * span * (m - 1)).bit_length()",
      "tests/test_power_semigroup.py"),
     # The power walk widens its blocks one slot late: an entry's product
     # spills its top slot into slot 0 of the block above.
@@ -68,9 +68,21 @@ MUTANTS = (
     # The block fold skips the top block of a state with several blocks:
     # the last row's entries no longer set the state's low and top.
     ("src/addca/power_semigroup.py",
-     "fold = union >> bits * block * (blocks - 1)",
+     "fold = union >> stride * (blocks - 1)",
      "fold = union if blocks == 1 else 0",
      "tests/test_power_semigroup.py"),
+    # The one-row walk's mask without its span slots: a product by A of a
+    # state that fills the window keeps its top slots unreduced.
+    ("src/addca/power_semigroup.py",
+     "block = block if rows > 1 else _steps(matrix) * (span - 1) + span",
+     "block = block if rows > 1 else _steps(matrix) * (span - 1)",
+     "tests/test_power_semigroup.py"),
+    # The degree ladder's mask one slot short: the last square's top slot,
+    # the power's highest exponent, stays unreduced.
+    ("src/addca/power_semigroup.py",
+     "SlotReducer(p, bound.bit_length(), (span - 1 << doublings) + 1)",
+     "SlotReducer(p, bound.bit_length(), span - 1 << doublings)",
+     "tests/test_acceptance.py"),
     # A restarted walk forgets the products of the walks it abandoned.
     ("src/addca/power_semigroup.py",
      "budget -= widen.spent",
@@ -88,8 +100,8 @@ MUTANTS = (
      "tests/test_power_semigroup.py"),
     # The exponent window of an integral matrix one power too narrow.
     ("src/addca/power_semigroup.py",
-     "steps = matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 1",
-     "steps = matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 2",
+     "steps = _steps(matrix)\n",
+     "steps = _steps(matrix) - 1\n",
      "tests/test_power_semigroup.py"),
     # The Berkowitz slot over Z without its factor n!.
     ("src/addca/polymat.py",

@@ -40,11 +40,11 @@ multiply yields every convolution sum in its own slot.  Slots are rounded up
 to 1, 2, 4 or 8 bytes and unpacked with ``memoryview.cast``; wider slots
 (large moduli) are unpacked by slicing the product's bytes.  Each slot is
 then reduced mod m.  The packing helpers also serve ``polymat.char_poly``,
-which evaluates a whole matrix at x = 2^s, and the packed power walk and
-degree ladder of ``power_semigroup``, which reduce every slot mod m with
-``SlotReducer`` instead of unpacking.  The test oracle
-``tests/oracles.py::dict_product`` convolves term by term without either
-shortcut.
+which evaluates a whole matrix at x = 2^s, and the packed step of
+``power_semigroup``'s power walk and degree ladder, which reduces every slot
+mod m with a ``SlotReducer``'s constants instead of unpacking.  The test
+oracle ``tests/oracles.py::dict_product`` convolves term by term without
+either shortcut.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ from __future__ import annotations
 import struct
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import reduce
 from itertools import compress
-from operator import mul, or_
+from operator import mul
 from typing import NamedTuple
 
 from .modring import Modulus, RingMismatchError, factorize, power
@@ -316,42 +315,31 @@ def unpack_slots(value: int, slots: int, width: int) -> Sequence[int]:
 
 
 class SlotReducer:
-    """Reduces every slot of packed ints mod m without unpacking them.
+    """Constants that reduce every slot of a packed int mod m without unpacking.
 
     For slot values below 2^bits, let s = bits + bits(m) and M = ceil(2^s / m).
     Then floor(v M / 2^s) = floor(v / m) for every such v, because
     2^s > m 2^bits (division by an invariant integer, Granlund and
     Montgomery, PLDI 1994).  The slots are ``width`` bytes, at least
     bits + bits(M) and s bits, so each v M stays inside its own slot and
-    v - m ((v M >> s) & mask), with 2^(8 width - s) - 1 in every slot of
-    mask, is v with each slot reduced mod m.  The values are non-negative, so
-    the bit length of their OR is the longest of them, which sizes the mask.
+    v - m ((v M >> s) & mask), with 2^(8 width - s) - 1 in each of the
+    lowest ``slots`` slots of mask, is v with each slot reduced mod m.  The
+    caller fixes ``slots`` to the longest value it will reduce, so the mask
+    is built once; `power_semigroup`'s packed step applies the formula.
     """
 
-    __slots__ = ("m", "width", "_shift", "_magic", "_digit", "_mask", "_mask_bits")
+    __slots__ = ("m", "width", "slots", "_shift", "_magic", "_mask")
 
-    def __init__(self, m: int, bits: int):
+    def __init__(self, m: int, bits: int, slots: int):
         shift = bits + m.bit_length()
         magic = -(-(1 << shift) // m)
         self.m = m
-        self.width = slot_width(max(bits + magic.bit_length(), shift))
+        self.width = width = slot_width(max(bits + magic.bit_length(), shift))
+        self.slots = slots
         self._shift = shift
         self._magic = magic
-        self._digit = (1 << 8 * self.width - shift) - 1
-        self._mask = self._mask_bits = 0
-
-    def __call__(self, values: Sequence[int]) -> list[int]:
-        """``values`` with every slot, each below 2^bits, reduced mod m."""
-        need = reduce(or_, values, 0).bit_length()
-        if need > self._mask_bits:
-            # Grow the mask to twice the slots needed, so that a walk whose
-            # values lengthen step by step rebuilds it only O(log) times.
-            bits = 8 * self.width
-            slots = 2 * (need // bits + 1)
-            self._mask = self._digit * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
-            self._mask_bits = bits * slots
-        m, shift, magic, mask = self.m, self._shift, self._magic, self._mask
-        return [v - m * ((v * magic >> shift) & mask) for v in values]
+        ones = ((1 << 8 * width * slots) - 1) // ((1 << 8 * width) - 1)
+        self._mask = ((1 << 8 * width - shift) - 1) * ones
 
 
 class LaurentRing(NamedTuple):

@@ -22,10 +22,10 @@ LaurentPoly uses for its own storage) runs the same recurrence on its
 Laurent entries instead, so x^(10^9) never becomes a 10^9-slot integer.
 
 A product of two matrices is one ring dot product per entry.  The packed
-product lives in `power_semigroup`, which walks the powers of one dense
-matrix on packed entries without unpacking between steps: its slots are
-wide enough for the reduction mod m to run on the packed integers too
-(`laurent.SlotReducer`).
+product is `power_semigroup`'s one step, which walks the powers of one dense
+matrix without unpacking between steps: its slots are wide enough for the
+reduction mod m to run on the packed integers too, with a mask built once
+per walk (`laurent.SlotReducer`).
 
 The independent cross-checks of Berkowitz (minor sums by a Laplace DP,
 Cayley-Hamilton, the Frobenius companion matrix of a monic polynomial) live

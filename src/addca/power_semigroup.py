@@ -34,12 +34,12 @@ that A is not integral, and the walk returns None at once.  A window too
 narrow could only turn an answer into None, never into a wrong shape.
 
 The walk and the degree ladder run on packed integers when the Laurent
-entries are dense (the rule of `polymat._dense_span`), with one product,
-`_product`.  A = x^lo A' is evaluated once at x = 2^W, as in `polymat`, and
+entries are dense (the rule of `polymat._dense_span`), with one step,
+`_stepper`.  A = x^lo A' is evaluated once at x = 2^W, as in `polymat`, and
 a state is (low, values) with low the lowest exponent of its matrix, so
 equal matrices have equal states.  A state times x^lo B is one integer dot
-product per row of n values against the packed columns of B, a slot-wise
-reduction mod m on the packed integers (`laurent.SlotReducer`:
+product per row of n values against the packed columns of B, each reduced
+slot-wise mod m on the packed integer (`laurent.SlotReducer`:
 v - m ((v M >> s) & mask) with M = ceil(2^s / m), exact for slots below 2^b
 when 2^s > m 2^b), and a shift that drops the zero slots below every entry.
 The walk keeps one value per column of its rows, entry (r, l) in block r of
@@ -49,24 +49,27 @@ rows n.  A state whose next product would spill into the block above raises
 the window width plus span, its abandoned products counted in the budget.
 K is fixed within a walk, so shapes stay exact; one row never restarts.  The
 ladder squares by its state, so it keeps one value per entry, not columns.
-Both the reduction and the shift read what they need of a state from one OR
-of its non-negative values folded across the blocks: the lowest set bit of
-the fold is the lowest over the entries, and its bit length the largest.
+The mask is sized once, to the longest product: rows K slots for the walk,
+rebuilt when K doubles.  A^j spans at most j (span - 1) + 1 slots, and inside
+the window at most (nk - 1)(span - 1) + 1, so one row's mask has
+(nk - 1)(span - 1) + span slots and the ladder's (span - 1) 2^d + 1, which
+covers A too.  The shift and the window and widening checks read one OR of
+the reduced values folded across the blocks: the lowest set bit of the fold
+is the lowest over the entries, and its bit length the largest.
 Each caller bounds b for its own factors.  The walk steps by A: a slot sums
 n convolutions of at most span products below m^2, b = bits(n span (m-1)^2).
 The ladder squares A mod p for each prime p of m, since reduction mod p is a
 ring map; A^(2^i) spans at most (span - 1) 2^i + 1 slots, so
 b = bits(n ((span - 1) 2^d + 1) (p - 1)^2) for d doublings, and at least
-bits(m - 1) for the first reduction of A's coefficients to A mod p.
-`_product` is the package's only packed matrix product.  A matrix that is
+bits(m - 1) for its first step, I times A, which reduces A's coefficients.
+`_stepper` is the package's only packed matrix product.  A matrix that is
 not dense walks tuples of Laurent rows, one ring dot product per entry, in
 the same window, and is squared by `RingMatrix` products.
 """
 
 from __future__ import annotations
 
-import functools
-from operator import mul, or_
+from operator import mul
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, LaurentRing, SlotReducer
@@ -207,15 +210,18 @@ def _orbit(matrix: RingMatrix, rows: int, budget: int) -> OrbitShape | None:
 
 
 def _window(matrix: RingMatrix) -> tuple[int, int]:
-    """[floor, ceiling] holding every exponent of every power of A if A is
-    integral: [min(0, (nk-1) lo), max(0, (nk-1) hi)] for the exponents of A
-    in [lo, hi] and k the largest prime exponent of m (see the module
-    docstring)."""
+    """[min(0, (nk-1) lo), max(0, (nk-1) hi)] for A's exponents in [lo, hi]:
+    it holds every exponent of every power of an integral A."""
     entries = [a for row in matrix.rows for a in row if a.coeffs]
     lo = min([a.low for a in entries], default=0)
     hi = max([a.low + a._span() - 1 for a in entries], default=0)
-    steps = matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 1
+    steps = _steps(matrix)
     return min(0, steps * lo), max(0, steps * hi)
+
+
+def _steps(matrix: RingMatrix) -> int:
+    """nk - 1, k the largest prime exponent of m (see the module docstring)."""
+    return matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 1
 
 
 class _Widen(Exception):
@@ -226,59 +232,64 @@ def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,
                        window: tuple[int, int], budget: int, block: int) -> OrbitShape | None:
     """`_first_repeat` on the first ``rows`` rows of A^0, A^1, ..., for A with
     exponents in [lo, lo + span), in packed columns with blocks of ``block``
-    slots, widened as the module docstring says."""
-    n = matrix.n
-    m = matrix.ring.modulus.m
-    reduce = SlotReducer(m, (n * span * (m - 1) ** 2).bit_length())
-    factor = lo, tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
+    slots, widened as the module docstring says; one row is one block as
+    wide as its mask."""
+    n, m = matrix.n, matrix.ring.modulus.m
+    bits = (n * span * (m - 1) ** 2).bit_length()
+    cap = window[1] - window[0] + span
+    block = block if rows > 1 else _steps(matrix) * (span - 1) + span
     while True:
+        reduce = SlotReducer(m, bits, rows * block)
+        factor = lo, tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
         start = 0, tuple([1 << 8 * reduce.width * block * j if j < rows else 0 for j in range(n)])
         try:
-            return _first_repeat(start, lambda state: _product(state, factor, reduce, window,
-                                                               (rows, block, span)), budget)
+            return _first_repeat(start, _stepper(factor, reduce, window, (rows, block, span)),
+                                 budget)
         except _Widen as widen:
             budget -= widen.spent
-            block = min(2 * block, window[1] - window[0] + span)
+            block = min(2 * block, cap)
 
 
-def _product(state: tuple, factor: tuple, reduce: SlotReducer, window: tuple[int, int],
-             layout: tuple[int, int, int] = (1, 0, 0)) -> tuple[int, tuple[int, ...]] | None:
-    """The walk state of ``state`` times x^lo B, for ``factor`` = (lo, the
-    packed columns of B): one integer dot product per row of n values and
-    column, each slot reduced by ``reduce``, then `_normalized`."""
-    (low, values), (lo, cols) = state, factor
+def _stepper(factor: tuple, reduce: SlotReducer, window: tuple[int, int],
+             layout: tuple[int, int, int] = (1, 0, 0)):
+    """The step by x^lo B, ``factor`` = (lo, B's packed columns), of a state
+    in ``layout`` = (blocks, block slots, span); None outside ``window``."""
+    lo, cols = factor
     n = len(cols)
-    return _normalized(low + lo, reduce([sum(map(mul, values[i:i + n], col))
-                                         for i in range(0, len(values), n) for col in cols]),
-                       reduce.width, window, layout)
-
-
-def _normalized(low: int, values: list[int], width: int, window: tuple[int, int],
-                layout: tuple[int, int, int] = (1, 0, 0)) -> tuple[int, tuple[int, ...]] | None:
-    """The walk state x^low (values at x = 2^(8 width)) with the zero slots
-    shared by the bottom of every entry shifted out, or None when its
-    exponents leave ``window``.  Entry r of a value is in block r of ``layout``
-    = (blocks, block slots, span); `_Widen` means a product by span would
-    spill one.  Both ends come from the OR of the values folded across blocks."""
-    bits = 8 * width
-    union = functools.reduce(or_, values, 0)
-    if not union:
-        return 0, tuple(values)
+    m, shift, magic, mask = reduce.m, reduce._shift, reduce._magic, reduce._mask
+    bits = 8 * reduce.width
+    floor, ceiling = window
     blocks, block, span = layout
-    fold = union >> bits * block * (blocks - 1)  # the top block needs no mask
-    for r in range(blocks - 1):
-        fold |= union >> bits * block * r & (1 << bits * block) - 1
-    slots = ((fold & -fold).bit_length() - 1) // bits
-    if slots:
-        # Each entry's lowest `slots` slots are zero: one shift moves every block.
-        low += slots
-        values = [v >> bits * slots for v in values]
-    top = (fold.bit_length() - 1) // bits - slots
-    if low < window[0] or low + top > window[1]:
-        return None
-    if blocks > 1 and top + span > block:
-        raise _Widen
-    return low, tuple(values)
+    stride, whole = bits * block, (1 << bits * block) - 1
+
+    def step(state: tuple) -> tuple[int, tuple[int, ...]] | None:
+        low, values = state
+        union = 0
+        out = []
+        for i in range(0, len(values), n):
+            row = values[i:i + n]
+            for col in cols:
+                v = sum(map(mul, row, col))
+                v -= m * ((v * magic >> shift) & mask)
+                union |= v
+                out.append(v)
+        if not union:
+            return 0, tuple(out)
+        fold = union >> stride * (blocks - 1)  # the top block needs no mask
+        for r in range(blocks - 1):
+            fold |= union >> stride * r & whole
+        slots = ((fold & -fold).bit_length() - 1) // bits
+        top = (fold.bit_length() - 1) // bits - slots
+        low += lo + slots
+        if low < floor or low + top > ceiling:
+            return None
+        if blocks > 1 and top + span > block:
+            raise _Widen
+        if slots:
+            out = [v >> bits * slots for v in out]
+        return low, tuple(out)
+
+    return step
 
 
 def _idempotent_exponent(orbit: OrbitShape) -> int:
@@ -356,21 +367,22 @@ def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
     """`_degree_ladder` of A mod p for a matrix with exponents in
     [lo, lo + span), squared on packed entries inside the window
     [min(0, lo 2^d), max(0, hi 2^d)] of A^(2^d), hi = lo + span - 1, with the
-    slots of the module docstring.  A state's degree is read off its low and
-    its longest value; a square outside the window raises AssertionError."""
+    slots and mask of the module docstring.  A degree is read off a state's
+    low and longest value; a square outside the window raises AssertionError."""
     n = matrix.n
     bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)
-    reduce = SlotReducer(p, bound.bit_length())
     window = min(0, lo << doublings), max(0, lo + span - 1 << doublings)
-    state = _normalized(lo, reduce([v for row in _at_power_of_two(matrix.rows, lo, reduce.width)
-                                    for v in row]), reduce.width, window)
+    reduce = SlotReducer(p, bound.bit_length(), (span - 1 << doublings) + 1)
+    cols = tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
+    state = _stepper((lo, cols), reduce, window)(
+        (0, tuple([int(i == j) for i in range(n) for j in range(n)])))
     profile = []
     while True:
         low, values = state
-        top = (functools.reduce(or_, values).bit_length() - 1) // (8 * reduce.width)
+        top = (max(map(int.bit_length, values)) - 1) // (8 * reduce.width)
         profile.append(max(0, -low, low + top))
         if len(profile) > doublings:
             return profile
-        state = _product(state, (low, [values[j::n] for j in range(n)]), reduce, window)
+        state = _stepper((low, [values[j::n] for j in range(n)]), reduce, window)(state)
         if state is None:
             raise AssertionError("a matrix power left the exponent window")

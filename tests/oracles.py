@@ -22,9 +22,10 @@ spreading semi-decision, the prime powers, largest exponent and nilradical
 generator of a modulus, the Laurent parser, the constant term, the matrix
 trace, a group's order and elements, the mod-p degrees of a Laurent
 polynomial, the shift of a configuration and the image of a group element
-under an endomorphism.  The packed walk's normalization and the slot
-reducer's mask sizing are kept as they read before both came from one OR per
-state: a filtered min of the lowest set bits and a max of the bit lengths.
+under an endomorphism.  The packed step is kept as the three passes it was
+before one loop did them all: the dot products, a reduction whose mask is
+sized on each call by the longest value, and a normalization by a filtered
+min of the lowest set bits and a max of the bit lengths.
 """
 
 from __future__ import annotations
@@ -887,7 +888,8 @@ def step_through_constructor(matrices: Sequence, radius: int,
 def normalized_by_passes(low: int, values: list[int], width: int, window: tuple[int, int],
                          layout: tuple[int, int, int] = (1, 0, 0)
                          ) -> tuple[int, tuple[int, ...]] | None:
-    """`power_semigroup._normalized` on the entries themselves: each value is
+    """The normalization of `power_semigroup._stepper` on the entries
+    themselves, as a separate pass over reduced values: each value is
     cut into its ``blocks`` entries of ``block`` slots, the lowest slot is
     the min over the nonzero entries of their lowest set bit and the highest
     their largest bit length, and every entry is shifted on its own before
@@ -913,17 +915,27 @@ def normalized_by_passes(low: int, values: list[int], width: int, window: tuple[
     return low, tuple(values)
 
 
-class SlotReducerByPasses(SlotReducer):
-    """`SlotReducer` that sizes its mask by the largest bit length of the values."""
+def reduced_by_passes(reduce: SlotReducer, values: list[int]) -> list[int]:
+    """Every slot of ``values`` reduced mod m with ``reduce``'s shift and
+    magic number and a mask built on each call, as many slots as the longest
+    value has."""
+    bits = 8 * reduce.width
+    slots = max(map(int.bit_length, values)) // bits + 1
+    mask = ((1 << bits - reduce._shift) - 1) * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
+    return [v - reduce.m * ((v * reduce._magic >> reduce._shift) & mask) for v in values]
 
-    __slots__ = ()
 
-    def __call__(self, values):
-        need = max(map(int.bit_length, values))
-        if need > self._mask_bits:
-            bits = 8 * self.width
-            slots = 2 * (need // bits + 1)
-            self._mask = self._digit * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
-            self._mask_bits = bits * slots
-        m, shift, magic, mask = self.m, self._shift, self._magic, self._mask
-        return [v - m * ((v * magic >> shift) & mask) for v in values]
+def packed_products(values: Sequence[int], cols: Sequence[Sequence[int]]) -> list[int]:
+    """One integer dot product per row of len(cols) values and column."""
+    n = len(cols)
+    return [sum(map(mul, values[i:i + n], col)) for i in range(0, len(values), n) for col in cols]
+
+
+def step_by_passes(factor: tuple, reduce: SlotReducer, window: tuple[int, int],
+                   layout: tuple[int, int, int], state: tuple
+                   ) -> tuple[int, tuple[int, ...]] | None:
+    """`power_semigroup._stepper`'s step as three passes: `packed_products`,
+    `reduced_by_passes` and `normalized_by_passes`."""
+    (low, values), (lo, cols) = state, factor
+    return normalized_by_passes(low + lo, reduced_by_passes(reduce, packed_products(values, cols)),
+                                reduce.width, window, layout)

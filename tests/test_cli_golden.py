@@ -62,8 +62,10 @@ def recorded() -> dict:
 
 
 def test_golden_covers_every_spec_verb_and_format():
+    """One recorded case per spec file, verb and format: a spec that goes
+    missing leaves its recorded cases without a file."""
     expected = {(verb, spec, "--format", fmt) for verb, spec, fmt in cases()}
-    assert set(recorded()) == expected and len(expected) == 72
+    assert set(recorded()) == expected
 
 
 @pytest.mark.parametrize("verb, spec, fmt", cases())

@@ -49,6 +49,7 @@ from oracles import (
     term_map_associated_matrix,
     tychonoff_distance,
 )
+from test_cli_golden import recorded
 
 SPECS = Path(__file__).resolve().parent / "specs"
 
@@ -144,7 +145,7 @@ def test_associated_matrix_matches_the_term_map_build_differentially():
     rules with n = 1..5, m in {2, 4, 6, 9, 12} and radius 0..3; all-zero
     rules and rules with zero offset matrices, with zero entries or with a
     single nonzero offset; rules nonzero at offsets -r and r only, whose
-    entries are stored sparse; and the four rules of tests/specs/.  Each
+    entries are stored sparse; and every rule of tests/specs/.  Each
     entry must keep its storage form and hash.  A mirrored A(X) leaves every
     verdict unchanged, so the verdict tests and digests cannot catch a
     reversed column."""
@@ -164,8 +165,13 @@ def test_associated_matrix_matches_the_term_map_build_differentially():
                 rules.append(LcaRule(factorize(m), n, radius, mats))
         ends = [((rng.randrange(1, 12),) * n,) * n] + [((0,) * n,) * n] * 17 + [((5,) * n,) * n]
         rules.append(LcaRule(factorize(12), n, 9, ends))
-    rules += [load_spec(str(path)).rule for path in sorted(SPECS.glob("*.json"))]
-    assert len(rules) == 409 and {rule.radius for rule in rules[-3:]} == {30, 40, 1000}
+    specs = sorted(SPECS.glob("*.json"))
+    rules += [load_spec(str(path)).rule for path in specs]
+    # The goldens name every spec, so one that goes missing fails here too.
+    assert {f"tests/specs/{path.name}" for path in specs} == {
+        spec for _, spec, _, _ in recorded() if spec.startswith("tests/specs/")}
+    assert len(rules) == 405 + len(specs)
+    assert {30, 40, 1000} <= {rule.radius for rule in rules[-len(specs):]}
     stored = set()
     for rule in rules:
         built, expected = associated_matrix(rule), term_map_associated_matrix(rule)

@@ -18,8 +18,8 @@ from addca.power_semigroup import (
     _companion,
     _first_repeat,
     _idempotent_exponent,
-    _normalized,
     _packed_power_walk,
+    _stepper,
     _Widen,
     _window,
     decide_finite_powers,
@@ -28,9 +28,9 @@ from addca.power_semigroup import (
     sampled_degree_growth,
 )
 
-from oracles import (BudgetExhausted, SlotReducerByPasses, brent_orbit, brent_residue_orbit,
-                     degree_ladder_mod_m, frobenius_companion, idempotent_power,
-                     normalized_by_passes, tpoly_sub)
+from oracles import (BudgetExhausted, brent_orbit, brent_residue_orbit, degree_ladder_mod_m,
+                     frobenius_companion, idempotent_power, normalized_by_passes, packed_products,
+                     reduced_by_passes, step_by_passes, tpoly_sub)
 from test_polymat import random_laurent_matrix, random_zmod_matrix
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
@@ -355,40 +355,85 @@ def test_budget_one_is_indeterminate():
             idempotent_power(a, budget=1)
 
 
+WIDE_WINDOW = (-10**9, 10**9)
+
+
+def _normalized(reduce: SlotReducer, low: int, values: list[int],
+                window: tuple[int, int] = WIDE_WINDOW, layout: tuple[int, int, int] = (1, 0, 0)):
+    """The packed step by x^0 I: on values whose slots are below m already,
+    its shift, window verdict and widening alone."""
+    return _stepper((0, ((1,),)), reduce, window, layout)((low, tuple(values)))
+
+
+def _reduced(reduce: SlotReducer, values: list[int]) -> list[int]:
+    """``values`` with every slot reduced by the packed step by x^0 I, its
+    shift of the zero slots undone."""
+    low, out = _normalized(reduce, 0, values)
+    return [v << 8 * reduce.width * low for v in out]
+
+
 def test_slot_reducer_matches_slotwise_remainder():
     rng = random.Random(8080)
     for m in (2, 3, 9, 25, 1 << 41, 3 ** 26):
         for bits in (1, 7, 20, 64, 97):
-            reduce = SlotReducer(m, bits)
+            reduce = SlotReducer(m, bits, 40)
             top = (1 << bits) - 1
             for count in (1, 5, 40):
                 rows = [[top] * count, [rng.randrange(top + 1) for _ in range(count)]]
-                packed = reduce([pack_slots(row, reduce.width) for row in rows])
+                packed = _reduced(reduce, [pack_slots(row, reduce.width) for row in rows])
                 for row, value in zip(rows, packed):
                     assert list(unpack_slots(value, count, reduce.width)) == [v % m for v in row]
     # Every small modulus at every small width, on the values just below
     # 2^bits, where a shift one bit short first goes wrong.
     for m in range(2, 201):
         for bits in range(1, 13):
-            reduce = SlotReducer(m, bits)
             row = list(range(max(0, (1 << bits) - 2 * m), 1 << bits))
-            (value,) = reduce([pack_slots(row, reduce.width)])
+            reduce = SlotReducer(m, bits, len(row))
+            (value,) = _reduced(reduce, [pack_slots(row, reduce.width)])
             assert list(unpack_slots(value, len(row), reduce.width)) == [v % m for v in row], \
                 (m, bits)
 
 
-def _packed_values(rng: random.Random, width: int) -> list[int]:
-    """Packed values whose slots start at mixed heights: each value has a
-    random number of zero slots below its first nonzero one, and some values
-    are zero."""
+def test_slot_reducer_fixed_mask_reduces_the_top_block_as_by_passes():
+    """The mask built once for ``blocks`` blocks of K slots reduces values
+    whose top slot is the top slot of the top block, all of them and the
+    largest, as the reducer whose mask is sized per call by the longest
+    value does."""
+    rng = random.Random(1717)
+    for m in (2, 9, 25, 2**31 - 1):
+        for bits in (3, 20, 64):
+            for blocks in range(1, 6):
+                for block in (1, 2, 7):
+                    slots = blocks * block
+                    reduce = SlotReducer(m, bits, slots)
+                    top = (1 << bits) - 1
+                    rows = [[top] * slots, [rng.randrange(top + 1) for _ in range(slots - 1)]
+                            + [rng.randrange(1, top + 1)]]
+                    values = [pack_slots(row, reduce.width) for row in rows]
+                    reduced = _reduced(reduce, values)
+                    assert reduced == reduced_by_passes(reduce, values)
+                    for row, value in zip(rows, reduced):
+                        assert list(unpack_slots(value, slots, reduce.width)) == \
+                            [v % m for v in row]
+
+
+# Reducers whose slots hold any value below m, one per slot width in bytes,
+# so that the step by x^0 I leaves reduced values as they are.
+REDUCED_BELOW_M = {1: (3, 2), 2: (61, 6), 4: (8191, 13)}
+
+
+def _packed_values(rng: random.Random, width: int, m: int) -> list[int]:
+    """Packed values whose slots, below m, start at mixed heights: each value
+    has a random number of zero slots below its first nonzero one, and some
+    values are zero."""
     count = rng.randrange(1, 6)
     values = []
     for _ in range(count):
         if rng.random() < 0.2:
             values.append(0)
             continue
-        slots = [0] * rng.randrange(4) + [rng.randrange(1, 1 << 8 * width)]
-        slots += [rng.randrange(1 << 8 * width) for _ in range(rng.randrange(4))]
+        slots = [0] * rng.randrange(4) + [rng.randrange(1, m)]
+        slots += [rng.randrange(m) for _ in range(rng.randrange(4))]
         values.append(pack_slots(slots, width))
     return values
 
@@ -399,41 +444,47 @@ def test_normalized_matches_the_per_value_passes():
     slots, and windows that end exactly at the state's lowest and highest
     slot or one slot inside them."""
     rng = random.Random(1616)
-    cases = [([0], 1), ([0, 0, 0], 2), ([1 << 40], 1), ([0, 5 << 24, 0], 4)]
-    cases += [(_packed_values(rng, width), width) for width in (1, 2, 4) for _ in range(150)]
+    cases = [([0], 1), ([0, 0, 0], 2), ([1 << 40], 1), ([0, 5 << 32, 0], 4)]
+    cases += [(_packed_values(rng, width, REDUCED_BELOW_M[width][0]), width)
+              for width in (1, 2, 4) for _ in range(150)]
     for values, width in cases:
+        reduce = SlotReducer(*REDUCED_BELOW_M[width], 8)
+        assert reduce.width == width
         low = rng.randrange(-5, 6)
-        free = normalized_by_passes(low, values, width, (-10**9, 10**9))
-        assert _normalized(low, values, width, (-10**9, 10**9)) == free
+        free = normalized_by_passes(low, values, width, WIDE_WINDOW)
+        assert _normalized(reduce, low, values, WIDE_WINDOW) == free
         bottom, packed = free
         top = bottom + (max(map(int.bit_length, packed), default=0) - 1) // (8 * width)
         for window in ((bottom, top), (bottom + 1, top), (bottom, top - 1),
                        (bottom - 1, top + 1), (top + 1, top + 2)):
-            assert (_normalized(low, values, width, window)
+            assert (_normalized(reduce, low, values, window)
                     == normalized_by_passes(low, values, width, window)), (values, window)
 
 
-def _blocked_values(rng: random.Random, width: int, blocks: int, block: int) -> list[int]:
-    """Values of ``blocks`` entries each, entry r in block r of ``block``
-    slots: every entry fits its block and starts at a random height, and
+def _blocked_values(rng: random.Random, width: int, m: int, blocks: int, block: int,
+                    count: int = 0, fill: int = 0) -> list[int]:
+    """``count`` values, or 1 to 5, of ``blocks`` entries each, entry r in
+    block r of ``block`` slots below m: every entry fits the lowest ``fill``
+    slots of its block, or all of them, and starts at a random height, and
     some entries and values are zero."""
+    fill = fill or block
     values = []
-    for _ in range(rng.randrange(1, 6)):
+    for _ in range(count or rng.randrange(1, 6)):
         value = 0
         for r in range(blocks):
             if rng.random() < 0.3:
                 continue
-            bottom = rng.randrange(block)
-            slots = [0] * bottom + [rng.randrange(1, 1 << 8 * width)]
-            slots += [rng.randrange(1 << 8 * width) for _ in range(rng.randrange(block - bottom))]
+            bottom = rng.randrange(fill)
+            slots = [0] * bottom + [rng.randrange(1, m)]
+            slots += [rng.randrange(m) for _ in range(rng.randrange(fill - bottom))]
             value |= pack_slots(slots, width) << 8 * width * block * r
         values.append(value)
     return values
 
 
-def _outcome(normalize, *args):
+def _outcome(step, *args):
     try:
-        return normalize(*args)
+        return step(*args)
     except _Widen:
         return "widen"
 
@@ -448,39 +499,66 @@ def test_normalized_folds_the_blocks_as_the_per_entry_passes():
     for blocks in (2, 3, 5):
         for block in (1, 2, 4, 7):
             for width in (1, 2):
+                m = REDUCED_BELOW_M[width][0]
+                reduce = SlotReducer(*REDUCED_BELOW_M[width], blocks * block)
                 for _ in range(40):
-                    values = _blocked_values(rng, width, blocks, block)
+                    values = _blocked_values(rng, width, m, blocks, block)
                     low = rng.randrange(-5, 6)
-                    wide = (-10**9, 10**9)
-                    state = normalized_by_passes(low, values, width, wide)
+                    state = normalized_by_passes(low, values, width, WIDE_WINDOW)
                     bottom, packed = state
                     top = max([(v >> 8 * width * block * r & (1 << 8 * width * block) - 1)
                                .bit_length() for v in packed for r in range(blocks)])
                     top = (top - 1) // (8 * width) if top else 0
                     for span in {1, block - top, block - top + 1, block}:
                         layout = blocks, block, span
-                        for window in (wide, (bottom, bottom + top), (bottom + 1, bottom + top),
-                                       (bottom, bottom + top - 1)):
-                            result = _outcome(_normalized, low, values, width, window, layout)
+                        for window in (WIDE_WINDOW, (bottom, bottom + top),
+                                       (bottom + 1, bottom + top), (bottom, bottom + top - 1)):
+                            result = _outcome(_normalized, reduce, low, values, window, layout)
                             assert result == _outcome(normalized_by_passes, low, values, width,
                                                       window, layout), (values, layout, window)
                             seen.add("widen" if result == "widen" else result is None)
     assert seen == {"widen", True, False}
 
 
-def test_slot_reducer_mask_grows_as_with_per_value_passes():
-    """The OR sizes the mask as the longest value did: equal outputs and an
-    equal mask after every call of a walk whose values lengthen and shrink."""
-    rng = random.Random(1717)
-    for m in (2, 9, 25, 2**31 - 1):
-        for bits in (3, 20, 64):
-            reducer, oracle = SlotReducer(m, bits), SlotReducerByPasses(m, bits)
-            for _ in range(40):
-                slots = rng.randrange(1, 30)
-                values = [rng.randrange(1 << min(bits, 8 * reducer.width * slots))
-                          for _ in range(rng.randrange(1, 6))]
-                assert reducer(values) == oracle(values)
-                assert (reducer._mask, reducer._mask_bits) == (oracle._mask, oracle._mask_bits)
+def test_fused_step_matches_the_step_by_passes():
+    """The packed step against its three passes (dot products, a reduction
+    with a mask sized per call, the per-entry normalization) on random
+    states of 1 to 5 blocks times random A, with the walk's slot bound and
+    mask, and on the ladder's states of n^2 values squared by themselves."""
+    rng = random.Random(2020)
+    seen = set()
+    for m in (2, 4, 8, 9, 25, 1 << 41):
+        for n in (1, 2, 3, 4):
+            for span in (1, 2, 3):
+                bits = (n * span * (m - 1) ** 2).bit_length()
+                for blocks in range(1, 6):
+                    block = rng.randrange(span, 3 * span + 2)
+                    reduce = SlotReducer(m, bits, blocks * block)
+                    width = reduce.width
+                    cols = [[pack_slots([rng.randrange(m) for _ in range(span)], width)
+                             for _ in range(n)] for _ in range(n)]
+                    lo = rng.randrange(-2, 2)
+                    for _ in range(6):
+                        # Entries that leave room for a product by span in their block.
+                        values = _blocked_values(rng, width, m, blocks, block, n,
+                                                 block - span + 1)
+                        state = rng.randrange(-5, 6), tuple(values)
+                        for window in (WIDE_WINDOW, (state[0] + lo, state[0] + lo + block),
+                                       (state[0] + lo + 1, state[0] + lo + 2 * block)):
+                            args = (lo, cols), reduce, window, (blocks, block, span)
+                            result = _outcome(_stepper(*args), state)
+                            assert result == _outcome(step_by_passes, *args, state), \
+                                (m, n, span, blocks, block, state, window)
+                            seen.add("widen" if result == "widen" else result is None)
+                # The ladder: n^2 values, one per entry, squared by their columns.
+                reduce = SlotReducer(m, (n * (2 * span - 1) * (m - 1) ** 2).bit_length(),
+                                     2 * span - 1)
+                values = tuple([pack_slots([rng.randrange(m) for _ in range(span)], reduce.width)
+                                for _ in range(n * n)])
+                factor = 0, [values[j::n] for j in range(n)]
+                args = factor, reduce, WIDE_WINDOW, (1, 0, 0)
+                assert _stepper(*args)((0, values)) == step_by_passes(*args, (0, values))
+    assert seen == {"widen", True, False}
 
 
 def _integral_corpus(rng: random.Random) -> list[RingMatrix]:
@@ -759,26 +837,37 @@ def test_packed_ladder_matches_the_ladder_over_z_mod_m():
 
 
 def test_packed_slots_stay_below_their_bounds(monkeypatch):
-    """Every slot that reaches a SlotReducer of the packed walk or ladder is
-    below 2^bits, and the extreme inputs reach 2^(bits - 1): the all-(p - 1)
-    constant matrices squared once by the ladder."""
+    """Every unreduced value of the packed step, in the walks on all rows,
+    also after a restart with wider blocks, on one row and in the ladder,
+    stays inside the mask sized when its walk or ladder started, and each
+    of its slots is below 2^bits; the extreme inputs reach 2^(bits - 1): the
+    all-(p - 1) constant matrices squared once by the ladder."""
     tightest = []
+    layouts = set()
+    stepper = power_semigroup._stepper
 
     class CheckedReducer(SlotReducer):
-        def __init__(self, m: int, bits: int):
-            super().__init__(m, bits)
+        def __init__(self, m: int, bits: int, slots: int):
+            super().__init__(m, bits, slots)
             self.bits = bits
 
-        def __call__(self, values):
-            slot_bits = 8 * self.width
-            slots = max(map(int.bit_length, values)) // slot_bits + 1
-            ones = ((1 << slot_bits * slots) - 1) // ((1 << slot_bits) - 1)
-            for v in values:
-                assert not v & ~(ones * ((1 << self.bits) - 1)), "a slot reaches 2^bits"
-                tightest.append(bool(v & ones << self.bits - 1))
-            return super().__call__(values)
+    def checked_stepper(factor, reduce, window, layout=(1, 0, 0)):
+        step = stepper(factor, reduce, window, layout)
+        slot_bits = 8 * reduce.width
+        ones = ((1 << slot_bits * reduce.slots) - 1) // ((1 << slot_bits) - 1)
+        layouts.add(layout)
+
+        def checked(state):
+            for v in packed_products(state[1], factor[1]):
+                assert not v >> slot_bits * reduce.slots, "a value reaches past the mask"
+                assert not v & ~(ones * ((1 << reduce.bits) - 1)), "a slot reaches 2^bits"
+                tightest.append(bool(v & ones << reduce.bits - 1))
+            return step(state)
+
+        return checked
 
     monkeypatch.setattr(power_semigroup, "SlotReducer", CheckedReducer)
+    monkeypatch.setattr(power_semigroup, "_stepper", checked_stepper)
     for a in _packed_corpus(random.Random(3141)):
         sampled_degree_growth(a, 3)
         if decide_finite_powers(a).finite:
@@ -792,6 +881,7 @@ def test_packed_slots_stay_below_their_bounds(monkeypatch):
             detect_orbit(RingMatrix(ring, [[LaurentPoly(ring.modulus, {
                 -1: m - p, 0: rng.randrange(m), 1: m - p}) for _ in range(n)]
                 for _ in range(n)]), PACKED_CORPUS_BUDGET)
+    assert any(blocks > 1 and block > 2 * span for blocks, block, span in layouts)
     for m in (2, 3, 25, 2**31 - 1):
         tightest.clear()
         sampled_degree_growth(matrix_from_ints(laurent_ring(m), [[m - 1] * 3] * 3), 1)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from test_cli_golden import cases
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 SURVEY_OUTPUT = """\
@@ -59,9 +61,8 @@ no contradictions between the decision and the simulations
 """
 
 
-REPLAY_OUTPUT = """\
-72 of 72 golden cases match, 1 parser built (<time>)
-"""
+# One case per spec file in specs/ and tests/specs/, verb and format.
+REPLAY_OUTPUT = f"{len(cases())} of {len(cases())} golden cases match, 1 parser built (<time>)\n"
 
 
 def strip_timings(text: str) -> str:
