@@ -35,12 +35,12 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = (
     # The reducer's shift one bit short: floor(v M / 2^s) is no longer v // m
     # for every v below 2^bits (13 reduces to -1 at m = 7, bits = 4).
-    ("src/addca/laurent.py",
+    ("src/addca/power_semigroup.py",
      "shift = bits + m.bit_length()",
      "shift = bits + m.bit_length() - 1",
      "tests/test_power_semigroup.py"),
     # The reducer's magic number rounded down instead of up.
-    ("src/addca/laurent.py",
+    ("src/addca/power_semigroup.py",
      "magic = -(-(1 << shift) // m)",
      "magic = (1 << shift) // m",
      "tests/test_power_semigroup.py"),
@@ -161,11 +161,6 @@ MUTANTS = (
     ("src/addca/lca.py",
      "return all(not det.reduce_mod_prime(p).is_zero() for p in rule.modulus.primes)",
      "return any(not det.reduce_mod_prime(p).is_zero() for p in rule.modulus.primes)",
-     "tests/test_lca.py"),
-    # decide_injective read as surjective.
-    ("src/addca/lca.py",
-     "return all(len(det.reduce_mod_prime(p).support()) == 1 for p in rule.modulus.primes)",
-     "return all(len(det.reduce_mod_prime(p).support()) >= 1 for p in rule.modulus.primes)",
      "tests/test_lca.py"),
     # Integrality tested mod the smallest prime of m only.
     ("src/addca/laurent.py",

@@ -18,7 +18,6 @@ from .additive_ca import (
     embed_config,
     prime_components,
     project_config,
-    simulate_additive,
     step_additive,
 )
 from .laurent import LaurentPoly, LaurentRing, laurent_ring
@@ -28,8 +27,6 @@ from .lca import (
     PropertyReport,
     analyze_rule,
     associated_matrix,
-    decide_injective,
-    decide_sensitivity,
     decide_surjective,
     decide_transitive,
     render_trajectory,
@@ -49,7 +46,6 @@ from .polymat import (
     char_poly,
     determinant,
     identity,
-    matrix_from_ints,
 )
 from .power_semigroup import (
     FinitenessVerdict,
@@ -85,9 +81,7 @@ __all__ = [
     "associated_matrix",
     "char_poly",
     "decide_finite_powers",
-    "decide_injective",
     "decide_properties",
-    "decide_sensitivity",
     "decide_surjective",
     "decide_transitive",
     "determinant",
@@ -97,14 +91,12 @@ __all__ = [
     "factorize",
     "identity",
     "laurent_ring",
-    "matrix_from_ints",
     "prime_components",
     "project_config",
     "render_trajectory",
     "sampled_degree_growth",
     "scalar_rule",
     "simulate",
-    "simulate_additive",
     "step",
     "step_additive",
     "__version__",

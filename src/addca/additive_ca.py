@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .lca import FiniteConfiguration, LcaRule, PropertyReport, analyze_rule, simulate, step
+from .lca import FiniteConfiguration, LcaRule, PropertyReport, analyze_rule, step
 from .modring import canonical_matrix, factorize, short_repr
 
 
@@ -144,7 +144,6 @@ class AdditiveCaRule(NamedTuple("AdditiveCaRule", [("group", AbelianGroup), ("ra
 # `lca.step` and `lca.simulate` step both rule kinds: `lca.stepper` reads
 # only a rule's radius, orders and matrices.
 step_additive = step
-simulate_additive = simulate
 
 
 # ---------------------------------------------------------------------------

@@ -208,9 +208,7 @@ def _describe(document: SpecDocument) -> str:
     return f"additive over {factors}, radius={rule.radius}"
 
 
-def _emit_json(payload: dict, seed: int | None) -> None:
-    if seed is not None:
-        payload["seed"] = seed
+def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
@@ -225,7 +223,7 @@ def cmd_analyze(document: SpecDocument, args: argparse.Namespace) -> int:
         report = decide_properties(document.rule)
     if args.format == "json":
         _emit_json({"kind": document.kind, "rule": _describe(document),
-                    "report": report.to_dict()}, args.seed)
+                    "report": report.to_dict()})
         return 0
     print(f"rule: {_describe(document)}")
     for name in ("sensitive", "equicontinuous", "injective", "surjective", "transitive"):
@@ -255,7 +253,7 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
     grid = render_trajectory(trajectory, args.window)
     if args.format == "json":
         _emit_json({"kind": document.kind, "rule": _describe(document),
-                    "window": args.window, "rows": grid.split("\n")}, args.seed)
+                    "window": args.window, "rows": grid.split("\n")})
         return 0
     print(grid)
     return 0
@@ -302,7 +300,7 @@ def cmd_charpoly(document: SpecDocument, args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({"rule": _describe(document), "chi": str(poly),
                     "coefficients": coefficients,
-                    "finite": verdict.finite, "reason": verdict.reason}, args.seed)
+                    "finite": verdict.finite, "reason": verdict.reason})
         return 0
     print(f"chi = {poly}")
     for entry in coefficients:
@@ -327,7 +325,7 @@ def cmd_orbit(document: SpecDocument, args: argparse.Namespace) -> int:
             if args.format == "json":
                 _emit_json({"rule": _describe(document), "finite": True,
                             "preperiod": shape.preperiod, "period": shape.period,
-                            "size": shape.size, "budget": args.budget}, args.seed)
+                            "size": shape.size, "budget": args.budget})
             else:
                 print(f"preperiod {shape.preperiod}, period {shape.period}: "
                       f"power set has {shape.size} elements")
@@ -336,7 +334,7 @@ def cmd_orbit(document: SpecDocument, args: argparse.Namespace) -> int:
         # ran out before the cycle closed.
         if args.format == "json":
             _emit_json({"rule": _describe(document), "finite": True,
-                        "indeterminate": True, "budget": args.budget}, args.seed)
+                        "indeterminate": True, "budget": args.budget})
         else:
             print(f"indeterminate (budget {args.budget}); coefficient verdict: finite")
         return 3
@@ -344,7 +342,7 @@ def cmd_orbit(document: SpecDocument, args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({"rule": _describe(document), "finite": False,
                     "indeterminate": True, "budget": args.budget,
-                    "reason": verdict.reason, "degree_samples": growth}, args.seed)
+                    "reason": verdict.reason, "degree_samples": growth})
     else:
         print(f"indeterminate (budget {args.budget}); coefficient verdict: infinite")
         print(f"  {verdict.reason}")
@@ -365,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("spec", help="path to a JSON rule specification")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed to record in JSON reports")
 
     sub.add_parser("analyze", parents=[common],
                    help="decide sensitivity, injectivity, surjectivity, transitivity")

@@ -42,9 +42,9 @@ to 1, 2, 4 or 8 bytes and unpacked with ``memoryview.cast``; wider slots
 then reduced mod m.  The packing helpers also serve ``polymat.char_poly``,
 which evaluates a whole matrix at x = 2^s, and the packed step of
 ``power_semigroup``'s power walk and degree ladder, which reduces every slot
-mod m with a ``SlotReducer``'s constants instead of unpacking.  The test
-oracle ``tests/oracles.py::dict_product`` convolves term by term without
-either shortcut.
+mod m on the packed integer instead of unpacking.  The test oracle
+``tests/oracles.py::dict_product`` convolves term by term without either
+shortcut.
 """
 
 from __future__ import annotations
@@ -312,34 +312,6 @@ def unpack_slots(value: int, slots: int, width: int) -> Sequence[int]:
         return memoryview(value.to_bytes(slots * width, _BYTEORDER)).cast(_SLOT_FORMATS[width])
     data = value.to_bytes(slots * width, "little")
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-
-
-class SlotReducer:
-    """Constants that reduce every slot of a packed int mod m without unpacking.
-
-    For slot values below 2^bits, let s = bits + bits(m) and M = ceil(2^s / m).
-    Then floor(v M / 2^s) = floor(v / m) for every such v, because
-    2^s > m 2^bits (division by an invariant integer, Granlund and
-    Montgomery, PLDI 1994).  The slots are ``width`` bytes, at least
-    bits + bits(M) and s bits, so each v M stays inside its own slot and
-    v - m ((v M >> s) & mask), with 2^(8 width - s) - 1 in each of the
-    lowest ``slots`` slots of mask, is v with each slot reduced mod m.  The
-    caller fixes ``slots`` to the longest value it will reduce, so the mask
-    is built once; `power_semigroup`'s packed step applies the formula.
-    """
-
-    __slots__ = ("m", "width", "slots", "_shift", "_magic", "_mask")
-
-    def __init__(self, m: int, bits: int, slots: int):
-        shift = bits + m.bit_length()
-        magic = -(-(1 << shift) // m)
-        self.m = m
-        self.width = width = slot_width(max(bits + magic.bit_length(), shift))
-        self.slots = slots
-        self._shift = shift
-        self._magic = magic
-        ones = ((1 << 8 * width * slots) - 1) // ((1 << 8 * width) - 1)
-        self._mask = ((1 << 8 * width - shift) - 1) * ones
 
 
 class LaurentRing(NamedTuple):

@@ -134,27 +134,6 @@ class FiniteConfiguration:
         return FiniteConfiguration._canonical(
             self.orders, {pos: vec for pos, vec in cells.items() if -reach <= pos <= reach})
 
-    def scale(self, value: int) -> "FiniteConfiguration":
-        return FiniteConfiguration(self.orders,
-                                   {p: tuple(value * x for x in v) for p, v in self.cells.items()})
-
-    def __add__(self, other: "FiniteConfiguration") -> "FiniteConfiguration":
-        if self.orders != other.orders:
-            raise ValueError("configurations live over different alphabets")
-        out = dict(self.cells)
-        for p, v in other.cells.items():
-            if p in out:
-                out[p] = tuple(a + b for a, b in zip(out[p], v))
-            else:
-                out[p] = v
-        return FiniteConfiguration(self.orders, out)
-
-    def __neg__(self) -> "FiniteConfiguration":
-        return self.scale(-1)
-
-    def __sub__(self, other: "FiniteConfiguration") -> "FiniteConfiguration":
-        return self + (-other)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteConfiguration):
             return NotImplemented
@@ -272,26 +251,10 @@ def simulate(rule: LcaRule, config: FiniteConfiguration, steps: int) -> list[Fin
 # decision procedures
 
 
-def decide_sensitivity(rule: LcaRule) -> tuple[bool, bool]:
-    """(sensitive, equicontinuous) -- a strict dichotomy for linear CA.
-
-    F is equicontinuous iff the associated matrix has a finite power set;
-    otherwise F is sensitive to initial conditions.  Nothing in between.
-    """
-    verdict = decide_finite_powers(associated_matrix(rule))
-    return (not verdict.finite, verdict.finite)
-
-
 def decide_surjective(rule: LcaRule) -> bool:
     """Surjectivity: det A(X) must not vanish modulo any prime dividing m."""
     det = determinant(associated_matrix(rule))
     return all(not det.reduce_mod_prime(p).is_zero() for p in rule.modulus.primes)
-
-
-def decide_injective(rule: LcaRule) -> bool:
-    """Injectivity: det A(X) must be a single monomial modulo every prime p | m."""
-    det = determinant(associated_matrix(rule))
-    return all(len(det.reduce_mod_prime(p).support()) == 1 for p in rule.modulus.primes)
 
 
 def decide_transitive(rule: LcaRule) -> bool:

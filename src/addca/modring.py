@@ -3,10 +3,10 @@ and the square-and-multiply power shared by every ring in the package.
 
 Z/mZ has no element type of its own.  Its elements are the constant Laurent
 polynomials, ``laurent_ring(m).from_int(v)``, so a constant matrix over Z/mZ
-is ``matrix_from_ints(laurent_ring(m), rows)``.  Moduli are factored exactly:
-trial division takes the small primes, and a cofactor below 3.3e24 is split
-by deterministic Miller-Rabin and Pollard rho.  A larger cofactor without
-small factors is rejected, never guessed.
+is a ``RingMatrix`` of them over ``laurent_ring(m)``.  Moduli are factored
+exactly: trial division takes the small primes, and a cofactor below 3.3e24
+is split by deterministic Miller-Rabin and Pollard rho.  A larger cofactor
+without small factors is rejected, never guessed.
 """
 
 from __future__ import annotations

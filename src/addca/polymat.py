@@ -25,7 +25,7 @@ A product of two matrices is one ring dot product per entry.  The packed
 product is `power_semigroup`'s one step, which walks the powers of one dense
 matrix without unpacking between steps: its slots are wide enough for the
 reduction mod m to run on the packed integers too, with a mask built once
-per walk (`laurent.SlotReducer`).
+per walk (`power_semigroup.SlotReducer`).
 
 The independent cross-checks of Berkowitz (minor sums by a Laplace DP,
 Cayley-Hamilton, the Frobenius companion matrix of a monic polynomial) live
@@ -109,10 +109,6 @@ class RingMatrix:
 def identity(ring, n: int) -> RingMatrix:
     one, zero = ring.one(), ring.zero()
     return RingMatrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-
-def matrix_from_ints(ring, rows: Sequence[Sequence[int]]) -> RingMatrix:
-    return RingMatrix(ring, [[ring.from_int(v) for v in row] for row in rows])
 
 
 class CharPoly(NamedTuple("CharPoly", [("coeffs", tuple)])):

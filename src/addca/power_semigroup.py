@@ -39,7 +39,7 @@ entries are dense (the rule of `polymat._dense_span`), with one step,
 a state is (low, values) with low the lowest exponent of its matrix, so
 equal matrices have equal states.  A state times x^lo B is one integer dot
 product per row of n values against the packed columns of B, each reduced
-slot-wise mod m on the packed integer (`laurent.SlotReducer`:
+slot-wise mod m on the packed integer (`SlotReducer`:
 v - m ((v M >> s) & mask) with M = ceil(2^s / m), exact for slots below 2^b
 when 2^s > m 2^b), and a shift that drops the zero slots below every entry.
 The walk keeps one value per column of its rows, entry (r, l) in block r of
@@ -72,7 +72,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, LaurentRing, SlotReducer
+from .laurent import LaurentPoly, LaurentRing, slot_width
 from .polymat import CharPoly, RingMatrix, _at_power_of_two, _dense_span, _dot, char_poly, identity
 
 DEFAULT_BUDGET = 100_000
@@ -226,6 +226,33 @@ def _steps(matrix: RingMatrix) -> int:
 
 class _Widen(Exception):
     """A packed state would spill; `_first_repeat` sets ``spent``, its walk's products."""
+
+
+class SlotReducer:
+    """Constants that reduce every slot of a packed int mod m without unpacking.
+
+    For slot values below 2^bits, let s = bits + bits(m) and M = ceil(2^s / m).
+    Then floor(v M / 2^s) = floor(v / m) for every such v, because
+    2^s > m 2^bits (division by an invariant integer, Granlund and
+    Montgomery, PLDI 1994).  The slots are ``width`` bytes, at least
+    bits + bits(M) and s bits, so each v M stays inside its own slot and
+    v - m ((v M >> s) & mask), with 2^(8 width - s) - 1 in each of the
+    lowest ``slots`` slots of mask, is v with each slot reduced mod m.  The
+    caller fixes ``slots`` to the longest value it will reduce, so the mask
+    is built once; `_stepper` applies the formula.
+    """
+
+    __slots__ = ("m", "width", "_shift", "_magic", "_mask")
+
+    def __init__(self, m: int, bits: int, slots: int):
+        shift = bits + m.bit_length()
+        magic = -(-(1 << shift) // m)
+        self.m = m
+        self.width = width = slot_width(max(bits + magic.bit_length(), shift))
+        self._shift = shift
+        self._magic = magic
+        ones = ((1 << 8 * width * slots) - 1) // ((1 << 8 * width) - 1)
+        self._mask = ((1 << 8 * width - shift) - 1) * ones
 
 
 def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,

@@ -21,11 +21,12 @@ p-group with its inverse and image test, the basis configurations, the
 spreading semi-decision, the prime powers, largest exponent and nilradical
 generator of a modulus, the Laurent parser, the constant term, the matrix
 trace, a group's order and elements, the mod-p degrees of a Laurent
-polynomial, the shift of a configuration and the image of a group element
-under an endomorphism.  The packed step is kept as the three passes it was
-before one loop did them all: the dot products, a reduction whose mask is
-sized on each call by the longest value, and a normalization by a filtered
-min of the lowest set bits and a max of the bit lengths.
+polynomial, the shift of a configuration, the image of a group element
+under an endomorphism, the linear combinations of configurations and the
+matrix of integer constants.  The packed step is kept as the three passes it
+was before one loop did them all: the dot products, a reduction whose mask
+is sized on each call by the longest value, and a normalization by a
+filtered min of the lowest set bits and a max of the bit lengths.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from typing import Any, Sequence
 
 from addca import tpoly
 from addca.additive_ca import AbelianGroup, GroupEndomorphism, _embedding_scales
-from addca.laurent import LaurentPoly, LaurentRing, SlotReducer, laurent_ring
+from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_gcd, _fp_trim, associated_matrix
 from addca.lca import step as lca_step
 from addca.modring import Modulus
 from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity
-from addca.power_semigroup import (DEFAULT_BUDGET, OrbitShape, _companion, _idempotent_exponent,
-                                   _Widen, detect_orbit)
+from addca.power_semigroup import (DEFAULT_BUDGET, OrbitShape, SlotReducer, _companion,
+                                   _idempotent_exponent, _Widen, detect_orbit)
 
 MINOR_SUM_MAX_DIMENSION = 12
 
@@ -850,6 +851,25 @@ def neg_degree(f: LaurentPoly, p: int) -> int:
 def shift_configuration(config: FiniteConfiguration, offset: int) -> FiniteConfiguration:
     """The configuration moved ``offset`` cells to the right."""
     return FiniteConfiguration(config.orders, {p + offset: v for p, v in config.cells.items()})
+
+
+def combination(*terms: tuple[int, FiniteConfiguration]) -> FiniteConfiguration:
+    """The sum of c * config over the (c, config) terms, all over one alphabet."""
+    orders = terms[0][1].orders
+    cells: dict[int, list[int]] = {}
+    for c, config in terms:
+        if config.orders != orders:
+            raise ValueError("configurations live over different alphabets")
+        for pos, vec in config.cells.items():
+            acc = cells.setdefault(pos, [0] * len(orders))
+            for i, v in enumerate(vec):
+                acc[i] += c * v
+    return FiniteConfiguration(orders, cells)
+
+
+def constant_matrix(ring, rows: Sequence[Sequence[int]]) -> RingMatrix:
+    """The matrix of the constants ``rows`` over a Laurent ring handle."""
+    return RingMatrix(ring, [[ring.from_int(v) for v in row] for row in rows])
 
 
 def apply_endomorphism(endomorphism: GroupEndomorphism, vector: Sequence[int]) -> tuple[int, ...]:

@@ -26,7 +26,6 @@ from addca.laurent import LaurentPoly, laurent_ring
 from addca.lca import (
     LcaRule,
     analyze_rule,
-    decide_injective,
     decide_surjective,
     decide_transitive,
     scalar_rule,
@@ -38,7 +37,6 @@ from addca.polymat import (
     RingMatrix,
     char_poly,
     identity,
-    matrix_from_ints,
 )
 from addca.power_semigroup import (
     decide_finite_powers,
@@ -51,6 +49,7 @@ from oracles import (
     balance_surjectivity_oracle,
     bounded_transitivity_oracle,
     char_poly_by_minor_sums,
+    constant_matrix,
     constant_value,
     evaluate_at_matrix,
     finite_support_kernel_witness,
@@ -269,7 +268,7 @@ def test_criterion_5_nilpotent_traces():
             continue
         produced += 1
         ring = laurent_ring(m)
-        matrix = matrix_from_ints(ring, entries)
+        matrix = constant_matrix(ring, entries)
         index_bound = n * max_exponent(factorize(m))
         if matrix**index_bound != zeros(ring, n):
             failures += 1
@@ -302,7 +301,7 @@ def test_criterion_6_surjectivity_balance_and_kernel_witnesses():
         if surjective != balance_surjectivity_oracle(rule):
             disagreements += 1
             continue
-        if decide_injective(rule):
+        if analyze_rule(rule).injective:
             # completeness direction: the search space really is empty
             if periodic_kernel_witness(rule) is not None:
                 disagreements += 1

@@ -26,10 +26,9 @@ from addca.additive_ca import (
     embed_config,
     prime_components,
     project_config,
-    simulate_additive,
     step_additive,
 )
-from addca.lca import FiniteConfiguration, LcaRule, analyze_rule, decide_injective, scalar_rule
+from addca.lca import FiniteConfiguration, LcaRule, analyze_rule, scalar_rule
 from addca.lca import simulate as lca_simulate
 from addca.lca import step as lca_step
 from addca.modring import factorize
@@ -40,6 +39,7 @@ from oracles import (
     additive_periodic_kernel_witness,
     apply_endomorphism,
     associated_lca_matrices,
+    combination,
     embed,
     finite_support_kernel_witness,
     group_elements,
@@ -346,11 +346,10 @@ def test_steps_match_the_constructor_kernel_differentially():
 
 
 def test_trajectories_match_single_steps_and_the_constructor_kernel():
-    """simulate (which simulate_additive is), which builds one stepper for the
-    whole trajectory, against four calls of step (which step_additive is) and
-    four steps of the constructor kernel, on the corpus of the single-step
-    test: cells near 0 and at +-10^9, cells at the largest entries, and cells
-    that cancel."""
+    """simulate, which builds one stepper for the whole trajectory, against
+    four calls of step (which step_additive is) and four steps of the
+    constructor kernel, on the corpus of the single-step test: cells near 0
+    and at +-10^9, cells at the largest entries, and cells that cancel."""
     rng = random.Random(20261020)
     cases, full, cancelling = _kernel_corpus(rng)
     for rule in cases + full + cancelling:
@@ -377,7 +376,7 @@ def test_wrong_alphabet_has_one_message_for_both_rule_kinds():
     linear = LcaRule(factorize(4), 2, 0, [((1, 0), (0, 1))])
     additive = diag_rule(G42, (1, 1))
     for rule, one_step, run, orders in ((linear, lca_step, lca_simulate, (4, 2)),
-                                        (additive, step_additive, simulate_additive, (4, 4))):
+                                        (additive, step_additive, lca_simulate, (4, 4))):
         config = FiniteConfiguration(orders, {0: (1, 1)})
         message = re.escape(f"configuration alphabet {orders} does not match rule {rule.orders}")
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -388,14 +387,14 @@ def test_wrong_alphabet_has_one_message_for_both_rule_kinds():
 
 def test_simulate_additive_rejects_negative_steps():
     with pytest.raises(ValueError, match="steps must be non-negative, got -3"):
-        simulate_additive(diag_rule(G42, (1, 1)), FiniteConfiguration((4, 2), {0: (1, 1)}), -3)
+        lca_simulate(diag_rule(G42, (1, 1)), FiniteConfiguration((4, 2), {0: (1, 1)}), -3)
 
 
 def test_simulate_additive_trajectory():
     # shift by one cell: delta_{+1} = id
     shift = diag_rule(G42, (0, 0), (0, 0), (1, 1))
     start = FiniteConfiguration((4, 2), {0: (3, 1)})
-    trajectory = simulate_additive(shift, start, 3)
+    trajectory = lca_simulate(shift, start, 3)
     assert len(trajectory) == 4
     assert trajectory[3] == FiniteConfiguration((4, 2), {-3: (3, 1)})
 
@@ -627,7 +626,7 @@ def test_linear_kernel_elements_descend_to_the_group():
     for rule in rules:
         group = rule.group
         linear = associated_lca(rule)
-        if decide_injective(linear):
+        if analyze_rule(linear).injective:
             continue
         word = periodic_kernel_witness(linear)
         assert word is not None
@@ -670,9 +669,9 @@ def test_finite_support_kernels_survive_p_scaling_into_the_image():
             continue
         p = group.primes()[0]
         power = 0
-        while not witness.scale(p ** (power + 1)).is_zero():
+        while not combination((p ** (power + 1), witness)).is_zero():
             power += 1
-        survivor = witness.scale(p**power)
+        survivor = combination((p**power, witness))
         assert not survivor.is_zero()
         assert set(survivor.support()) <= set(witness.support())
         assert in_embedding_image(group, survivor)

@@ -33,7 +33,14 @@ REMOVED = ("ResidueElement", "ZmodRing", "zmod", "crt_combine", "crt_split",
            # moved to tests/oracles.py: only the tests call them
            "spreads", "basis_config", "idempotent_power", "embed", "unembed",
            "in_embedding_image", "frobenius_companion", "zeros", "BudgetExhausted",
-           "parse_laurent")
+           "parse_laurent",
+           # deleted: second copies of analyze_rule's criteria, a helper only
+           # the tests called and an alias of simulate
+           "decide_sensitivity", "decide_injective", "matrix_from_ints", "simulate_additive")
+# The functions of addca.__all__ that nothing outside the tests references.
+# simulate is the library's trajectory function; the CLI steps its windowed
+# rows with `stepper` instead.
+UNREFERENCED_EXPORTS = {"simulate"}
 
 
 def test_all_names_resolve_and_are_unique():
@@ -71,9 +78,11 @@ def test_benchmark_traced_names_resolve():
         assert callable(getattr(owner, attribute, None)), name
 
 
-def _addca_references(tree: ast.Module) -> list[tuple[str, list[str]]]:
+def _addca_references(tree: ast.Module, module: str | None = None) -> list[tuple[str, list[str]]]:
     """(module, attribute chain) for every ``from addca.x import y`` and every
-    ``alias.a.b`` whose alias names an addca module, in source order."""
+    ``alias.a.b`` whose alias names an addca module.  For the source of the
+    addca module ``module``, also every ``from .x import y`` and every use of
+    a function or class that the module itself defines."""
     modules: dict[str, str] = {}
     references = []
     for node in ast.walk(tree):
@@ -81,14 +90,23 @@ def _addca_references(tree: ast.Module) -> list[tuple[str, list[str]]]:
             for alias in node.names:
                 if alias.name.split(".")[0] == "addca":
                     modules[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "addca":
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if module and node.level == 1:
+                source = ".".join(filter(None, ["addca", node.module]))
+            if source.split(".")[0] != "addca":
+                continue
             for alias in node.names:
-                submodule = f"{node.module}.{alias.name}"
-                if node.module == "addca" and importlib.util.find_spec(submodule):
+                submodule = f"{source}.{alias.name}"
+                if source == "addca" and importlib.util.find_spec(submodule):
                     modules[alias.asname or alias.name] = submodule
                 else:
-                    references.append((node.module, [alias.name]))
+                    references.append((source, [alias.name]))
+    defined = {node.name for node in tree.body if module and isinstance(
+        node, (ast.FunctionDef, ast.ClassDef))}
     for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in defined:
+            references.append((module, [node.id]))
         chain = []
         while isinstance(node, ast.Attribute):
             chain.insert(0, node.attr)
@@ -109,6 +127,28 @@ def test_benchmark_and_script_references_resolve(path):
         for attribute in chain:
             assert hasattr(owner, attribute), f"{path.name}: {module}.{'.'.join(chain)}"
             owner = getattr(owner, attribute)
+
+
+def test_every_exported_function_is_used():
+    """Each function in addca.__all__ but UNREFERENCED_EXPORTS is referenced
+    under its exported name from src/addca (outside __init__.py), scripts/
+    or perfbench/, so a function only the tests call fails here."""
+    package = ROOT / "src" / "addca"
+    sources = [(path, f"addca.{path.stem}") for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += [(path, None) for path in sorted([*(ROOT / "scripts").glob("*.py"),
+                                                 *(ROOT / "perfbench").glob("*.py")])]
+    referenced = set()
+    for path, module in sources:
+        for owner, chain in _addca_references(ast.parse(path.read_text(encoding="utf-8")), module):
+            owner = importlib.import_module(owner)
+            for attribute in chain:
+                owner = getattr(owner, attribute, None)
+                referenced.add((attribute, id(owner)))
+    unused = {name for name in addca.__all__
+              if isinstance(getattr(addca, name), types.FunctionType)
+              and (name, id(getattr(addca, name))) not in referenced}
+    assert unused == UNREFERENCED_EXPORTS
 
 
 def test_import_loads_no_introspection_modules():

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addca import cli
-from addca.additive_ca import simulate_additive
 from addca.cli import MAX_GRID_CELLS, SpecError, build_parser, main, parse_spec
 from addca.lca import FiniteConfiguration, LcaRule, PropertyReport, render_trajectory, simulate
 from addca.modring import factorize
@@ -57,11 +56,10 @@ def test_analyze_identity_text(capsys):
 
 
 def test_analyze_json_round_trips(capsys):
-    code, out, _ = run_cli(capsys, "analyze", str(SPECS / "rule90.json"),
-                           "--format", "json", "--seed", "7")
+    code, out, _ = run_cli(capsys, "analyze", str(SPECS / "rule90.json"), "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["seed"] == 7
+    assert "seed" not in payload
     report = PropertyReport(**payload["report"])
     assert report.to_dict() == payload["report"]
     assert report.sensitive and report.surjective and report.transitive
@@ -158,8 +156,8 @@ def test_simulate_matches_the_full_trajectory(tmp_path):
         spec = _random_simulate_spec(rng)
         steps, window = rng.randint(0, 25), rng.randint(0, 12)
         document = parse_spec(spec)
-        run = simulate if document.kind == "linear" else simulate_additive
-        expected = render_trajectory(run(document.rule, document.initial, steps), window) + "\n"
+        expected = render_trajectory(simulate(document.rule, document.initial, steps),
+                                     window) + "\n"
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(["simulate", write_spec(tmp_path, spec),
@@ -244,6 +242,14 @@ def _call(argv: list[str]) -> tuple:
         except SystemExit as exit:
             code = exit.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("verb", ["analyze", "simulate", "charpoly", "orbit"])
+def test_seed_is_not_an_option(verb):
+    """No verb takes --seed: it changed nothing but an echo in the JSON."""
+    code, out, err = _call([verb, str(SPECS / "rule90.json"), "--seed", "7"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 7" in err, err
 
 
 def test_shared_parser_leaks_no_state(monkeypatch):

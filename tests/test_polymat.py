@@ -16,7 +16,6 @@ from addca.polymat import (
     char_poly,
     determinant,
     identity,
-    matrix_from_ints,
 )
 from addca.power_semigroup import detect_orbit, sampled_degree_growth
 
@@ -24,6 +23,7 @@ from oracles import (
     cayley_hamilton_check,
     char_poly_by_minor_sums,
     column_replace_det,
+    constant_matrix,
     constant_value,
     frobenius_companion,
     matmul_by_entries,
@@ -54,7 +54,7 @@ def random_laurent_matrix(rng: random.Random, m: int, n: int, span: int = 1) -> 
 
 def random_zmod_matrix(rng: random.Random, m: int, n: int) -> RingMatrix:
     ring = laurent_ring(m)
-    return matrix_from_ints(ring, [[rng.randrange(m) for _ in range(n)] for _ in range(n)])
+    return constant_matrix(ring, [[rng.randrange(m) for _ in range(n)] for _ in range(n)])
 
 
 def upper_shear_matrix(m: int) -> RingMatrix:
@@ -139,7 +139,7 @@ def test_submatrix_letter_layout():
     # 4x4 matrix with distinguishable entries 1..16; row set {2,4} and column
     # set {1,4} in 1-based labels pick out the corner entries of rows 2 and 4.
     ring = laurent_ring(97)
-    a = matrix_from_ints(ring, [
+    a = constant_matrix(ring, [
         [1, 2, 3, 4],
         [5, 6, 7, 8],
         [9, 10, 11, 12],
@@ -157,7 +157,7 @@ def test_submatrix_letter_layout():
 
 def test_empty_submatrix_has_unit_determinant():
     ring = laurent_ring(6)
-    a = matrix_from_ints(ring, [[1, 2], [3, 4]])
+    a = constant_matrix(ring, [[1, 2], [3, 4]])
     assert determinant(principal_submatrix(a, [], [])) == ring.one()
 
 
@@ -282,10 +282,10 @@ def test_integer_berkowitz_matches_oracles_differentially():
     Z/128: in its one-byte slots the unpack offset must be 2^7, since -100
     lies below -2^6."""
     rng = random.Random(20261018)
-    matrices = [matrix_from_ints(laurent_ring(8), [[7 * b for b in row] for row in (
+    matrices = [constant_matrix(laurent_ring(8), [[7 * b for b in row] for row in (
         (1, 0, 0, 1, 0), (0, 1, 1, 1, 1), (1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (1, 1, 1, 0, 0))])]
-    matrices.append(matrix_from_ints(laurent_ring(256), [[200]]))
-    matrices.append(matrix_from_ints(laurent_ring(128), [[100]]))
+    matrices.append(constant_matrix(laurent_ring(256), [[200]]))
+    matrices.append(constant_matrix(laurent_ring(128), [[100]]))
     for m in DIFFERENTIAL_MODULI:
         ring = laurent_ring(m)
         for n in range(9):

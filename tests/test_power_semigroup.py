@@ -10,11 +10,12 @@ import pytest
 
 from addca import polymat, power_semigroup, tpoly
 from addca.cli import load_spec
-from addca.laurent import LaurentPoly, SlotReducer, laurent_ring, pack_slots, unpack_slots
+from addca.laurent import LaurentPoly, laurent_ring, pack_slots, unpack_slots
 from addca.lca import associated_matrix
-from addca.polymat import RingMatrix, _dense_span, char_poly, identity, matrix_from_ints
+from addca.polymat import RingMatrix, _dense_span, char_poly, identity
 from addca.power_semigroup import (
     OrbitShape,
+    SlotReducer,
     _companion,
     _first_repeat,
     _idempotent_exponent,
@@ -28,9 +29,10 @@ from addca.power_semigroup import (
     sampled_degree_growth,
 )
 
-from oracles import (BudgetExhausted, brent_orbit, brent_residue_orbit, degree_ladder_mod_m,
-                     frobenius_companion, idempotent_power, normalized_by_passes, packed_products,
-                     reduced_by_passes, step_by_passes, tpoly_sub)
+from oracles import (BudgetExhausted, brent_orbit, brent_residue_orbit, constant_matrix,
+                     degree_ladder_mod_m, frobenius_companion, idempotent_power,
+                     normalized_by_passes, packed_products, reduced_by_passes, step_by_passes,
+                     tpoly_sub)
 from test_polymat import random_laurent_matrix, random_zmod_matrix
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
@@ -97,7 +99,7 @@ def test_identity_power_set_is_singleton():
 
 def test_constant_shear_orbit_mod_4():
     ring = laurent_ring(4)
-    a = matrix_from_ints(ring, [[1, 1], [0, 1]])
+    a = constant_matrix(ring, [[1, 1], [0, 1]])
     assert detect_orbit(a) == OrbitShape(0, 4)
     assert decide_finite_powers(a).finite  # Z/m coefficients are constants
 
@@ -321,9 +323,9 @@ def test_confirmation_is_charged_to_the_budget():
     preperiod q again.  Preperiods 2, 3 and 6 tell this charge of q from
     the bit_length(q) + bit_count(q) of a square-and-multiply A^q."""
     preperiods = []
-    for a in (nilpotent_diagonal_mod_8(), matrix_from_ints(laurent_ring(4), [[0, 1], [0, 0]]),
+    for a in (nilpotent_diagonal_mod_8(), constant_matrix(laurent_ring(4), [[0, 1], [0, 0]]),
               RingMatrix(laurent_ring(8), [[laurent_ring(8).monomial(1, 2)]]),
-              matrix_from_ints(laurent_ring(64), [[2]])):
+              constant_matrix(laurent_ring(64), [[2]])):
         shape = brent_orbit(a)
         preperiods.append(shape.preperiod)
         assert detect_orbit(a, budget=shape.size + shape.preperiod) == shape, a
@@ -849,7 +851,7 @@ def test_packed_slots_stay_below_their_bounds(monkeypatch):
     class CheckedReducer(SlotReducer):
         def __init__(self, m: int, bits: int, slots: int):
             super().__init__(m, bits, slots)
-            self.bits = bits
+            self.bits, self.slots = bits, slots
 
     def checked_stepper(factor, reduce, window, layout=(1, 0, 0)):
         step = stepper(factor, reduce, window, layout)
@@ -884,7 +886,7 @@ def test_packed_slots_stay_below_their_bounds(monkeypatch):
     assert any(blocks > 1 and block > 2 * span for blocks, block, span in layouts)
     for m in (2, 3, 25, 2**31 - 1):
         tightest.clear()
-        sampled_degree_growth(matrix_from_ints(laurent_ring(m), [[m - 1] * 3] * 3), 1)
+        sampled_degree_growth(constant_matrix(laurent_ring(m), [[m - 1] * 3] * 3), 1)
         assert any(tightest), m
 
 
