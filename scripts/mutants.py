@@ -5,11 +5,12 @@ gcd and the deciders.
 
 Each mutant is one textual edit of a file under ``src/addca``.  Most make a
 packed-integer slot one bit or one factor too narrow, or flip a comparison
-in a decider; each is paired with the fastest single test file that fails on
-it.  The script copies ``src`` and ``tests`` to a temporary directory, with
-``specs``, ``scripts`` and ``perfbench``, which the CLI and script tests
-read and no mutant edits.  It checks that each named test file passes there,
-then applies one mutant at a time and runs pytest on its test file only; the
+in a decider; each is paired with the fastest single test file, or single
+test, that fails on it.  The script copies ``src`` and ``tests`` to a
+temporary directory, with ``specs``, ``scripts`` and ``perfbench``, which
+the CLI and script tests read and no mutant edits.  It checks that each
+named test file passes there, then applies one mutant at a time and runs
+pytest on its test file only; the
 checkout itself is never modified.  A mutant whose test file still passes
 has survived.  An edit whose ``old`` text is not found exactly once is
 reported as stale, since the code it mutates has moved.  Equivalent mutants,
@@ -60,28 +61,28 @@ MUTANTS = (
      "bits = (n * span * (m - 1)).bit_length()",
      "tests/test_power_semigroup.py"),
     # The power walk widens its blocks one slot late: an entry's product
-    # spills its top slot into slot 0 of the block above.
+    # spills its top slot into the block above, or on one row past the mask.
     ("src/addca/power_semigroup.py",
+     "if top + span > block:",
+     "if top + span > block + 1:",
+     "tests/test_power_semigroup.py::test_one_row_walks_widen_from_the_narrowest_block"),
+    # A state of one block never widens: a one-row walk started at 2 span
+    # slots outgrows its mask and keeps its top slots unreduced.
+    ("src/addca/power_semigroup.py",
+     "if top + span > block:",
      "if blocks > 1 and top + span > block:",
-     "if blocks > 1 and top + span > block + 1:",
-     "tests/test_power_semigroup.py"),
+     "tests/test_power_semigroup.py::test_one_row_walks_widen_from_the_narrowest_block"),
     # The block fold skips the top block of a state with several blocks:
     # the last row's entries no longer set the state's low and top.
     ("src/addca/power_semigroup.py",
      "fold = union >> stride * (blocks - 1)",
      "fold = union if blocks == 1 else 0",
      "tests/test_power_semigroup.py"),
-    # The one-row walk's mask without its span slots: a product by A of a
-    # state that fills the window keeps its top slots unreduced.
-    ("src/addca/power_semigroup.py",
-     "block = block if rows > 1 else _steps(matrix) * (span - 1) + span",
-     "block = block if rows > 1 else _steps(matrix) * (span - 1)",
-     "tests/test_power_semigroup.py"),
     # The degree ladder's mask one slot short: the last square's top slot,
     # the power's highest exponent, stays unreduced.
     ("src/addca/power_semigroup.py",
-     "SlotReducer(p, bound.bit_length(), (span - 1 << doublings) + 1)",
-     "SlotReducer(p, bound.bit_length(), span - 1 << doublings)",
+     "SlotReducer(p, bound.bit_length(), slots)",
+     "SlotReducer(p, bound.bit_length(), slots - 1)",
      "tests/test_acceptance.py"),
     # A restarted walk forgets the products of the walks it abandoned.
     ("src/addca/power_semigroup.py",

@@ -62,12 +62,6 @@ class AbelianGroup(NamedTuple("AbelianGroup", [("factors", tuple)])):
         ((p, k),) = factorize(self.factors[index]).factorization
         return p, k
 
-    def reduce(self, vector: Sequence[int]) -> tuple[int, ...]:
-        vector = tuple(int(v) for v in vector)
-        if len(vector) != self.rank:
-            raise ValueError(f"element needs {self.rank} components, got {len(vector)}")
-        return tuple(v % q for v, q in zip(vector, self.factors))
-
 
 class GroupEndomorphism(NamedTuple("GroupEndomorphism", [("group", AbelianGroup),
                                                          ("matrix", tuple)])):
@@ -136,9 +130,6 @@ class AdditiveCaRule(NamedTuple("AdditiveCaRule", [("group", AbelianGroup), ("ra
     def matrices(self) -> tuple:
         """The endomorphisms' matrices; ``matrices[k]`` acts at offset k - radius."""
         return tuple(endo.matrix for endo in self.endomorphisms)
-
-    def offsets(self) -> range:
-        return range(-self.radius, self.radius + 1)
 
 
 # `lca.step` and `lca.simulate` step both rule kinds: `lca.stepper` reads

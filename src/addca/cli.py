@@ -338,14 +338,13 @@ def cmd_orbit(document: SpecDocument, args: argparse.Namespace) -> int:
         else:
             print(f"indeterminate (budget {args.budget}); coefficient verdict: finite")
         return 3
+    # The coefficient verdict is exact, so no walk runs and no budget is spent.
     growth = sampled_degree_growth(matrix)
     if args.format == "json":
         _emit_json({"rule": _describe(document), "finite": False,
-                    "indeterminate": True, "budget": args.budget,
                     "reason": verdict.reason, "degree_samples": growth})
     else:
-        print(f"indeterminate (budget {args.budget}); coefficient verdict: infinite")
-        print(f"  {verdict.reason}")
+        print(f"infinite power set: {verdict.reason}")
         print(f"  max entry degrees along doubled powers: {growth}")
     return 0
 

@@ -70,9 +70,6 @@ class LcaRule(NamedTuple("LcaRule", [("modulus", Modulus), ("n", int), ("radius"
         """The order of each cell component, (m,) * n."""
         return (self.modulus.m,) * self.n
 
-    def offsets(self) -> range:
-        return range(-self.radius, self.radius + 1)
-
 
 def scalar_rule(m: int, coefficients: Sequence[int]) -> LcaRule:
     """Convenience for n = 1: a rule from the 2r+1 scalar coefficients."""

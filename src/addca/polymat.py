@@ -45,11 +45,14 @@ from .modring import power
 
 
 class RingMatrix:
-    """Immutable dense square matrix over a ring handle.
+    """Immutable dense square matrix over a ring handle, with products,
+    powers, == and a hash: the only matrix operations the power-set and
+    property criteria need.
 
-    The ring handle only needs ``zero()`` and ``one()``; entries are expected
-    to implement +, -, unary -, * and ==.  Dimension 0 is allowed so that
-    empty principal submatrices make sense (their determinant is one).
+    The ring handle only needs ``zero()`` and ``one()``; entries need +,
+    unary - and *, which `_dot` and `_berkowitz` use, and ==.  Dimension 0
+    is allowed so that empty principal submatrices make sense (their
+    determinant is one).
     ``_chi`` holds the characteristic polynomial once `char_poly` has
     computed it, so each matrix runs Berkowitz at most once.
     """
@@ -66,25 +69,10 @@ class RingMatrix:
         self.rows = rows
         self._chi = None
 
-    def _check(self, other: "RingMatrix") -> None:
-        if self.n != other.n or self.ring != other.ring:
-            raise ValueError("matrix dimensions or base rings do not match")
-
-    def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        self._check(other)
-        return RingMatrix(self.ring, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
-
-    def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RingMatrix":
-        return RingMatrix(self.ring, [[-a for a in row] for row in self.rows])
-
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         """Matrix product, one ring dot product per entry."""
-        self._check(other)
+        if self.n != other.n or self.ring != other.ring:
+            raise ValueError("matrix dimensions or base rings do not match")
         cols = tuple(zip(*other.rows))
         return RingMatrix(self.ring, [[_dot(row, col) for col in cols] for row in self.rows])
 

@@ -44,18 +44,19 @@ v - m ((v M >> s) & mask) with M = ceil(2^s / m), exact for slots below 2^b
 when 2^s > m 2^b), and a shift that drops the zero slots below every entry.
 The walk keeps one value per column of its rows, entry (r, l) in block r of
 K slots (Kronecker substitution, Harvey 2009): a step is n dot products, not
-rows n.  A state whose next product would spill into the block above raises
-`_Widen`, and the walk restarts from A^0 with K doubled, from 2 span up to
-the window width plus span, its abandoned products counted in the budget.
-K is fixed within a walk, so shapes stay exact; one row never restarts.  The
-ladder squares by its state, so it keeps one value per entry, not columns.
-The mask is sized once, to the longest product: rows K slots for the walk,
-rebuilt when K doubles.  A^j spans at most j (span - 1) + 1 slots, and inside
-the window at most (nk - 1)(span - 1) + 1, so one row's mask has
-(nk - 1)(span - 1) + span slots and the ladder's (span - 1) 2^d + 1, which
-covers A too.  The shift and the window and widening checks read one OR of
-the reduced values folded across the blocks: the lowest set bit of the fold
-is the lowest over the entries, and its bit length the largest.
+rows n.  Every walk, on one row or on n, follows one widening rule: a state
+whose top slot plus span exceeds K, so that its next product would spill
+out of its block, raises `_Widen`, and the walk restarts from A^0 with K
+doubled, from 2 span up to the window width plus span, which no state
+inside the window outgrows, its abandoned products counted in the budget.
+K is fixed within a walk, so shapes stay exact.  The ladder squares by its
+state, so it keeps one value per entry, not columns, in one block as wide
+as its mask.  The mask is sized once, to the longest product: rows K slots
+for the walk, rebuilt when K doubles, and (span - 1) 2^d + 1 for the
+ladder, the most that A and A^(2^d) span, so no square of the ladder
+widens.  The shift and the window and widening checks read one OR of the
+reduced values folded across the blocks: the lowest set bit of the fold is
+the lowest over the entries, and its bit length the largest.
 Each caller bounds b for its own factors.  The walk steps by A: a slot sums
 n convolutions of at most span products below m^2, b = bits(n span (m-1)^2).
 The ladder squares A mod p for each prime p of m, since reduction mod p is a
@@ -259,12 +260,10 @@ def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,
                        window: tuple[int, int], budget: int, block: int) -> OrbitShape | None:
     """`_first_repeat` on the first ``rows`` rows of A^0, A^1, ..., for A with
     exponents in [lo, lo + span), in packed columns with blocks of ``block``
-    slots, widened as the module docstring says; one row is one block as
-    wide as its mask."""
+    slots, widened as the module docstring says."""
     n, m = matrix.n, matrix.ring.modulus.m
     bits = (n * span * (m - 1) ** 2).bit_length()
     cap = window[1] - window[0] + span
-    block = block if rows > 1 else _steps(matrix) * (span - 1) + span
     while True:
         reduce = SlotReducer(m, bits, rows * block)
         factor = lo, tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
@@ -278,9 +277,10 @@ def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,
 
 
 def _stepper(factor: tuple, reduce: SlotReducer, window: tuple[int, int],
-             layout: tuple[int, int, int] = (1, 0, 0)):
+             layout: tuple[int, int, int]):
     """The step by x^lo B, ``factor`` = (lo, B's packed columns), of a state
-    in ``layout`` = (blocks, block slots, span); None outside ``window``."""
+    in ``layout`` = (blocks, block slots, span); None outside ``window``, and
+    `_Widen` when a product by ``span`` slots would spill out of a block."""
     lo, cols = factor
     n = len(cols)
     m, shift, magic, mask = reduce.m, reduce._shift, reduce._magic, reduce._mask
@@ -310,7 +310,7 @@ def _stepper(factor: tuple, reduce: SlotReducer, window: tuple[int, int],
         low += lo + slots
         if low < floor or low + top > ceiling:
             return None
-        if blocks > 1 and top + span > block:
+        if top + span > block:
             raise _Widen
         if slots:
             out = [v >> bits * slots for v in out]
@@ -399,9 +399,11 @@ def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
     n = matrix.n
     bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)
     window = min(0, lo << doublings), max(0, lo + span - 1 << doublings)
-    reduce = SlotReducer(p, bound.bit_length(), (span - 1 << doublings) + 1)
+    slots = (span - 1 << doublings) + 1
+    reduce = SlotReducer(p, bound.bit_length(), slots)
+    layout = 1, slots, 1  # widens only a square that outgrows the mask
     cols = tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
-    state = _stepper((lo, cols), reduce, window)(
+    state = _stepper((lo, cols), reduce, window, layout)(
         (0, tuple([int(i == j) for i in range(n) for j in range(n)])))
     profile = []
     while True:
@@ -410,6 +412,6 @@ def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
         profile.append(max(0, -low, low + top))
         if len(profile) > doublings:
             return profile
-        state = _stepper((low, [values[j::n] for j in range(n)]), reduce, window)(state)
+        state = _stepper((low, [values[j::n] for j in range(n)]), reduce, window, layout)(state)
         if state is None:
             raise AssertionError("a matrix power left the exponent window")

@@ -53,6 +53,11 @@ from addca.power_semigroup import (DEFAULT_BUDGET, OrbitShape, SlotReducer, _com
 MINOR_SUM_MAX_DIMENSION = 12
 
 
+def offsets(rule) -> range:
+    """The offsets -r ... r of a rule's neighborhood, in the order of its matrices."""
+    return range(-rule.radius, rule.radius + 1)
+
+
 def local_map(rule: LcaRule, word: tuple) -> tuple:
     """Apply the local rule to a full neighborhood word of length 2r+1."""
     m = rule.modulus.m
@@ -189,7 +194,7 @@ def _maps_to_zero(rule: LcaRule, config: FiniteConfiguration) -> bool:
     lo = min(config.support()) - rule.radius
     hi = max(config.support()) + rule.radius
     for pos in range(lo, hi + 1):
-        word = tuple(config.get(pos + z) for z in rule.offsets())
+        word = tuple(config.get(pos + z) for z in offsets(rule))
         if any(local_map(rule, word)):
             return False
     return True
@@ -269,7 +274,7 @@ def bounded_transitivity_oracle(rule: LcaRule, k_max: int = 64) -> bool:
     power = ident
     for _ in range(k_max):
         power = power * matrix
-        d = determinant(power - ident)
+        d = determinant(matrix_sum(power, ident, -1))
         if any(d.reduce_mod_prime(p).is_zero() for p in primes):
             return False
     return True
@@ -560,7 +565,7 @@ def evaluate_at_matrix(poly: CharPoly, matrix: RingMatrix) -> RingMatrix:
     """Horner evaluation of the polynomial at a square matrix."""
     acc = zeros(matrix.ring, matrix.n)
     for coeff in reversed(poly.coeffs):
-        acc = acc * matrix + scalar_matrix(matrix.ring, matrix.n, coeff)
+        acc = matrix_sum(acc * matrix, scalar_matrix(matrix.ring, matrix.n, coeff))
     return acc
 
 
@@ -679,6 +684,14 @@ def scalar_matrix(ring, n: int, c: Any) -> RingMatrix:
     return RingMatrix(ring, [[c if i == j else zero for j in range(n)] for i in range(n)])
 
 
+def matrix_sum(a: RingMatrix, b: RingMatrix, sign: int = 1) -> RingMatrix:
+    """a + b entry by entry, or a - b for ``sign`` -1, over one ring."""
+    if a.n != b.n or a.ring != b.ring:
+        raise ValueError("matrix dimensions or base rings do not match")
+    return RingMatrix(a.ring, [[x + y if sign > 0 else x - y for x, y in zip(ra, rb)]
+                               for ra, rb in zip(a.rows, b.rows)])
+
+
 def frobenius_companion(poly: CharPoly) -> RingMatrix:
     """Companion matrix: ones on the superdiagonal, last row -a_0 ... -a_{n-1}.
 
@@ -719,7 +732,7 @@ def embed(group: AbelianGroup, element: Sequence[int]) -> tuple[int, ...]:
     divisible by p^(k1 - k_i).
     """
     _, scales = _embedding_scales(group)
-    return tuple(v * s for v, s in zip(group.reduce(element), scales))
+    return tuple(v * s for v, s in zip(group_reduce(group, element), scales))
 
 
 def in_embedding_image(group: AbelianGroup, config: FiniteConfiguration) -> bool:
@@ -829,6 +842,13 @@ def matrix_trace(matrix: RingMatrix) -> Any:
     return acc
 
 
+def group_reduce(group: AbelianGroup, vector: Sequence[int]) -> tuple[int, ...]:
+    """The canonical form of a group element: component i mod factors[i]."""
+    if len(vector) != group.rank:
+        raise ValueError(f"element needs {group.rank} components, got {len(vector)}")
+    return tuple(int(v) % q for v, q in zip(vector, group.factors))
+
+
 def group_order(group: AbelianGroup) -> int:
     return math.prod(group.factors)
 
@@ -874,7 +894,7 @@ def constant_matrix(ring, rows: Sequence[Sequence[int]]) -> RingMatrix:
 
 def apply_endomorphism(endomorphism: GroupEndomorphism, vector: Sequence[int]) -> tuple[int, ...]:
     """The image of a group element under an endomorphism."""
-    vec = endomorphism.group.reduce(vector)
+    vec = group_reduce(endomorphism.group, vector)
     return tuple(sum(map(mul, row, vec)) % q
                  for row, q in zip(endomorphism.matrix, endomorphism.group.factors))
 
@@ -906,8 +926,7 @@ def step_through_constructor(matrices: Sequence, radius: int,
 
 
 def normalized_by_passes(low: int, values: list[int], width: int, window: tuple[int, int],
-                         layout: tuple[int, int, int] = (1, 0, 0)
-                         ) -> tuple[int, tuple[int, ...]] | None:
+                         layout: tuple[int, int, int]) -> tuple[int, tuple[int, ...]] | None:
     """The normalization of `power_semigroup._stepper` on the entries
     themselves, as a separate pass over reduced values: each value is
     cut into its ``blocks`` entries of ``block`` slots, the lowest slot is
@@ -930,7 +949,7 @@ def normalized_by_passes(low: int, values: list[int], width: int, window: tuple[
     top = (max([e.bit_length() for entries in cut for e in entries]) - 1) // bits
     if low < window[0] or low + top > window[1]:
         return None
-    if blocks > 1 and top + span > block:
+    if top + span > block:
         raise _Widen
     return low, tuple(values)
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from addca import tpoly
 from addca.additive_ca import (
     AbelianGroup,
-    AdditiveCaRule,
     associated_lca,
     decide_properties,
     embed_config,
@@ -61,7 +60,7 @@ from oracles import (
     tpoly_sub,
     zeros,
 )
-from test_additive_ca import random_config, random_endomorphism, random_rule
+from test_additive_ca import random_config, random_rule
 
 MATRIX_SEED = 1270001
 NILPOTENT_SEED = 883311

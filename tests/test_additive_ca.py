@@ -44,9 +44,11 @@ from oracles import (
     finite_support_kernel_witness,
     group_elements,
     group_order,
+    group_reduce,
     in_embedding_image,
     is_periodic_additive_kernel_word,
     max_abs_position,
+    offsets,
     periodic_kernel_witness,
     step_through_constructor,
     unembed,
@@ -103,7 +105,7 @@ def brute_step(rule: AdditiveCaRule, config: FiniteConfiguration) -> FiniteConfi
     hi = max(config.support()) + rule.radius
     cells = {}
     for pos in range(lo, hi + 1):
-        word = tuple(config.get(pos + z) for z in rule.offsets())
+        word = tuple(config.get(pos + z) for z in offsets(rule))
         value = additive_local_map(rule, word)
         if any(value):
             cells[pos] = value
@@ -136,7 +138,7 @@ def test_group_validation_and_shape():
     assert G42.primes() == (2,)
     assert G42.prime_exponent(0) == (2, 2)
     assert G42.prime_exponent(1) == (2, 1)
-    assert G42.reduce((7, 5)) == (3, 1)
+    assert group_reduce(G42, (7, 5)) == (3, 1)
     assert len(list(group_elements(AbelianGroup((4, 3))))) == 12
     with pytest.raises(ValueError):
         AbelianGroup((6,))  # not primary: must be split into (2, 3)
@@ -145,7 +147,7 @@ def test_group_validation_and_shape():
     with pytest.raises(ValueError):
         AbelianGroup((4, 1))
     with pytest.raises(ValueError):
-        G42.reduce((1, 2, 3))
+        group_reduce(G42, (1, 2, 3))
 
 
 def test_endomorphism_validation():
@@ -222,7 +224,7 @@ def test_rule_validation():
     # raw matrices are wrapped (and validated) on the way in
     rule = AdditiveCaRule(G42, 1, (((0, 0), (0, 0)), ((1, 2), (1, 1)), ((2, 0), (0, 1))))
     assert rule.endomorphisms[1].matrix == ((1, 2), (1, 1))
-    assert list(rule.offsets()) == [-1, 0, 1]
+    assert list(offsets(rule)) == [-1, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +445,7 @@ def test_embed_is_additive_and_injective():
         for h in group_elements(group):
             images.add(embed(group, h))
             for g in group_elements(group):
-                total = group.reduce(tuple(a + b for a, b in zip(h, g)))
+                total = group_reduce(group, tuple(a + b for a, b in zip(h, g)))
                 summed = tuple((a + b) % modulus
                                for a, b in zip(embed(group, h), embed(group, g)))
                 assert embed(group, total) == summed

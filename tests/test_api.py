@@ -20,10 +20,15 @@ from addca import (AbelianGroup, AdditiveCaRule, FinitenessVerdict, GroupEndomor
 from addca.cli import parse_spec
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "addca"
 BENCH_TRACE = ROOT / "perfbench" / "bench_trace.py"
 # Files outside the test suite that drive addca: the benchmark and the scripts.
 DRIVERS = sorted([ROOT / "perfbench" / "bench_workloads.py", ROOT / "perfbench" / "run.py",
                   *(ROOT / "scripts").glob("*.py")])
+# The code whose references count as uses: the package outside __init__.py,
+# the scripts and every file of the benchmark.
+USERS = [*sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"),
+         *sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])]
 
 # Standard modules that nothing in a process running addca needs; dataclasses
 # imports the other four.
@@ -37,10 +42,19 @@ REMOVED = ("ResidueElement", "ZmodRing", "zmod", "crt_combine", "crt_split",
            # deleted: second copies of analyze_rule's criteria, a helper only
            # the tests called and an alias of simulate
            "decide_sensitivity", "decide_injective", "matrix_from_ints", "simulate_additive")
+# Deleted methods, as module.class.method: only the tests called them.
+REMOVED_METHODS = ("polymat.RingMatrix.__add__", "polymat.RingMatrix.__sub__",
+                   "polymat.RingMatrix.__neg__", "additive_ca.AbelianGroup.reduce",
+                   "lca.LcaRule.offsets", "additive_ca.AdditiveCaRule.offsets")
 # The functions of addca.__all__ that nothing outside the tests references.
 # simulate is the library's trajectory function; the CLI steps its windowed
 # rows with `stepper` instead.
 UNREFERENCED_EXPORTS = {"simulate"}
+# The methods of exported classes that nothing outside the tests calls: the
+# ring handle's element constructors, ``ring.from_int(v)`` and
+# ``ring.monomial(e, c)``, which the docs teach, and LaurentPoly.monomial,
+# which LaurentRing.monomial forwards to.
+UNREFERENCED_METHODS = {"LaurentRing.from_int", "LaurentRing.monomial", "LaurentPoly.monomial"}
 
 
 def test_all_names_resolve_and_are_unique():
@@ -66,6 +80,12 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in addca.__all__, name
         assert not hasattr(addca, name), name
+
+
+def test_removed_methods_stay_removed():
+    for path in REMOVED_METHODS:
+        module, owner, method = path.rsplit(".", 2)
+        assert not hasattr(getattr(importlib.import_module(f"addca.{module}"), owner), method), path
 
 
 def test_benchmark_traced_names_resolve():
@@ -133,13 +153,9 @@ def test_every_exported_function_is_used():
     """Each function in addca.__all__ but UNREFERENCED_EXPORTS is referenced
     under its exported name from src/addca (outside __init__.py), scripts/
     or perfbench/, so a function only the tests call fails here."""
-    package = ROOT / "src" / "addca"
-    sources = [(path, f"addca.{path.stem}") for path in sorted(package.glob("*.py"))
-               if path.name != "__init__.py"]
-    sources += [(path, None) for path in sorted([*(ROOT / "scripts").glob("*.py"),
-                                                 *(ROOT / "perfbench").glob("*.py")])]
     referenced = set()
-    for path, module in sources:
+    for path in USERS:
+        module = f"addca.{path.stem}" if path.parent == PACKAGE else None
         for owner, chain in _addca_references(ast.parse(path.read_text(encoding="utf-8")), module):
             owner = importlib.import_module(owner)
             for attribute in chain:
@@ -149,6 +165,37 @@ def test_every_exported_function_is_used():
               if isinstance(getattr(addca, name), types.FunctionType)
               and (name, id(getattr(addca, name))) not in referenced}
     assert unused == UNREFERENCED_EXPORTS
+
+
+def _attribute_names(node: ast.AST, within: str | None = None):
+    """Every attribute name under ``node``, except a function's own name
+    inside it: a method that forwards to a same-named method, as
+    LaurentRing.monomial does, does not make that name used."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        within = node.name
+    if isinstance(node, ast.Attribute) and node.attr != within:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_names(child, within)
+
+
+def test_every_public_method_is_used():
+    """Each public, non-dunder method or property of a class in
+    addca.__all__, but UNREFERENCED_METHODS, is named as an attribute in
+    src/addca (outside __init__.py), scripts/ or perfbench/, so a method
+    only the tests call fails here.  The class of a receiver is not known
+    without running the code, so an attribute of the method's name on any
+    receiver counts."""
+    names = set()
+    for path in USERS:
+        names.update(_attribute_names(ast.parse(path.read_text(encoding="utf-8"))))
+    methods = (types.FunctionType, classmethod, staticmethod, property)
+    unused = {f"{name}.{attribute}" for name in addca.__all__
+              if isinstance(getattr(addca, name), type)
+              for attribute, value in vars(getattr(addca, name)).items()
+              if not attribute.startswith("_") and isinstance(value, methods)
+              and attribute not in names}
+    assert unused == UNREFERENCED_METHODS
 
 
 def test_import_loads_no_introspection_modules():

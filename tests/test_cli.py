@@ -343,10 +343,20 @@ def test_orbit_budget_exhaustion_on_finite_rule(capsys):
 
 
 def test_orbit_infinite_rule_reports_degree_growth(capsys):
+    """The coefficient verdict is exact, so no walk runs: the output names
+    the failing coefficient and no budget."""
     code, out, _ = run_cli(capsys, "orbit", str(SPECS / "rule90.json"), "--budget", "16")
     assert code == 0
-    assert "indeterminate (budget 16); coefficient verdict: infinite" in out
+    assert ("infinite power set: coefficient a_0 of the characteristic polynomial "
+            "is non-constant mod 2") in out
+    assert "budget" not in out and "indeterminate" not in out
     assert "max entry degrees along doubled powers: [1, 2, 4, 8, 16, 32]" in out
+    code, out, _ = run_cli(capsys, "orbit", str(SPECS / "rule90.json"), "--budget", "16",
+                           "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["finite"] is False and report["degree_samples"] == [1, 2, 4, 8, 16, 32]
+    assert "indeterminate" not in report and "budget" not in report
 
 
 def test_orbit_on_a_wide_gapped_rule(capsys, tmp_path):
@@ -358,7 +368,7 @@ def test_orbit_on_a_wide_gapped_rule(capsys, tmp_path):
     spec = {"kind": "linear", "m": 3, "n": 1, "radius": radius, "matrices": matrices}
     code, out, _ = run_cli(capsys, "orbit", write_spec(tmp_path, spec))
     assert code == 0
-    assert "coefficient verdict: infinite" in out
+    assert "infinite power set: " in out
     samples = [radius * 2**k for k in range(6)]
     assert f"max entry degrees along doubled powers: {samples}" in out
 

@@ -38,6 +38,7 @@ from oracles import (
     config_series_components,
     descent_transitivity_oracle,
     format_fp_poly,
+    matrix_sum,
     parse_laurent,
     periodic_kernel_witness,
     render_trajectory_by_cells,
@@ -448,7 +449,7 @@ def test_transitivity_certificate_gives_a_failing_power():
         power = ident
         for _ in range(k):
             power = power * matrix
-        assert determinant(power - ident).reduce_mod_prime(p).is_zero(), (rule, k)
+        assert determinant(matrix_sum(power, ident, -1)).reduce_mod_prime(p).is_zero(), (rule, k)
         checked += 1
     assert checked >= 40
 

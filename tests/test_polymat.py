@@ -27,6 +27,7 @@ from oracles import (
     constant_value,
     frobenius_companion,
     matmul_by_entries,
+    matrix_sum,
     matrix_trace,
     parse_laurent,
     principal_submatrix,
@@ -182,7 +183,7 @@ def test_shifted_determinant_expansion():
         a = random_laurent_matrix(rng, m, n)
         ring = a.ring
         x = ring.monomial(1)
-        shifted = a + scalar_matrix(ring, n, x)
+        shifted = matrix_sum(a, scalar_matrix(ring, n, x))
         total = ring.zero()
         for mask in range(1 << n):
             subset = [i for i in range(n) if mask & (1 << i)]
