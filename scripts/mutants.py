@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests catch a fixed set of mutants of the slot bounds, the
-step kernel's block layout, the power walk's blocks and masks, the F_p[t]
-gcd and the deciders.
+step kernel's block layout, the power walk's blocks, masks and integrality
+gates, the F_p[t] gcd and the deciders.
 
 Each mutant is one textual edit of a file under ``src/addca``.  Most make a
 packed-integer slot one bit or one factor too narrow, or flip a comparison
@@ -99,11 +99,19 @@ MUTANTS = (
      "bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)",
      "bound = n * ((span - 1 << doublings) + 1) * (p - 1) ** 2",
      "tests/test_power_semigroup.py"),
-    # The exponent window of an integral matrix one power too narrow.
+    # detect_orbit without its integrality gate: a non-integral matrix is
+    # walked until the budget runs out.
     ("src/addca/power_semigroup.py",
-     "steps = _steps(matrix)\n",
-     "steps = _steps(matrix) - 1\n",
-     "tests/test_power_semigroup.py"),
+     "    if not decide_finite_powers(matrix).finite:\n        return None\n"
+     "    return _orbit(matrix, matrix.n, budget)",
+     "    return _orbit(matrix, matrix.n, budget)",
+     "tests/test_power_semigroup.py::test_non_integral_matrices_are_not_walked"),
+    # divisibility_witness without its integrality gate: the residues of a
+    # chi that is not integral are walked until the budget runs out.
+    ("src/addca/power_semigroup.py",
+     "    if not char_poly_finiteness(chi).finite:\n        return None\n",
+     "",
+     "tests/test_power_semigroup.py::test_non_integral_matrices_are_not_walked"),
     # The Berkowitz slot over Z without its factor n!.
     ("src/addca/polymat.py",
      "slot_width((factorial(n) * ((m - 1) * span) ** n).bit_length() + 1)",

@@ -53,10 +53,9 @@ import struct
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import compress
-from operator import mul
 from typing import NamedTuple
 
-from .modring import Modulus, RingMismatchError, factorize, power
+from .modring import Modulus, RingMismatchError, factorize
 
 # A polynomial is stored densely when its exponents span at most this many
 # slots per nonzero term, sparsely otherwise.
@@ -221,9 +220,6 @@ class LaurentPoly:
             for e2, c2 in other.items():
                 data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly._from_terms(self.modulus, {e: c % m for e, c in data.items()})
-
-    def __pow__(self, exponent: int) -> "LaurentPoly":
-        return power(LaurentPoly.constant(self.modulus, 1), self, exponent, mul)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):

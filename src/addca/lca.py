@@ -114,15 +114,6 @@ class FiniteConfiguration:
         config.cells = cells
         return config
 
-    def get(self, position: int) -> tuple[int, ...]:
-        return self.cells.get(position, (0,) * len(self.orders))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.cells))
-
-    def is_zero(self) -> bool:
-        return not self.cells
-
     def cropped(self, reach: int) -> "FiniteConfiguration":
         """This configuration with every cell outside -reach .. reach zeroed."""
         cells = self.cells

@@ -21,17 +21,17 @@ earlier index and comparing the real states, so the shape (q, c) found is
 exact.  The witness k is read off that shape: a multiple of c with
 k >= max(q, 1), so t^(2k) = t^k mod chi follows from x_(q+c) = x_q.
 
-The walk stays inside a window of exponents fixed before it starts.  Let p^k
-exactly divide m.  When A is integral each a_i is c_i + p g_i with c_i
-constant, so chi0 = sum c_i t^i has chi0(A) = -p g(A) by Cayley-Hamilton,
-and chi0^k annihilates A over Z/p^k.  Padded by powers of t to degree n k,
-k now the largest prime exponent of m, and combined by CRT, these give a
-monic f of degree n k with constant coefficients and f(A) = 0.  So every A^j
-is a constant combination of A^0 ... A^(nk-1), and if the exponents of A
-lie in [lo, hi] those of every power lie in
-[min(0, (nk-1) lo), max(0, (nk-1) hi)].  A state outside this window proves
-that A is not integral, and the walk returns None at once.  A window too
-narrow could only turn an answer into None, never into a wrong shape.
+Both searches first test chi with `char_poly_finiteness` and return None
+when a coefficient is not integral, so a walk runs only on an integral A,
+whose powers are bounded.  Let p^k exactly divide m.  Each a_i is then
+c_i + p g_i with c_i constant, so chi0 = sum c_i t^i has chi0(A) = -p g(A)
+by Cayley-Hamilton, and chi0^k annihilates A over Z/p^k.  Padded by powers
+of t to degree n k, k now the largest prime exponent of m, and combined by
+CRT, these give a monic f of degree n k with constant coefficients and
+f(A) = 0.  So every A^j is a constant combination of A^0 ... A^(nk-1), and
+if the exponents of A lie in [lo, hi] those of every power lie in
+[min(0, (nk-1) lo), max(0, (nk-1) hi)].  The widening below stops on this
+fact alone.
 
 The walk and the degree ladder run on packed integers when the Laurent
 entries are dense (the rule of `polymat._dense_span`), with one step,
@@ -47,14 +47,15 @@ K slots (Kronecker substitution, Harvey 2009): a step is n dot products, not
 rows n.  Every walk, on one row or on n, follows one widening rule: a state
 whose top slot plus span exceeds K, so that its next product would spill
 out of its block, raises `_Widen`, and the walk restarts from A^0 with K
-doubled, from 2 span up to the window width plus span, which no state
-inside the window outgrows, its abandoned products counted in the budget.
+doubled from 2 span, its abandoned products counted in the budget.  The
+doubling stops by itself: no state of an integral A outgrows blocks wider
+than its bounded exponents plus span.
 K is fixed within a walk, so shapes stay exact.  The ladder squares by its
 state, so it keeps one value per entry, not columns, in one block as wide
 as its mask.  The mask is sized once, to the longest product: rows K slots
 for the walk, rebuilt when K doubles, and (span - 1) 2^d + 1 for the
 ladder, the most that A and A^(2^d) span, so no square of the ladder
-widens.  The shift and the window and widening checks read one OR of the
+widens.  The shift and the widening check read one OR of the
 reduced values folded across the blocks: the lowest set bit of the fold is
 the lowest over the entries, and its bit length the largest.
 Each caller bounds b for its own factors.  The walk steps by A: a slot sums
@@ -64,8 +65,8 @@ ring map; A^(2^i) spans at most (span - 1) 2^i + 1 slots, so
 b = bits(n ((span - 1) 2^d + 1) (p - 1)^2) for d doublings, and at least
 bits(m - 1) for its first step, I times A, which reduces A's coefficients.
 `_stepper` is the package's only packed matrix product.  A matrix that is
-not dense walks tuples of Laurent rows, one ring dot product per entry, in
-the same window, and is squared by `RingMatrix` products.
+not dense walks tuples of Laurent rows, one ring dot product per entry,
+and is squared by `RingMatrix` products.
 """
 
 from __future__ import annotations
@@ -145,9 +146,7 @@ def _first_repeat(start, advance, budget: int) -> OrbitShape | None:
     with x_k; the first equal one is the first repeat, so (j, k - j) is the
     minimal shape.  A hash collision only costs a re-walk, never a wrong
     shape.  Every advance, re-walked ones too, is charged one unit of
-    ``budget``; the result is None once the budget is spent or as soon as
-    ``advance`` returns None, which it does for a state that proves the
-    sequence never repeats.
+    ``budget``; the result is None once the budget is spent.
     """
     seen: dict[int, list[int]] = {}
     value, k, spent = start, 0, 0
@@ -171,8 +170,6 @@ def _first_repeat(start, advance, budget: int) -> OrbitShape | None:
         except _Widen as widen:
             widen.spent = spent
             raise
-        if value is None:
-            return None
         k += 1
 
 
@@ -180,49 +177,30 @@ def detect_orbit(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> OrbitShape
     """First-repeat search on A^0, A^1, A^2, ...: one product per distinct power.
 
     Returns the minimal (preperiod, period) of a Laurent matrix.  Returns
-    None when the budget (counted in matrix multiplications, re-walks and
-    restarted walks included, see `_first_repeat`) runs out, which is indeterminate,
-    and as soon as a power leaves the window of the module docstring, which
-    proves that A is not integral.  So None never means "finite";
+    None when the budget runs out or the power set is infinite: the budget
+    counts matrix multiplications, re-walks and restarted walks included
+    (see `_first_repeat`), and an A that `decide_finite_powers` calls
+    infinite is not walked at all.  So None never means "finite";
     `decide_finite_powers` tells the two cases apart.
     """
+    if not decide_finite_powers(matrix).finite:
+        return None
     return _orbit(matrix, matrix.n, budget)
 
 
 def _orbit(matrix: RingMatrix, rows: int, budget: int) -> OrbitShape | None:
-    """Shape of the first ``rows`` rows of A^0, A^1, ..., by `_first_repeat`
-    on packed integers when A is dense, on Laurent rows otherwise; None when
-    the budget runs out or a state leaves `_window`."""
-    window = _window(matrix)
+    """Shape of the first ``rows`` rows of A^0, A^1, ..., for an integral A,
+    by `_first_repeat` on packed integers when A is dense, on Laurent rows
+    otherwise; None when the budget runs out."""
     shape = _dense_span(matrix.rows)
     if shape:
-        return _packed_power_walk(matrix, rows, *shape, window, budget, 2 * shape[1])
-    floor, ceiling = window
+        return _packed_power_walk(matrix, rows, *shape, budget, 2 * shape[1])
     cols = tuple(zip(*matrix.rows))
 
-    def advance(state: tuple) -> tuple | None:
-        state = tuple([tuple([_dot(row, col) for col in cols]) for row in state])
-        if all(floor <= a.low and a.low + a._span() - 1 <= ceiling
-               for row in state for a in row if a.coeffs):
-            return state
-        return None
+    def advance(state: tuple) -> tuple:
+        return tuple([tuple([_dot(row, col) for col in cols]) for row in state])
 
     return _first_repeat(identity(matrix.ring, matrix.n).rows[:rows], advance, budget)
-
-
-def _window(matrix: RingMatrix) -> tuple[int, int]:
-    """[min(0, (nk-1) lo), max(0, (nk-1) hi)] for A's exponents in [lo, hi]:
-    it holds every exponent of every power of an integral A."""
-    entries = [a for row in matrix.rows for a in row if a.coeffs]
-    lo = min([a.low for a in entries], default=0)
-    hi = max([a.low + a._span() - 1 for a in entries], default=0)
-    steps = _steps(matrix)
-    return min(0, steps * lo), max(0, steps * hi)
-
-
-def _steps(matrix: RingMatrix) -> int:
-    """nk - 1, k the largest prime exponent of m (see the module docstring)."""
-    return matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 1
 
 
 class _Widen(Exception):
@@ -257,39 +235,36 @@ class SlotReducer:
 
 
 def _packed_power_walk(matrix: RingMatrix, rows: int, lo: int, span: int,
-                       window: tuple[int, int], budget: int, block: int) -> OrbitShape | None:
-    """`_first_repeat` on the first ``rows`` rows of A^0, A^1, ..., for A with
-    exponents in [lo, lo + span), in packed columns with blocks of ``block``
-    slots, widened as the module docstring says."""
+                       budget: int, block: int) -> OrbitShape | None:
+    """`_first_repeat` on the first ``rows`` rows of A^0, A^1, ..., for an
+    integral A with exponents in [lo, lo + span), in packed columns with
+    blocks of ``block`` slots, doubled on each `_Widen` until no state
+    outgrows them, as the module docstring says."""
     n, m = matrix.n, matrix.ring.modulus.m
     bits = (n * span * (m - 1) ** 2).bit_length()
-    cap = window[1] - window[0] + span
     while True:
         reduce = SlotReducer(m, bits, rows * block)
         factor = lo, tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
         start = 0, tuple([1 << 8 * reduce.width * block * j if j < rows else 0 for j in range(n)])
         try:
-            return _first_repeat(start, _stepper(factor, reduce, window, (rows, block, span)),
-                                 budget)
+            return _first_repeat(start, _stepper(factor, reduce, (rows, block, span)), budget)
         except _Widen as widen:
             budget -= widen.spent
-            block = min(2 * block, cap)
+            block = 2 * block
 
 
-def _stepper(factor: tuple, reduce: SlotReducer, window: tuple[int, int],
-             layout: tuple[int, int, int]):
+def _stepper(factor: tuple, reduce: SlotReducer, layout: tuple[int, int, int]):
     """The step by x^lo B, ``factor`` = (lo, B's packed columns), of a state
-    in ``layout`` = (blocks, block slots, span); None outside ``window``, and
-    `_Widen` when a product by ``span`` slots would spill out of a block."""
+    in ``layout`` = (blocks, block slots, span): the next state, or `_Widen`
+    when a product by ``span`` slots would spill out of a block."""
     lo, cols = factor
     n = len(cols)
     m, shift, magic, mask = reduce.m, reduce._shift, reduce._magic, reduce._mask
     bits = 8 * reduce.width
-    floor, ceiling = window
     blocks, block, span = layout
     stride, whole = bits * block, (1 << bits * block) - 1
 
-    def step(state: tuple) -> tuple[int, tuple[int, ...]] | None:
+    def step(state: tuple) -> tuple[int, tuple[int, ...]]:
         low, values = state
         union = 0
         out = []
@@ -308,8 +283,6 @@ def _stepper(factor: tuple, reduce: SlotReducer, window: tuple[int, int],
         slots = ((fold & -fold).bit_length() - 1) // bits
         top = (fold.bit_length() - 1) // bits - slots
         low += lo + slots
-        if low < floor or low + top > ceiling:
-            return None
         if top + span > block:
             raise _Widen
         if slots:
@@ -332,11 +305,14 @@ def divisibility_witness(matrix: RingMatrix, budget: int = DEFAULT_BUDGET) -> in
     companion matrix C of chi, so `detect_orbit`'s walk on that one row
     gives their exact shape (q, c), and k is the least multiple of c at or
     above max(q, 1): t^(k+c) = t^k mod chi once k >= q, hence t^(2k) = t^k.
-    Returns None when the budget runs out, which is indeterminate, and as
-    soon as a residue leaves the window of the module docstring, which
-    proves that A is not integral (it never cycles).
+    Returns None when the budget runs out, which is indeterminate, and, with
+    no walk, when `char_poly_finiteness` finds a coefficient of chi that is
+    not integral: then the residues never cycle.
     """
-    orbit = _orbit(_companion(list(char_poly(matrix).coeffs)), 1, budget)
+    chi = char_poly(matrix)
+    if not char_poly_finiteness(chi).finite:
+        return None
+    orbit = _orbit(_companion(list(chi.coeffs)), 1, budget)
     return None if orbit is None else _idempotent_exponent(orbit)
 
 
@@ -392,18 +368,16 @@ def _degree_ladder(matrix: RingMatrix, doublings: int) -> list[int]:
 def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
                           doublings: int) -> list[int]:
     """`_degree_ladder` of A mod p for a matrix with exponents in
-    [lo, lo + span), squared on packed entries inside the window
-    [min(0, lo 2^d), max(0, hi 2^d)] of A^(2^d), hi = lo + span - 1, with the
-    slots and mask of the module docstring.  A degree is read off a state's
-    low and longest value; a square outside the window raises AssertionError."""
+    [lo, lo + span), squared on packed entries with the slots and mask of the
+    module docstring, which no square outgrows.  A degree is read off a
+    state's low and longest value."""
     n = matrix.n
     bound = max(n * ((span - 1 << doublings) + 1) * (p - 1) ** 2, matrix.ring.modulus.m - 1)
-    window = min(0, lo << doublings), max(0, lo + span - 1 << doublings)
     slots = (span - 1 << doublings) + 1
     reduce = SlotReducer(p, bound.bit_length(), slots)
     layout = 1, slots, 1  # widens only a square that outgrows the mask
     cols = tuple(zip(*_at_power_of_two(matrix.rows, lo, reduce.width)))
-    state = _stepper((lo, cols), reduce, window, layout)(
+    state = _stepper((lo, cols), reduce, layout)(
         (0, tuple([int(i == j) for i in range(n) for j in range(n)])))
     profile = []
     while True:
@@ -412,6 +386,4 @@ def _packed_degree_ladder(matrix: RingMatrix, p: int, lo: int, span: int,
         profile.append(max(0, -low, low + top))
         if len(profile) > doublings:
             return profile
-        state = _stepper((low, [values[j::n] for j in range(n)]), reduce, window, layout)(state)
-        if state is None:
-            raise AssertionError("a matrix power left the exponent window")
+        state = _stepper((low, [values[j::n] for j in range(n)]), reduce, layout)(state)

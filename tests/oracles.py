@@ -45,7 +45,7 @@ from addca.additive_ca import AbelianGroup, GroupEndomorphism, _embedding_scales
 from addca.laurent import LaurentPoly, LaurentRing, laurent_ring
 from addca.lca import FiniteConfiguration, LcaRule, _fp_gcd, _fp_trim, associated_matrix
 from addca.lca import step as lca_step
-from addca.modring import Modulus
+from addca.modring import Modulus, power
 from addca.polymat import CharPoly, RingMatrix, char_poly, determinant, identity
 from addca.power_semigroup import (DEFAULT_BUDGET, OrbitShape, SlotReducer, _companion,
                                    _idempotent_exponent, _Widen, detect_orbit)
@@ -56,6 +56,16 @@ MINOR_SUM_MAX_DIMENSION = 12
 def offsets(rule) -> range:
     """The offsets -r ... r of a rule's neighborhood, in the order of its matrices."""
     return range(-rule.radius, rule.radius + 1)
+
+
+def cell(config: FiniteConfiguration, position: int) -> tuple[int, ...]:
+    """The vector at ``position``, zero where the configuration stores none."""
+    return config.cells.get(position, (0,) * len(config.orders))
+
+
+def laurent_power(f: LaurentPoly, k: int) -> LaurentPoly:
+    """f^k, k >= 0, by square-and-multiply."""
+    return power(LaurentPoly.constant(f.modulus, 1), f, k, mul)
 
 
 def local_map(rule: LcaRule, word: tuple) -> tuple:
@@ -182,19 +192,19 @@ def finite_support_kernel_witness(rule: LcaRule) -> FiniteConfiguration | None:
                                          partial(local_map, rule)):
         config = FiniteConfiguration((rule.modulus.m,) * rule.n,
                                      {pos: letter for pos, letter in enumerate(word)})
-        if not config.is_zero() and _maps_to_zero(rule, config):
+        if config.cells and _maps_to_zero(rule, config):
             return config
     return None
 
 
 def _maps_to_zero(rule: LcaRule, config: FiniteConfiguration) -> bool:
     """Slide the local map over every window that can see the support."""
-    if config.is_zero():
+    if not config.cells:
         return True
-    lo = min(config.support()) - rule.radius
-    hi = max(config.support()) + rule.radius
+    lo = min(config.cells) - rule.radius
+    hi = max(config.cells) + rule.radius
     for pos in range(lo, hi + 1):
-        word = tuple(config.get(pos + z) for z in offsets(rule))
+        word = tuple(cell(config, pos + z) for z in offsets(rule))
         if any(local_map(rule, word)):
             return False
     return True
@@ -440,7 +450,7 @@ def tychonoff_distance(a: FiniteConfiguration, b: FiniteConfiguration) -> float:
         return 0.0
     horizon = max(max_abs_position(a), max_abs_position(b))
     for radius in range(horizon + 1):
-        if a.get(radius) != b.get(radius) or a.get(-radius) != b.get(-radius):
+        if cell(a, radius) != cell(b, radius) or cell(a, -radius) != cell(b, -radius):
             return 2.0 ** (-radius)
     raise AssertionError("configurations compare equal cellwise but not as objects")
 
@@ -451,7 +461,7 @@ def render_trajectory_by_cells(trajectory: Sequence[FiniteConfiguration], window
     texts: list[list[str]] = []
     width = 1
     for config in trajectory:
-        row = [",".join(str(v) for v in config.get(pos)) for pos in range(-window, window + 1)]
+        row = [",".join(str(v) for v in cell(config, pos)) for pos in range(-window, window + 1)]
         width = max(width, max((len(t) for t in row), default=1))
         texts.append(row)
     if width == 1:
@@ -781,7 +791,7 @@ def spreads(rule: LcaRule, index: int, horizon: int, budget: int = 200) -> bool 
     current = basis_config(rule, index)
     for _ in range(budget):
         current = lca_step(rule, current)
-        if current.is_zero():
+        if not current.cells:
             return None
         if max_abs_position(current) > horizon:
             return True
@@ -925,8 +935,8 @@ def step_through_constructor(matrices: Sequence, radius: int,
     return FiniteConfiguration(config.orders, acc)
 
 
-def normalized_by_passes(low: int, values: list[int], width: int, window: tuple[int, int],
-                         layout: tuple[int, int, int]) -> tuple[int, tuple[int, ...]] | None:
+def normalized_by_passes(low: int, values: list[int], width: int,
+                         layout: tuple[int, int, int]) -> tuple[int, tuple[int, ...]]:
     """The normalization of `power_semigroup._stepper` on the entries
     themselves, as a separate pass over reduced values: each value is
     cut into its ``blocks`` entries of ``block`` slots, the lowest slot is
@@ -947,8 +957,6 @@ def normalized_by_passes(low: int, values: list[int], width: int, window: tuple[
         cut = [[e >> bits * slots for e in entries] for entries in cut]
         values = [sum([e << stride * r for r, e in enumerate(entries)]) for entries in cut]
     top = (max([e.bit_length() for entries in cut for e in entries]) - 1) // bits
-    if low < window[0] or low + top > window[1]:
-        return None
     if top + span > block:
         raise _Widen
     return low, tuple(values)
@@ -970,11 +978,22 @@ def packed_products(values: Sequence[int], cols: Sequence[Sequence[int]]) -> lis
     return [sum(map(mul, values[i:i + n], col)) for i in range(0, len(values), n) for col in cols]
 
 
-def step_by_passes(factor: tuple, reduce: SlotReducer, window: tuple[int, int],
-                   layout: tuple[int, int, int], state: tuple
-                   ) -> tuple[int, tuple[int, ...]] | None:
+def step_by_passes(factor: tuple, reduce: SlotReducer, layout: tuple[int, int, int],
+                   state: tuple) -> tuple[int, tuple[int, ...]]:
     """`power_semigroup._stepper`'s step as three passes: `packed_products`,
     `reduced_by_passes` and `normalized_by_passes`."""
     (low, values), (lo, cols) = state, factor
     return normalized_by_passes(low + lo, reduced_by_passes(reduce, packed_products(values, cols)),
-                                reduce.width, window, layout)
+                                reduce.width, layout)
+
+
+def exponent_window(matrix: RingMatrix) -> tuple[int, int]:
+    """[min(0, (nk-1) lo), max(0, (nk-1) hi)] for A's exponents in [lo, hi]
+    and k the largest prime exponent of m: it holds every exponent of every
+    power of an integral A (see the `power_semigroup` module docstring), so
+    the packed walks' doubling blocks stop widening."""
+    entries = [a for row in matrix.rows for a in row if a.coeffs]
+    lo = min([a.low for a in entries], default=0)
+    hi = max([a.low + a._span() - 1 for a in entries], default=0)
+    steps = matrix.n * max([k for _, k in matrix.ring.modulus.factorization]) - 1
+    return min(0, steps * lo), max(0, steps * hi)

@@ -308,7 +308,7 @@ def test_criterion_6_surjectivity_balance_and_kernel_witnesses():
         if not surjective:
             # Garden-of-Eden: non-surjective rules have finite-support kernels
             witness = finite_support_kernel_witness(rule)
-            if witness is None or witness.is_zero() or not step(rule, witness).is_zero():
+            if witness is None or not witness.cells or step(rule, witness).cells:
                 disagreements += 1
             else:
                 finite_support_witnesses += 1

@@ -39,6 +39,7 @@ from oracles import (
     additive_periodic_kernel_witness,
     apply_endomorphism,
     associated_lca_matrices,
+    cell,
     combination,
     embed,
     finite_support_kernel_witness,
@@ -99,13 +100,13 @@ def random_config(rng: random.Random, group: AbelianGroup, span: int = 3) -> Fin
 def brute_step(rule: AdditiveCaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     """Slide the local map over every window that can see the support."""
     group = rule.group
-    if config.is_zero():
+    if not config.cells:
         return FiniteConfiguration(group.factors, {})
-    lo = min(config.support()) - rule.radius
-    hi = max(config.support()) + rule.radius
+    lo = min(config.cells) - rule.radius
+    hi = max(config.cells) + rule.radius
     cells = {}
     for pos in range(lo, hi + 1):
-        word = tuple(config.get(pos + z) for z in offsets(rule))
+        word = tuple(cell(config, pos + z) for z in offsets(rule))
         value = additive_local_map(rule, word)
         if any(value):
             cells[pos] = value
@@ -338,7 +339,7 @@ def test_steps_match_the_constructor_kernel_differentially():
             assert stepped == expected and hash(stepped) == hash(expected), (rule, config)
             assert all(type(v) is int for vec in stepped.cells.values() for v in vec)
             if not offsets:
-                assert stepped.is_zero()
+                assert not stepped.cells
             if config.cells and len(offsets) == 2 * rule.radius + 1:
                 hull = range(min(config.cells) - rule.radius, max(config.cells) + rule.radius + 1)
                 cancelled += sum(pos not in stepped.cells for pos in hull[:50])
@@ -671,17 +672,17 @@ def test_finite_support_kernels_survive_p_scaling_into_the_image():
             continue
         p = group.primes()[0]
         power = 0
-        while not combination((p ** (power + 1), witness)).is_zero():
+        while combination((p ** (power + 1), witness)).cells:
             power += 1
         survivor = combination((p**power, witness))
-        assert not survivor.is_zero()
-        assert set(survivor.support()) <= set(witness.support())
+        assert survivor.cells
+        assert set(survivor.cells) <= set(witness.cells)
         assert in_embedding_image(group, survivor)
         descended = FiniteConfiguration(
             group.factors,
             {pos: unembed(group, vec) for pos, vec in survivor.cells.items()})
-        assert not descended.is_zero()
-        assert step_additive(rule, descended).is_zero()
+        assert descended.cells
+        assert not step_additive(rule, descended).cells
         exercised += 1
     assert exercised >= 3
 

@@ -45,7 +45,9 @@ REMOVED = ("ResidueElement", "ZmodRing", "zmod", "crt_combine", "crt_split",
 # Deleted methods, as module.class.method: only the tests called them.
 REMOVED_METHODS = ("polymat.RingMatrix.__add__", "polymat.RingMatrix.__sub__",
                    "polymat.RingMatrix.__neg__", "additive_ca.AbelianGroup.reduce",
-                   "lca.LcaRule.offsets", "additive_ca.AdditiveCaRule.offsets")
+                   "lca.LcaRule.offsets", "additive_ca.AdditiveCaRule.offsets",
+                   "lca.FiniteConfiguration.get", "lca.FiniteConfiguration.support",
+                   "lca.FiniteConfiguration.is_zero", "laurent.LaurentPoly.__pow__")
 # The functions of addca.__all__ that nothing outside the tests references.
 # simulate is the library's trajectory function; the CLI steps its windowed
 # rows with `stepper` instead.

@@ -26,6 +26,7 @@ from oracles import (
     constant_matrix,
     constant_value,
     frobenius_companion,
+    laurent_power,
     matmul_by_entries,
     matrix_sum,
     matrix_trace,
@@ -188,7 +189,7 @@ def test_shifted_determinant_expansion():
         for mask in range(1 << n):
             subset = [i for i in range(n) if mask & (1 << i)]
             term = determinant(principal_submatrix(a, subset, subset))
-            total = total + term * x ** (n - len(subset))
+            total = total + term * laurent_power(x, n - len(subset))
         assert determinant(shifted) == total
 
 

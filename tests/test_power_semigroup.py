@@ -22,7 +22,6 @@ from addca.power_semigroup import (
     _packed_power_walk,
     _stepper,
     _Widen,
-    _window,
     decide_finite_powers,
     detect_orbit,
     divisibility_witness,
@@ -30,7 +29,7 @@ from addca.power_semigroup import (
 )
 
 from oracles import (BudgetExhausted, brent_orbit, brent_residue_orbit, constant_matrix,
-                     degree_ladder_mod_m, frobenius_companion, idempotent_power,
+                     degree_ladder_mod_m, exponent_window, frobenius_companion, idempotent_power,
                      normalized_by_passes, packed_products, reduced_by_passes, step_by_passes,
                      tpoly_sub)
 from test_polymat import random_laurent_matrix, random_zmod_matrix
@@ -357,21 +356,17 @@ def test_budget_one_is_indeterminate():
             idempotent_power(a, budget=1)
 
 
-WIDE_WINDOW = (-10**9, 10**9)
-
-
-def _normalized(reduce: SlotReducer, low: int, values: list[int], window: tuple[int, int],
-                layout: tuple[int, int, int]):
+def _normalized(reduce: SlotReducer, low: int, values: list[int], layout: tuple[int, int, int]):
     """The packed step by x^0 I: on values whose slots are below m already,
-    its shift, window verdict and widening alone."""
-    return _stepper((0, ((1,),)), reduce, window, layout)((low, tuple(values)))
+    its shift and widening alone."""
+    return _stepper((0, ((1,),)), reduce, layout)((low, tuple(values)))
 
 
 def _reduced(reduce: SlotReducer, values: list[int], slots: int) -> list[int]:
     """``values`` of at most ``slots`` slots with every slot reduced by the
     packed step by x^0 I on one block of ``slots`` slots, its shift of the
     zero slots undone."""
-    low, out = _normalized(reduce, 0, values, WIDE_WINDOW, (1, slots, 1))
+    low, out = _normalized(reduce, 0, values, (1, slots, 1))
     return [v << 8 * reduce.width * low for v in out]
 
 
@@ -445,10 +440,8 @@ def _packed_values(rng: random.Random, width: int, m: int) -> list[int]:
 
 
 def test_normalized_matches_the_per_value_passes():
-    """One OR per state gives the state and window verdict of a min and a max
-    pass over the values: all zero, a single nonzero value, mixed lowest
-    slots, and windows that end exactly at the state's lowest and highest
-    slot or one slot inside them."""
+    """One OR per state gives the state of a min and a max pass over the
+    values: all zero, a single nonzero value, mixed lowest slots."""
     rng = random.Random(1616)
     cases = [([0], 1), ([0, 0, 0], 2), ([1 << 40], 1), ([0, 5 << 32, 0], 4)]
     cases += [(_packed_values(rng, width, REDUCED_BELOW_M[width][0]), width)
@@ -457,15 +450,8 @@ def test_normalized_matches_the_per_value_passes():
         reduce = SlotReducer(*REDUCED_BELOW_M[width], 8)
         assert reduce.width == width
         low = rng.randrange(-5, 6)
-        free = normalized_by_passes(low, values, width, WIDE_WINDOW, ONE_BLOCK)
-        assert _normalized(reduce, low, values, WIDE_WINDOW, ONE_BLOCK) == free
-        bottom, packed = free
-        top = bottom + (max(map(int.bit_length, packed), default=0) - 1) // (8 * width)
-        for window in ((bottom, top), (bottom + 1, top), (bottom, top - 1),
-                       (bottom - 1, top + 1), (top + 1, top + 2)):
-            assert (_normalized(reduce, low, values, window, ONE_BLOCK)
-                    == normalized_by_passes(low, values, width, window, ONE_BLOCK)), \
-                (values, window)
+        assert (_normalized(reduce, low, values, ONE_BLOCK)
+                == normalized_by_passes(low, values, width, ONE_BLOCK)), values
 
 
 def _blocked_values(rng: random.Random, width: int, m: int, blocks: int, block: int,
@@ -498,9 +484,8 @@ def _outcome(step, *args):
 
 def test_normalized_folds_the_blocks_as_the_per_entry_passes():
     """On values of several blocks, the OR folded across the blocks gives the
-    state, window verdict and widening of per-entry passes: spans that fit
-    the state's top exactly and one slot too many, and windows that end at
-    the state's lowest and highest slot."""
+    state and widening of per-entry passes: spans that fit the state's top
+    exactly and one slot too many."""
     rng = random.Random(1818)
     seen = set()
     for blocks in (2, 3, 5):
@@ -511,21 +496,17 @@ def test_normalized_folds_the_blocks_as_the_per_entry_passes():
                 for _ in range(40):
                     values = _blocked_values(rng, width, m, blocks, block)
                     low = rng.randrange(-5, 6)
-                    state = normalized_by_passes(low, values, width, WIDE_WINDOW,
-                                                 (blocks, block, 1))
-                    bottom, packed = state
+                    _, packed = normalized_by_passes(low, values, width, (blocks, block, 1))
                     top = max([(v >> 8 * width * block * r & (1 << 8 * width * block) - 1)
                                .bit_length() for v in packed for r in range(blocks)])
                     top = (top - 1) // (8 * width) if top else 0
                     for span in {1, block - top, block - top + 1, block}:
                         layout = blocks, block, span
-                        for window in (WIDE_WINDOW, (bottom, bottom + top),
-                                       (bottom + 1, bottom + top), (bottom, bottom + top - 1)):
-                            result = _outcome(_normalized, reduce, low, values, window, layout)
-                            assert result == _outcome(normalized_by_passes, low, values, width,
-                                                      window, layout), (values, layout, window)
-                            seen.add("widen" if result == "widen" else result is None)
-    assert seen == {"widen", True, False}
+                        result = _outcome(_normalized, reduce, low, values, layout)
+                        assert result == _outcome(normalized_by_passes, low, values, width,
+                                                  layout), (values, layout)
+                        seen.add(result == "widen")
+    assert seen == {True, False}
 
 
 def test_fused_step_matches_the_step_by_passes():
@@ -551,22 +532,20 @@ def test_fused_step_matches_the_step_by_passes():
                         values = _blocked_values(rng, width, m, blocks, block, n,
                                                  block - span + 1)
                         state = rng.randrange(-5, 6), tuple(values)
-                        for window in (WIDE_WINDOW, (state[0] + lo, state[0] + lo + block),
-                                       (state[0] + lo + 1, state[0] + lo + 2 * block)):
-                            args = (lo, cols), reduce, window, (blocks, block, span)
-                            result = _outcome(_stepper(*args), state)
-                            assert result == _outcome(step_by_passes, *args, state), \
-                                (m, n, span, blocks, block, state, window)
-                            seen.add("widen" if result == "widen" else result is None)
+                        args = (lo, cols), reduce, (blocks, block, span)
+                        result = _outcome(_stepper(*args), state)
+                        assert result == _outcome(step_by_passes, *args, state), \
+                            (m, n, span, blocks, block, state)
+                        seen.add(result == "widen")
                 # The ladder: n^2 values, one per entry, squared by their columns.
                 reduce = SlotReducer(m, (n * (2 * span - 1) * (m - 1) ** 2).bit_length(),
                                      2 * span - 1)
                 values = tuple([pack_slots([rng.randrange(m) for _ in range(span)], reduce.width)
                                 for _ in range(n * n)])
                 factor = 0, [values[j::n] for j in range(n)]
-                args = factor, reduce, WIDE_WINDOW, (1, 2 * span - 1, 1)
+                args = factor, reduce, (1, 2 * span - 1, 1)
                 assert _stepper(*args)((0, values)) == step_by_passes(*args, (0, values))
-    assert seen == {"widen", True, False}
+    assert seen == {True, False}
 
 
 def _integral_corpus(rng: random.Random) -> list[RingMatrix]:
@@ -637,8 +616,8 @@ def test_packed_walks_match_brent_oracles():
             shape = _dense_span(matrix.rows)
             if shape:
                 lo, span = shape
-                assert _packed_power_walk(matrix, rows, lo, span, _window(matrix),
-                                          INTEGRAL_CORPUS_BUDGET, 2 * span) == oracle, a
+                assert _packed_power_walk(matrix, rows, lo, span, INTEGRAL_CORPUS_BUDGET,
+                                          2 * span) == oracle, a
                 packed += 1
     # Of 41 matrices, 4 are zero or wide.  Every companion but one is dense,
     # since even chi = t^n puts ones on its superdiagonal; the 1x1 zero
@@ -667,8 +646,8 @@ def _widened_walks(monkeypatch, one_row: bool) -> int:
         if shape:
             lo, span = shape
             walks.append(0)
-            assert _packed_power_walk(matrix, rows, lo, span, _window(matrix),
-                                      INTEGRAL_CORPUS_BUDGET, span) == oracle(a), (a, rows)
+            assert _packed_power_walk(matrix, rows, lo, span, INTEGRAL_CORPUS_BUDGET,
+                                      span) == oracle(a), (a, rows)
             widened += walks[-1] > 1
     return widened
 
@@ -717,30 +696,28 @@ def _exponents_inside(matrix: RingMatrix, window: tuple[int, int]) -> bool:
 
 def test_powers_of_integral_matrices_stay_in_the_window():
     """A^0 ... A^(q+c) of every integral matrix of both corpora, and of the
-    companion of its chi, keep their exponents inside `_window`."""
+    companion of its chi, keep their exponents inside `exponent_window`, the
+    bound on which the packed walks' widening stops."""
     corpus = _integral_corpus(random.Random(2718)) + _orbit_corpus(random.Random(5151))
     for a in corpus:
         for matrix in (a, _companion(list(char_poly(a).coeffs))):
-            window = _window(matrix)
+            window = exponent_window(matrix)
             power = identity(matrix.ring, matrix.n)
             for j in range(brent_orbit(matrix).size + 1):
                 assert _exponents_inside(power, window), (a.rows, matrix.rows, j)
                 power = power * matrix
 
 
-def test_non_integral_walks_stop_at_the_window(monkeypatch):
-    """A power outside the window ends both searches within a few states,
-    whatever the budget: the walks count their states through the builtin
-    hash, shadowed here to fail after 64."""
-    states = []
+def test_non_integral_matrices_are_not_walked(monkeypatch):
+    """A matrix whose chi has a coefficient that is not integral ends both
+    searches before their first state, whatever the budget: the walks key
+    their states through the builtin hash, shadowed here to fail on the
+    first one."""
 
-    def counting_hash(value):
-        states.append(value)
-        if len(states) > 64:
-            raise AssertionError("walked past 64 states")
-        return hash(value)
+    def no_state(value):
+        raise AssertionError("a non-integral matrix was walked")
 
-    monkeypatch.setattr(power_semigroup, "hash", counting_hash, raising=False)
+    monkeypatch.setattr(power_semigroup, "hash", no_state, raising=False)
     two, four = laurent_ring(2), laurent_ring(4)
     for a in (RingMatrix(two, [[two.one() + two.monomial(1)]]),
               RingMatrix(four, [[four.monomial(1), four.zero()],
@@ -748,7 +725,6 @@ def test_non_integral_walks_stop_at_the_window(monkeypatch):
               RingMatrix(two, [[two.one() + two.monomial(100)]])):  # walks Laurent rows
         assert not decide_finite_powers(a).finite
         for search in (detect_orbit, divisibility_witness):
-            states.clear()
             assert search(a) is None, (search.__name__, a.rows)
 
 
@@ -872,8 +848,8 @@ def test_packed_slots_stay_below_their_bounds(monkeypatch):
             super().__init__(m, bits, slots)
             self.bits, self.slots = bits, slots
 
-    def checked_stepper(factor, reduce, window, layout):
-        step = stepper(factor, reduce, window, layout)
+    def checked_stepper(factor, reduce, layout):
+        step = stepper(factor, reduce, layout)
         slot_bits = 8 * reduce.width
         ones = ((1 << slot_bits * reduce.slots) - 1) // ((1 << slot_bits) - 1)
         layouts.add(layout)
