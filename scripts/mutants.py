@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Check that the tests catch a fixed set of mutants of the slot bounds, the
 step kernel's block layout, the power walk's blocks, masks and integrality
-gates, the F_p[t] gcd and the deciders.
+gates, the F_p[t] gcd, the deciders, the CLI's one format switch in ``main``
+and the exit code of ``orbit``'s exhausted budget.
 
 Each mutant is one textual edit of a file under ``src/addca``.  Most make a
 packed-integer slot one bit or one factor too narrow, or flip a comparison
@@ -226,6 +227,16 @@ MUTANTS = (
      "half = 1 << bits - 1",
      "half = 1 << bits - 2",
      "tests/test_polymat.py"),
+    # main prints the text lines whatever --format says.
+    ("src/addca/cli.py",
+     'print(json.dumps(payload, indent=2) if args.format == "json" else "\\n".join(lines))',
+     'print("\\n".join(lines))',
+     "tests/test_cli_golden.py"),
+    # orbit's exhausted budget exits 0, as if the power set's shape were found.
+    ("src/addca/cli.py",
+     'return 3, {"rule": _describe(document), "finite": True,',
+     'return 0, {"rule": _describe(document), "finite": True,',
+     "tests/test_cli.py"),
 )
 
 # (file, old, new, why no output changes)

@@ -15,10 +15,11 @@ cell vectors and is only needed by ``simulate``.
 
 Verbs: ``analyze`` (property report), ``simulate`` (space-time grid),
 ``charpoly`` (characteristic polynomial with per-prime integrality verdicts)
-and ``orbit`` (power-set shape under a step budget).  Exit codes: 0 success,
-2 malformed specification, 3 budget exhausted where an exact answer exists
-(``orbit``) or where the grid would cost more than ``MAX_STEP_WORK``
-(``simulate``).
+and ``orbit`` (power-set shape under a step budget).  Each returns its exit
+code, ``--format json`` payload and text lines, and `main` alone prints one
+of the two.  Exit codes: 0 success, 2 malformed specification, 3 budget
+exhausted where an exact answer exists (``orbit``) or where the grid would
+cost more than ``MAX_STEP_WORK`` (``simulate``).
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ MAX_STEP_WORK = 5 * 10**6
 
 class SpecError(ValueError):
     """A rule specification is malformed; the message names the bad field."""
+
+
+class BudgetError(Exception):
+    """simulate's grid would cost more than ``MAX_STEP_WORK``; `main` exits 3."""
+
+
+Answer = tuple[int, dict, list[str]]  # a verb's exit code, JSON payload and text lines
 
 
 class SpecDocument(NamedTuple):
@@ -208,34 +216,23 @@ def _describe(document: SpecDocument) -> str:
     return f"additive over {factors}, radius={rule.radius}"
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def cmd_analyze(document: SpecDocument, args: argparse.Namespace) -> int:
+def cmd_analyze(document: SpecDocument, args: argparse.Namespace) -> Answer:
     if document.kind == "linear":
         report = analyze_rule(document.rule)
     else:
         report = decide_properties(document.rule)
-    if args.format == "json":
-        _emit_json({"kind": document.kind, "rule": _describe(document),
-                    "report": report.to_dict()})
-        return 0
-    print(f"rule: {_describe(document)}")
+    lines = [f"rule: {_describe(document)}"]
     for name in ("sensitive", "equicontinuous", "injective", "surjective", "transitive"):
-        print(f"{name}: {_yesno(getattr(report, name))}")
+        lines.append(f"{name}: {'yes' if getattr(report, name) else 'no'}")
     if report.notes:
-        print("notes:")
+        lines.append("notes:")
         for key, text in report.notes.items():
-            print(f"  {key}: {text}")
-    return 0
+            lines.append(f"  {key}: {text}")
+    return 0, {"kind": document.kind, "rule": _describe(document),
+               "report": report.to_dict()}, lines
 
 
-def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
+def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> Answer:
     if document.initial is None:
         raise SpecError("simulate needs an \"initial\" configuration in the spec")
     _expect(args.steps >= 0, "--steps must be >= 0")
@@ -246,17 +243,12 @@ def cmd_simulate(document: SpecDocument, args: argparse.Namespace) -> int:
             f"the limit is {MAX_GRID_CELLS}")
     trajectory = _windowed_trajectory(document.rule, document.initial, args.steps, args.window)
     if trajectory is None:
-        print(f"budget exhausted: --steps {args.steps} and --window {args.window} need more "
-              f"than {MAX_STEP_WORK} cell-offset pairs (stepped cells times nonzero offset "
-              f"matrices); lower --steps", file=sys.stderr)
-        return 3
-    grid = render_trajectory(trajectory, args.window)
-    if args.format == "json":
-        _emit_json({"kind": document.kind, "rule": _describe(document),
-                    "window": args.window, "rows": grid.split("\n")})
-        return 0
-    print(grid)
-    return 0
+        raise BudgetError(
+            f"--steps {args.steps} and --window {args.window} need more than {MAX_STEP_WORK} "
+            f"cell-offset pairs (stepped cells times nonzero offset matrices); lower --steps")
+    rows = render_trajectory(trajectory, args.window).split("\n")
+    return 0, {"kind": document.kind, "rule": _describe(document),
+               "window": args.window, "rows": rows}, rows
 
 
 def _windowed_trajectory(rule: LcaRule | AdditiveCaRule, initial: FiniteConfiguration,
@@ -282,7 +274,7 @@ def _windowed_trajectory(rule: LcaRule | AdditiveCaRule, initial: FiniteConfigur
     return rows
 
 
-def cmd_charpoly(document: SpecDocument, args: argparse.Namespace) -> int:
+def cmd_charpoly(document: SpecDocument, args: argparse.Namespace) -> Answer:
     if document.kind != "linear":
         raise SpecError("charpoly needs a linear spec (additive rules: analyze instead)")
     matrix = associated_matrix(document.rule)
@@ -290,63 +282,47 @@ def cmd_charpoly(document: SpecDocument, args: argparse.Namespace) -> int:
     verdict = char_poly_finiteness(poly)
     primes = document.rule.modulus.primes
     coefficients = []
+    lines = [f"chi = {poly}"]
     for index, coeff in enumerate(poly.coeffs):
+        lines.append(f"a_{index} = {coeff}")
         reductions = []
         for p in primes:
             reduced = coeff.reduce_mod_prime(p)
-            reductions.append({"prime": p, "value": str(reduced),
-                               "constant": reduced.is_constant()})
+            constant = reduced.is_constant()
+            reductions.append({"prime": p, "value": str(reduced), "constant": constant})
+            lines.append(f"  mod {p}: {reduced} ({'constant' if constant else 'NOT constant'})")
         coefficients.append({"index": index, "value": str(coeff), "reductions": reductions})
-    if args.format == "json":
-        _emit_json({"rule": _describe(document), "chi": str(poly),
-                    "coefficients": coefficients,
-                    "finite": verdict.finite, "reason": verdict.reason})
-        return 0
-    print(f"chi = {poly}")
-    for entry in coefficients:
-        print(f"a_{entry['index']} = {entry['value']}")
-        for red in entry["reductions"]:
-            flag = "constant" if red["constant"] else "NOT constant"
-            print(f"  mod {red['prime']}: {red['value']} ({flag})")
-    print(f"verdict: {'finite' if verdict.finite else 'infinite'} power set "
-          f"({verdict.reason})")
-    return 0
+    lines.append(f"verdict: {'finite' if verdict.finite else 'infinite'} power set "
+                 f"({verdict.reason})")
+    return 0, {"rule": _describe(document), "chi": str(poly), "coefficients": coefficients,
+               "finite": verdict.finite, "reason": verdict.reason}, lines
 
 
-def cmd_orbit(document: SpecDocument, args: argparse.Namespace) -> int:
+def cmd_orbit(document: SpecDocument, args: argparse.Namespace) -> Answer:
     if document.kind != "linear":
         raise SpecError("orbit needs a linear spec")
     _expect(args.budget >= 1, "--budget must be >= 1")
     matrix = associated_matrix(document.rule)
     verdict = decide_finite_powers(matrix)
-    if verdict.finite:
-        shape = detect_orbit(matrix, args.budget)
-        if shape is not None:
-            if args.format == "json":
-                _emit_json({"rule": _describe(document), "finite": True,
-                            "preperiod": shape.preperiod, "period": shape.period,
-                            "size": shape.size, "budget": args.budget})
-            else:
-                print(f"preperiod {shape.preperiod}, period {shape.period}: "
-                      f"power set has {shape.size} elements")
-            return 0
+    if not verdict.finite:
+        # The coefficient verdict is exact, so no walk runs and no budget is spent.
+        growth = sampled_degree_growth(matrix)
+        return 0, {"rule": _describe(document), "finite": False,
+                   "reason": verdict.reason, "degree_samples": growth}, [
+            f"infinite power set: {verdict.reason}",
+            f"  max entry degrees along doubled powers: {growth}"]
+    shape = detect_orbit(matrix, args.budget)
+    if shape is None:
         # An exact answer exists (the power set is finite) but the budget
         # ran out before the cycle closed.
-        if args.format == "json":
-            _emit_json({"rule": _describe(document), "finite": True,
-                        "indeterminate": True, "budget": args.budget})
-        else:
-            print(f"indeterminate (budget {args.budget}); coefficient verdict: finite")
-        return 3
-    # The coefficient verdict is exact, so no walk runs and no budget is spent.
-    growth = sampled_degree_growth(matrix)
-    if args.format == "json":
-        _emit_json({"rule": _describe(document), "finite": False,
-                    "reason": verdict.reason, "degree_samples": growth})
-    else:
-        print(f"infinite power set: {verdict.reason}")
-        print(f"  max entry degrees along doubled powers: {growth}")
-    return 0
+        return 3, {"rule": _describe(document), "finite": True,
+                   "indeterminate": True, "budget": args.budget}, [
+            f"indeterminate (budget {args.budget}); coefficient verdict: finite"]
+    return 0, {"rule": _describe(document), "finite": True,
+               "preperiod": shape.preperiod, "period": shape.period,
+               "size": shape.size, "budget": args.budget}, [
+        f"preperiod {shape.preperiod}, period {shape.period}: "
+        f"power set has {shape.size} elements"]
 
 
 @lru_cache(maxsize=None)
@@ -394,11 +370,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        document = load_spec(args.spec)
-        return _COMMANDS[args.command](document, args)
+        code, payload, lines = _COMMANDS[args.command](load_spec(args.spec), args)
     except SpecError as err:
         print(f"spec error: {err}", file=sys.stderr)
         return 2
+    except BudgetError as err:
+        print(f"budget exhausted: {err}", file=sys.stderr)
+        return 3
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -87,9 +87,6 @@ class RingMatrix:
     def __hash__(self) -> int:
         return hash((self.ring, self.rows))
 
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.rows)
-
     def __repr__(self) -> str:
         return f"RingMatrix({self.n}x{self.n} over {self.ring})"
 

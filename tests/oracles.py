@@ -38,7 +38,7 @@ from functools import partial
 from itertools import product
 from operator import mul
 
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from addca import tpoly
 from addca.additive_ca import AbelianGroup, GroupEndomorphism, _embedding_scales
@@ -61,6 +61,16 @@ def offsets(rule) -> range:
 def cell(config: FiniteConfiguration, position: int) -> tuple[int, ...]:
     """The vector at ``position``, zero where the configuration stores none."""
     return config.cells.get(position, (0,) * len(config.orders))
+
+
+def slide(rule, config: FiniteConfiguration, local) -> Iterator[tuple[int, tuple]]:
+    """(pos, image) for every window that can see the support, pos from
+    min(cells) - r to max(cells) + r: ``local(rule, word)`` on the
+    neighborhood word of pos."""
+    if not config.cells:
+        return
+    for pos in range(min(config.cells) - rule.radius, max(config.cells) + rule.radius + 1):
+        yield pos, local(rule, tuple(cell(config, pos + z) for z in offsets(rule)))
 
 
 def laurent_power(f: LaurentPoly, k: int) -> LaurentPoly:
@@ -199,15 +209,7 @@ def finite_support_kernel_witness(rule: LcaRule) -> FiniteConfiguration | None:
 
 def _maps_to_zero(rule: LcaRule, config: FiniteConfiguration) -> bool:
     """Slide the local map over every window that can see the support."""
-    if not config.cells:
-        return True
-    lo = min(config.cells) - rule.radius
-    hi = max(config.cells) + rule.radius
-    for pos in range(lo, hi + 1):
-        word = tuple(cell(config, pos + z) for z in offsets(rule))
-        if any(local_map(rule, word)):
-            return False
-    return True
+    return not any(any(image) for _, image in slide(rule, config, local_map))
 
 
 def additive_local_map(rule, word: tuple) -> tuple:

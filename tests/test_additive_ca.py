@@ -39,7 +39,6 @@ from oracles import (
     additive_periodic_kernel_witness,
     apply_endomorphism,
     associated_lca_matrices,
-    cell,
     combination,
     embed,
     finite_support_kernel_witness,
@@ -51,6 +50,7 @@ from oracles import (
     max_abs_position,
     offsets,
     periodic_kernel_witness,
+    slide,
     step_through_constructor,
     unembed,
 )
@@ -99,18 +99,8 @@ def random_config(rng: random.Random, group: AbelianGroup, span: int = 3) -> Fin
 
 def brute_step(rule: AdditiveCaRule, config: FiniteConfiguration) -> FiniteConfiguration:
     """Slide the local map over every window that can see the support."""
-    group = rule.group
-    if not config.cells:
-        return FiniteConfiguration(group.factors, {})
-    lo = min(config.cells) - rule.radius
-    hi = max(config.cells) + rule.radius
-    cells = {}
-    for pos in range(lo, hi + 1):
-        word = tuple(cell(config, pos + z) for z in offsets(rule))
-        value = additive_local_map(rule, word)
-        if any(value):
-            cells[pos] = value
-    return FiniteConfiguration(group.factors, cells)
+    cells = {pos: value for pos, value in slide(rule, config, additive_local_map) if any(value)}
+    return FiniteConfiguration(rule.group.factors, cells)
 
 
 def diag_rule(group: AbelianGroup, *diagonals: tuple[int, ...]) -> AdditiveCaRule:

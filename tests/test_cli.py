@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import random
@@ -357,6 +358,34 @@ def test_orbit_infinite_rule_reports_degree_growth(capsys):
     report = json.loads(out)
     assert report["finite"] is False and report["degree_samples"] == [1, 2, 4, 8, 16, 32]
     assert "indeterminate" not in report and "budget" not in report
+
+
+# Each verb's own options; --budget 2 gives orbit its three cases on specs/:
+# a shape (identity), exit 3 (shear) and an infinite power set (rule90).
+_VERB_OPTIONS = {
+    "analyze": {},
+    "charpoly": {},
+    "orbit": {"budget": 2},
+    "simulate": {"steps": 3, "window": 3},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_OPTIONS))
+@pytest.mark.parametrize("spec", sorted(SPECS.glob("*.json")), ids=lambda path: path.name)
+def test_verbs_leave_the_format_to_main(capsys, verb, spec):
+    """Each verb answers from its own options, with no ``format`` in its
+    namespace, and main prints the answer's payload as --format json and its
+    lines as text, with the answer's exit code."""
+    options = _VERB_OPTIONS[verb]
+    argv = [verb, str(spec), *(f"--{name}={value}" for name, value in options.items())]
+    command = getattr(cli, f"cmd_{verb}")
+    try:
+        code, payload, lines = command(cli.load_spec(str(spec)), argparse.Namespace(**options))
+    except SpecError:
+        assert run_cli(capsys, *argv)[0] == 2
+        return
+    for fmt, text in (("json", json.dumps(payload, indent=2)), ("text", "\n".join(lines))):
+        assert run_cli(capsys, *argv, "--format", fmt) == (code, text + "\n", "")
 
 
 def test_orbit_on_a_wide_gapped_rule(capsys, tmp_path):
